@@ -35,7 +35,7 @@ from .confidence import (
 )
 from .errors import SheetsmithError, UsageError
 from .evaluator import EvalError, validate_examples, Value
-from .formulas import number_text, render
+from .formulas import FormulaAst, number_text, render
 from .metrics import metrics_report
 from .parser import parse
 from .synthesis import (
@@ -72,11 +72,15 @@ class RiskReportRow:
 def risk_report_row(source_id: str, formula: str) -> RiskReportRow:
     """Metrics row for a formula, with parse failures captured, not raised."""
     try:
-        report = metrics_report(parse(formula))
+        return _metrics_row(source_id, formula, parse(formula))
     except SheetsmithError as exc:
         return RiskReportRow(
             source_id=source_id, formula=formula, parse_error=f"{exc.code}: {exc}"
         )
+
+
+def _metrics_row(source_id: str, formula: str, ast: FormulaAst) -> RiskReportRow:
+    report = metrics_report(ast)
     return RiskReportRow(
         source_id=source_id,
         formula=formula,
@@ -141,45 +145,18 @@ _ROW_FIELDS = tuple(RiskReportRow.__dataclass_fields__)
 
 def _cmd_analyze(args) -> int:
     ast = parse(args.formula)
-    report = metrics_report(ast)
-    row = RiskReportRow(
-        source_id="-",
-        formula=args.formula,
-        n1=report.counts.n1,
-        n2=report.counts.n2,
-        N1=report.counts.N1,
-        N2=report.counts.N2,
-        complexity=report.complexity,
-        out_of_range_flag=report.out_of_range_flag,
-        volume=report.volume,
-        difficulty=report.difficulty,
-        effort=report.effort,
-        miller_concepts=report.miller_concepts,
-        miller_flag=report.miller_flag,
-    )
+    row = asdict(_metrics_row("-", args.formula, ast))
     if args.format == "table":
-        pairs = [
-            ("formula", args.formula),
-            ("canonical", render(ast)),
-            ("n1", report.counts.n1),
-            ("n2", report.counts.n2),
-            ("N1", report.counts.N1),
-            ("N2", report.counts.N2),
-            ("complexity", report.complexity),
-            ("out_of_range_flag", report.out_of_range_flag),
-            ("volume", report.volume),
-            ("difficulty", report.difficulty),
-            ("effort", report.effort),
-            ("miller_concepts", report.miller_concepts),
-            ("miller_flag", report.miller_flag),
-        ]
+        # the metric fields sit between formula and parse_error
+        metrics = list(row.items())[2:-1]
+        pairs = [("formula", args.formula), ("canonical", render(ast))] + metrics
         width = max(len(name) for name, _ in pairs)
         for name, value in pairs:
             print(f"{name:<{width}}  {_cell_text(value)}")
     elif args.format == "csv":
-        _write_csv(sys.stdout, _ROW_FIELDS, [list(asdict(row).values())])
+        _write_csv(sys.stdout, _ROW_FIELDS, [list(row.values())])
     else:
-        print(json.dumps(asdict(row), indent=2))
+        print(json.dumps(row, indent=2))
     return 0
 
 

@@ -20,8 +20,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     DegenerateXError,
     EmptyInputError,
@@ -248,17 +246,18 @@ def fit_accuracy_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
         raise InsufficientPointsError(
             f"curve fit needs at least 2 usable points, got {len(usable)}"
         )
-    xs = np.array([x for x, _ in usable], dtype=float)
-    logy = np.log(np.array([y for _, y in usable], dtype=float))
-    if np.all(xs == xs[0]):
+    xs = [x for x, _ in usable]
+    logy = [math.log(y) for _, y in usable]
+    if all(x == xs[0] for x in xs):
         raise DegenerateXError("all points share one complexity value")
-    x_mean = xs.mean()
-    y_mean = logy.mean()
-    slope = float(((xs - x_mean) * (logy - y_mean)).sum() / ((xs - x_mean) ** 2).sum())
-    intercept = float(y_mean - slope * x_mean)
-    residual = logy - (intercept + slope * xs)
-    ss_res = float((residual ** 2).sum())
-    ss_tot = float(((logy - y_mean) ** 2).sum())
+    x_mean = sum(xs) / len(xs)
+    y_mean = sum(logy) / len(logy)
+    slope = sum((x - x_mean) * (v - y_mean) for x, v in zip(xs, logy)) / sum(
+        (x - x_mean) ** 2 for x in xs
+    )
+    intercept = y_mean - slope * x_mean
+    ss_res = sum((v - (intercept + slope * x)) ** 2 for x, v in zip(xs, logy))
+    ss_tot = sum((v - y_mean) ** 2 for v in logy)
     if ss_tot > 0:
         r_squared = 1.0 - ss_res / ss_tot
     else:

@@ -8,7 +8,7 @@ and value problems, so the CLI can report them as file errors.
 from __future__ import annotations
 
 import csv
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .confidence import ConfidenceRecord
 from .errors import InputFileError
@@ -42,17 +42,15 @@ def _int(path: str, line: int, column: str, text: str) -> int:
         ) from None
 
 
-def read_examples_csv(path: str) -> list[LabeledExample]:
-    """Attribute columns followed by a final 'label' column."""
+def _table(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each non-blank data row of a CSV file.
+
+    The first row must equal ``header`` and every data row must have as many
+    fields as it.
+    """
     rows = _rows(path)
-    header = next(rows, None)
-    if not header or len(header) < 2 or header[-1] != "label":
-        raise InputFileError(
-            f"{path}: header must name at least one attribute column "
-            "and end with 'label'"
-        )
-    attributes = header[:-1]
-    examples = []
+    if next(rows, None) != list(header):
+        raise InputFileError(f"{path}: header must be {','.join(header)}")
     for line, row in enumerate(rows, start=2):
         if not row:
             continue
@@ -60,6 +58,20 @@ def read_examples_csv(path: str) -> list[LabeledExample]:
             raise InputFileError(
                 f"{path} line {line}: expected {len(header)} fields, got {len(row)}"
             )
+        yield line, row
+
+
+def read_examples_csv(path: str) -> list[LabeledExample]:
+    """Attribute columns followed by a final 'label' column."""
+    header = next(_rows(path), None)
+    if not header or len(header) < 2 or header[-1] != "label":
+        raise InputFileError(
+            f"{path}: header must name at least one attribute column "
+            "and end with 'label'"
+        )
+    attributes = header[:-1]
+    examples = []
+    for line, row in _table(path, header):
         values = {
             name: _float(path, line, name, text)
             for name, text in zip(attributes, row)
@@ -81,21 +93,8 @@ _RESULT_COLUMNS = (
 
 def read_results_csv(path: str) -> list[ConfidenceRecord]:
     """Per-question experiment records; attempted is 0 or 1."""
-    rows = _rows(path)
-    header = next(rows, None)
-    if header != list(_RESULT_COLUMNS):
-        raise InputFileError(
-            f"{path}: header must be exactly {','.join(_RESULT_COLUMNS)}"
-        )
     records = []
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(_RESULT_COLUMNS):
-            raise InputFileError(
-                f"{path} line {line}: expected {len(_RESULT_COLUMNS)} fields, "
-                f"got {len(row)}"
-            )
+    for line, row in _table(path, _RESULT_COLUMNS):
         participant, question, approach, attempted, errors, conf, diff = row
         if attempted not in ("0", "1"):
             raise InputFileError(
@@ -122,54 +121,30 @@ def read_results_csv(path: str) -> list[ConfidenceRecord]:
 
 def read_complexities_csv(path: str) -> dict[str, float]:
     """question_id,complexity pairs."""
-    rows = _rows(path)
-    header = next(rows, None)
-    if header != ["question_id", "complexity"]:
-        raise InputFileError(f"{path}: header must be question_id,complexity")
     out: dict[str, float] = {}
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise InputFileError(f"{path} line {line}: expected 2 fields")
-        if row[0] in out:
-            raise InputFileError(f"{path} line {line}: duplicate question {row[0]!r}")
-        out[row[0]] = _float(path, line, "complexity", row[1])
+    for line, (question, complexity) in _table(path, ("question_id", "complexity")):
+        if question in out:
+            raise InputFileError(f"{path} line {line}: duplicate question {question!r}")
+        out[question] = _float(path, line, "complexity", complexity)
     return out
 
 
 def read_points_csv(path: str) -> list[tuple[float, float]]:
     """complexity,accuracy_pct pairs for curve fitting."""
-    rows = _rows(path)
-    header = next(rows, None)
-    if header != ["complexity", "accuracy_pct"]:
-        raise InputFileError(f"{path}: header must be complexity,accuracy_pct")
-    points = []
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise InputFileError(f"{path} line {line}: expected 2 fields")
-        points.append(
-            (
-                _float(path, line, "complexity", row[0]),
-                _float(path, line, "accuracy_pct", row[1]),
-            )
+    return [
+        (
+            _float(path, line, "complexity", complexity),
+            _float(path, line, "accuracy_pct", accuracy),
         )
-    return points
+        for line, (complexity, accuracy) in _table(
+            path, ("complexity", "accuracy_pct")
+        )
+    ]
 
 
 def read_formulas_csv(path: str) -> list[tuple[str, str]]:
     """source_id,formula rows for batch risk scanning."""
-    rows = _rows(path)
-    header = next(rows, None)
-    if header != ["source_id", "formula"]:
-        raise InputFileError(f"{path}: header must be source_id,formula")
-    out = []
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise InputFileError(f"{path} line {line}: expected 2 fields")
-        out.append((row[0], row[1]))
-    return out
+    return [
+        (source_id, formula)
+        for _, (source_id, formula) in _table(path, ("source_id", "formula"))
+    ]

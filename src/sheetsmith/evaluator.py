@@ -19,6 +19,7 @@ from .formulas import (
     BooleanLiteral,
     CellRef,
     cells_in_range,
+    children,
     FormulaAst,
     FunctionCall,
     Node,
@@ -316,22 +317,15 @@ def validate_examples(
 def referenced_cells(ast: FormulaAst) -> set[str]:
     """Canonical names of every cell the formula can read."""
     cells: set[str] = set()
-
-    def walk(node: Node) -> None:
+    stack = [ast.root]
+    while stack:
+        node = stack.pop()
         if isinstance(node, CellRef):
             cells.add(node.canonical())
         elif isinstance(node, RangeRef):
             cells.update(cells_in_range(node))
-        elif isinstance(node, FunctionCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-
-    walk(ast.root)
+        else:
+            stack.extend(children(node))
     return cells
 
 

@@ -6,6 +6,7 @@ where precedence requires, so rendering the same tree twice is byte-identical.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,8 +23,6 @@ SUPPORTED_FUNCTIONS = {
 }
 
 AGGREGATE_FUNCTIONS = ("MIN", "MAX", "AVERAGE", "SUM")
-
-COMPARISON_OPERATORS = ("<", "<=", ">", ">=", "=", "<>")
 
 
 def column_index(letters: str) -> int:
@@ -143,20 +142,50 @@ def cells_in_range(ref: RangeRef) -> list[str]:
 
 
 def number_text(value: float) -> str:
-    """Canonical numeric literal: no trailing .0, never exponent notation."""
+    """Canonical numeric literal: no trailing .0, never exponent notation.
+
+    Exponent-form reprs are expanded digit for digit, so the text parses back
+    to the same float however tiny or huge it is.
+    """
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     text = repr(float(value))
     if "e" in text or "E" in text:
-        text = format(value, ".17f").rstrip("0").rstrip(".")
+        text = format(decimal.Decimal(text), "f")
     return text
 
 
+def token_text(node: Node) -> str:
+    """Canonical text of a number, text or boolean literal.
+
+    Rendering prints it, and metrics counts operand identity by it.
+    """
+    if isinstance(node, NumberLiteral):
+        return number_text(node.value)
+    if isinstance(node, TextLiteral):
+        return '"' + node.value.replace('"', '""') + '"'
+    if isinstance(node, BooleanLiteral):
+        return "TRUE" if node.value else "FALSE"
+    raise TypeError(f"not a formula literal: {node!r}")
+
+
+def children(node: Node) -> "tuple[Node, ...]":
+    """Direct sub-expressions of a node; empty for literals, cells and ranges."""
+    if isinstance(node, FunctionCall):
+        return node.args
+    if isinstance(node, BinaryOp):
+        return (node.left, node.right)
+    if isinstance(node, UnaryOp):
+        return (node.operand,)
+    return ()
+
+
 # Binding strength, loosest first. Comparisons chain below addition; unary
-# minus binds tighter than the power operator.
+# minus binds tighter than the power operator. The parser and the renderer
+# both read this table, and every binary operator associates left.
 _COMPARE, _ADD, _MUL, _POW, _UNARY, _ATOM = 1, 2, 3, 4, 5, 6
 
-_BINARY_PRECEDENCE = {
+BINARY_PRECEDENCE = {
     "<": _COMPARE, "<=": _COMPARE, ">": _COMPARE, ">=": _COMPARE,
     "=": _COMPARE, "<>": _COMPARE,
     "+": _ADD, "-": _ADD,
@@ -167,7 +196,7 @@ _BINARY_PRECEDENCE = {
 
 def _precedence(node: Node) -> int:
     if isinstance(node, BinaryOp):
-        return _BINARY_PRECEDENCE[node.op]
+        return BINARY_PRECEDENCE[node.op]
     if isinstance(node, UnaryOp):
         return _UNARY
     return _ATOM
@@ -179,12 +208,8 @@ def render(ast: FormulaAst) -> str:
 
 
 def _render(node: Node) -> str:
-    if isinstance(node, NumberLiteral):
-        return number_text(node.value)
-    if isinstance(node, TextLiteral):
-        return '"' + node.value.replace('"', '""') + '"'
-    if isinstance(node, BooleanLiteral):
-        return "TRUE" if node.value else "FALSE"
+    if isinstance(node, (NumberLiteral, TextLiteral, BooleanLiteral)):
+        return token_text(node)
     if isinstance(node, CellRef):
         col_mark = "$" if node.column_absolute else ""
         row_mark = "$" if node.row_absolute else ""
@@ -196,7 +221,7 @@ def _render(node: Node) -> str:
     if isinstance(node, UnaryOp):
         return "-" + _wrap(node.operand, _UNARY, tight=False)
     if isinstance(node, BinaryOp):
-        p = _BINARY_PRECEDENCE[node.op]
+        p = BINARY_PRECEDENCE[node.op]
         # equal precedence on the right needs parens to survive reparsing,
         # since all binary operators associate left
         return _wrap(node.left, p, tight=False) + node.op + _wrap(node.right, p, tight=True)

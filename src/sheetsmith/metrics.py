@@ -24,17 +24,13 @@ from dataclasses import dataclass
 
 from .errors import DegenerateFormulaError
 from .formulas import (
-    BinaryOp,
-    BooleanLiteral,
     CellRef,
+    children,
     FormulaAst,
     FunctionCall,
     Node,
-    NumberLiteral,
-    number_text,
     RangeRef,
-    TextLiteral,
-    UnaryOp,
+    token_text,
 )
 
 MILLER_LIMIT = 9
@@ -66,30 +62,18 @@ class MetricsReport:
     miller_flag: bool
 
 
-def _collect(node: Node, operators: list[str], operands: list[str]) -> None:
-    if isinstance(node, NumberLiteral):
-        operands.append(number_text(node.value))
-    elif isinstance(node, TextLiteral):
-        operands.append('"' + node.value.replace('"', '""') + '"')
-    elif isinstance(node, BooleanLiteral):
-        operands.append("TRUE" if node.value else "FALSE")
-    elif isinstance(node, CellRef):
-        operands.append(node.canonical())
-    elif isinstance(node, RangeRef):
-        operands.append(node.canonical())
-    elif isinstance(node, FunctionCall):
-        operators.append(node.name)
-        for arg in node.args:
-            _collect(arg, operators, operands)
-    elif isinstance(node, BinaryOp):
-        operators.append(node.op)
-        _collect(node.left, operators, operands)
-        _collect(node.right, operators, operands)
-    elif isinstance(node, UnaryOp):
-        operators.append(node.op)
-        _collect(node.operand, operators, operands)
-    else:
-        raise TypeError(f"not a formula node: {node!r}")
+def _collect(root: Node, operators: list[str], operands: list[str]) -> None:
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        inner = children(node)
+        if inner:
+            operators.append(node.name if isinstance(node, FunctionCall) else node.op)
+            stack.extend(inner)
+        elif isinstance(node, (CellRef, RangeRef)):
+            operands.append(node.canonical())
+        else:
+            operands.append(token_text(node))
 
 
 def halstead_counts(ast: FormulaAst) -> HalsteadCounts:

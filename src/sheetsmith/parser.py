@@ -1,31 +1,32 @@
-"""Recursive-descent parser for the formula language.
+"""Parser for the formula language: a regex tokenizer and one precedence loop.
 
 Grammar, loosest binding first:
 
-    formula    := '='? compare
-    compare    := additive (('<'|'<='|'>'|'>='|'='|'<>') additive)*
-    additive   := multiplic (('+'|'-') multiplic)*
-    multiplic  := power (('*'|'/') power)*
-    power      := unary ('^' unary)*
-    unary      := '-' unary | primary
-    primary    := NUMBER | STRING | TRUE | FALSE | cell (':' cell)?
-                | NAME '(' compare (',' compare)* ')' | '(' compare ')'
+    formula  := '='? binary
+    binary   := unary (OP unary)*      operators bind by formulas.BINARY_PRECEDENCE
+    unary    := '-' unary | primary
+    primary  := NUMBER | STRING | TRUE | FALSE | cell (':' cell)?
+              | NAME '(' binary (',' binary)* ')' | '(' binary ')'
 
-All binary operators associate left. Unary minus binds tighter than '^'.
+``binary`` climbs the precedence table: after an operand it takes every
+operator tighter than the level it was called at, and parses each right-hand
+operand one level tighter than that operator, so all binary operators
+associate left. Unary minus binds tighter than '^'. Function calls,
+parenthesised groups and unary minus each open one nesting level; input
+nested deeper than MAX_NESTING levels (Excel's cap) is a syntax error.
 Input is case-insensitive; positions in errors index the original string.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ArityError, FormulaSyntaxError, UnknownFunctionError
 from .formulas import (
+    BINARY_PRECEDENCE,
     BinaryOp,
     BooleanLiteral,
     CellRef,
-    COMPARISON_OPERATORS,
     FormulaAst,
     FunctionCall,
     make_range,
@@ -35,6 +36,8 @@ from .formulas import (
     TextLiteral,
     UnaryOp,
 )
+
+MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(
     r"""
@@ -48,35 +51,30 @@ _TOKEN_RE = re.compile(
     | (?P<RPAREN>\))
     | (?P<COMMA>,)
     | (?P<COLON>:)
+    | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
 
 _CELL_RE = re.compile(r"^(\$?)([A-Za-z]+)(\$?)(\d+)$")
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
+# (kind, text, position); kind is a group name of _TOKEN_RE or "EOF"
+_Token = tuple[str, str, int]
 
 
-def _tokenize(source: str) -> list[Token]:
+def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            ch = source[pos]
-            if ch == '"':
-                raise FormulaSyntaxError("unterminated text literal", pos)
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
+    for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
-        if kind != "WS":
-            tokens.append(Token(kind, match.group(), pos))
-        pos = match.end()
-    tokens.append(Token("EOF", "", len(source)))
+        if kind == "WS":
+            continue
+        text, pos = match.group(), match.start()
+        if kind == "BAD":
+            if text == '"':
+                raise FormulaSyntaxError("unterminated text literal", pos)
+            raise FormulaSyntaxError(f"unexpected character {text!r}", pos)
+        tokens.append((kind, text, pos))
+    tokens.append(("EOF", "", len(source)))
     return tokens
 
 
@@ -84,131 +82,121 @@ def parse(source: str) -> FormulaAst:
     """Parse formula text (leading '=' optional) into a FormulaAst."""
     if not source or not source.strip():
         raise FormulaSyntaxError("empty formula", 0)
-    tokens = _tokenize(source)
-    parser = _Parser(tokens)
-    if parser.peek().kind == "OP" and parser.peek().text == "=":
+    parser = _Parser(_tokenize(source))
+    if parser.peek()[:2] == ("OP", "="):
         parser.advance()
-    root = parser.compare()
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        raise FormulaSyntaxError(
-            f"expected end of formula, found {tail.text!r}", tail.pos
-        )
+    root = parser.binary()
+    kind, text, pos = parser.peek()
+    if kind != "EOF":
+        raise FormulaSyntaxError(f"expected end of formula, found {text!r}", pos)
     return FormulaAst(root)
 
 
+def _found(token: _Token) -> str:
+    return repr(token[1]) if token[0] != "EOF" else "end of formula"
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> _Token:
         return self.tokens[self.index]
 
-    def advance(self) -> Token:
+    def advance(self) -> _Token:
         token = self.tokens[self.index]
-        if token.kind != "EOF":
+        if token[0] != "EOF":
             self.index += 1
         return token
 
-    def expect(self, kind: str, what: str) -> Token:
+    def expect(self, kind: str, what: str) -> _Token:
         token = self.peek()
-        if token.kind != kind:
-            found = repr(token.text) if token.kind != "EOF" else "end of formula"
-            raise FormulaSyntaxError(f"expected {what}, found {found}", token.pos)
+        if token[0] != kind:
+            raise FormulaSyntaxError(f"expected {what}, found {_found(token)}", token[2])
         return self.advance()
 
-    # precedence ladder -------------------------------------------------
+    def nested(self, parse_inner, pos: int):
+        """Run parse_inner one nesting level deeper, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {MAX_NESTING} levels", pos
+            )
+        self.depth += 1
+        result = parse_inner()
+        self.depth -= 1
+        return result
 
-    def compare(self) -> Node:
-        node = self.additive()
-        while self.peek().kind == "OP" and self.peek().text in COMPARISON_OPERATORS:
-            op = self.advance().text
-            node = BinaryOp(op, node, self.additive())
-        return node
-
-    def additive(self) -> Node:
-        node = self.multiplicative()
-        while self.peek().kind == "OP" and self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self) -> Node:
-        node = self.power()
-        while self.peek().kind == "OP" and self.peek().text in ("*", "/"):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.power())
-        return node
-
-    def power(self) -> Node:
+    def binary(self, floor: int = 0) -> Node:
+        """An operand, then every operator binding tighter than ``floor``."""
         node = self.unary()
-        while self.peek().kind == "OP" and self.peek().text == "^":
+        while True:
+            kind, op, _ = self.peek()
+            # the OP token group holds exactly the table's operators
+            precedence = BINARY_PRECEDENCE[op] if kind == "OP" else 0
+            if precedence <= floor:
+                return node
             self.advance()
-            node = BinaryOp("^", node, self.unary())
-        return node
+            node = BinaryOp(op, node, self.binary(precedence))
 
     def unary(self) -> Node:
-        token = self.peek()
-        if token.kind == "OP" and token.text == "-":
+        kind, text, pos = self.peek()
+        if kind == "OP" and text == "-":
             self.advance()
-            return UnaryOp(self.unary())
+            return UnaryOp(self.nested(self.unary, pos))
         return self.primary()
 
     def primary(self) -> Node:
         token = self.peek()
-        if token.kind == "NUMBER":
+        kind, text, pos = token
+        if kind == "NUMBER":
             self.advance()
-            return NumberLiteral(float(token.text))
-        if token.kind == "STRING":
+            return NumberLiteral(float(text))
+        if kind == "STRING":
             self.advance()
-            return TextLiteral(token.text[1:-1].replace('""', '"'))
-        if token.kind == "CELL":
+            return TextLiteral(text[1:-1].replace('""', '"'))
+        if kind == "CELL":
             self.advance()
             start = self.cell_ref(token)
-            if self.peek().kind == "COLON":
+            if self.peek()[0] == "COLON":
                 self.advance()
                 end_token = self.expect("CELL", "a cell reference after ':'")
                 return make_range(start, self.cell_ref(end_token))
             return start
-        if token.kind == "NAME":
+        if kind == "NAME":
             return self.name(token)
-        if token.kind == "LPAREN":
+        if kind == "LPAREN":
             self.advance()
-            node = self.compare()
+            node = self.nested(self.binary, pos)
             self.expect("RPAREN", "')'")
             return node
-        found = repr(token.text) if token.kind != "EOF" else "end of formula"
         raise FormulaSyntaxError(
-            f"expected a number, text, cell, function, or '(', found {found}",
-            token.pos,
+            f"expected a number, text, cell, function, or '(', found {_found(token)}",
+            pos,
         )
 
-    def name(self, token: Token) -> Node:
-        upper = token.text.upper()
+    def name(self, token: _Token) -> Node:
+        _, text, pos = token
+        upper = text.upper()
         self.advance()
-        if self.peek().kind == "LPAREN":
-            return self.function_call(upper, token.pos)
+        if self.peek()[0] == "LPAREN":
+            return self.function_call(upper, pos)
         if upper == "TRUE":
             return BooleanLiteral(True)
         if upper == "FALSE":
             return BooleanLiteral(False)
         if upper in SUPPORTED_FUNCTIONS:
             raise FormulaSyntaxError(
-                f"expected '(' after function name {upper}", self.peek().pos
+                f"expected '(' after function name {upper}", self.peek()[2]
             )
-        raise UnknownFunctionError(upper, token.pos)
+        raise UnknownFunctionError(upper, pos)
 
     def function_call(self, name: str, pos: int) -> Node:
         if name not in SUPPORTED_FUNCTIONS:
             raise UnknownFunctionError(name, pos)
         self.advance()  # LPAREN
-        args: list[Node] = []
-        if self.peek().kind != "RPAREN":
-            args.append(self.compare())
-            while self.peek().kind == "COMMA":
-                self.advance()
-                args.append(self.compare())
+        args = self.nested(self.arguments, pos)
         self.expect("RPAREN", "')' or ','")
         low, high = SUPPORTED_FUNCTIONS[name]
         if len(args) < low or (high is not None and len(args) > high):
@@ -223,11 +211,21 @@ class _Parser:
             )
         return FunctionCall(name, tuple(args))
 
-    def cell_ref(self, token: Token) -> CellRef:
-        match = _CELL_RE.match(token.text)
+    def arguments(self) -> list[Node]:
+        args: list[Node] = []
+        if self.peek()[0] != "RPAREN":
+            args.append(self.binary())
+            while self.peek()[0] == "COMMA":
+                self.advance()
+                args.append(self.binary())
+        return args
+
+    def cell_ref(self, token: _Token) -> CellRef:
+        _, text, pos = token
+        match = _CELL_RE.match(text)
         assert match is not None
         col_mark, letters, row_mark, digits = match.groups()
         row = int(digits)
         if row == 0:
-            raise FormulaSyntaxError("cell row must be at least 1", token.pos)
+            raise FormulaSyntaxError("cell row must be at least 1", pos)
         return CellRef(letters.upper(), row, bool(col_mark), bool(row_mark))

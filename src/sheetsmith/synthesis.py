@@ -43,6 +43,7 @@ from .formulas import (
     UnaryOp,
 )
 from .metrics import MetricsReport, metrics_report
+from .parser import parse
 
 SINGLE_ATTRIBUTE = "ATTRIBUTE"
 
@@ -267,9 +268,9 @@ def synthesize(
     """Find the first decision list consistent with every example.
 
     The budget counts candidate placements tried during the search; exceeding
-    it raises SearchBudgetExceeded. A consistent list is re-checked through
-    the evaluator before being returned, so the training report always shows
-    a full pass.
+    it raises SearchBudgetExceeded. The rendered text of a consistent list is
+    parsed again and re-checked through the evaluator before being returned,
+    so the training report always shows a full pass for the text users copy.
     """
     config = config or HypothesisConfig()
     _check_examples(examples)
@@ -290,14 +291,7 @@ def synthesize(
     grids = example_grids(examples, assignment)
 
     if len(labels) == 1:
-        formula = FormulaAst(TextLiteral(labels[0]))
-        return SynthesisResult(
-            formula=formula,
-            rendered=render(formula),
-            training_report=validate_examples(formula, grids),
-            candidates_explored=0,
-            metrics=metrics_report(formula),
-        )
+        return _checked_result(FormulaAst(TextLiteral(labels[0])), grids, 0)
 
     predicates = enumerate_candidates(examples, config)
     count = len(examples)
@@ -375,13 +369,20 @@ def synthesize(
         )
 
     rules, default = result
-    formula = _compile(rules, default, names, assignment)
-    report = validate_examples(formula, grids)
+    return _checked_result(_compile(rules, default, names, assignment), grids, explored)
+
+
+def _checked_result(
+    formula: FormulaAst, grids: list[tuple[Grid, str]], explored: int
+) -> SynthesisResult:
+    # validate the text a user copies, not the tree it was printed from
+    rendered = render(formula)
+    report = validate_examples(parse(rendered), grids)
     if not report.all_passed:
         raise AssertionError("synthesized formula failed its own training set")
     return SynthesisResult(
         formula=formula,
-        rendered=render(formula),
+        rendered=rendered,
         training_report=report,
         candidates_explored=explored,
         metrics=metrics_report(formula),

@@ -70,6 +70,15 @@ def test_scan_tolerates_parse_errors(tmp_path, capsys):
     assert "SyntaxError" in lines[2]
 
 
+def test_scan_records_too_deep_nesting_and_goes_on(tmp_path, capsys):
+    deep = "=" + "IF(TRUE," * 200 + "1" + ",0)" * 200
+    path = write(tmp_path, "f.csv", f'source_id,formula\nok,=A1+A2\ndeep,"{deep}"\n')
+    assert main(["scan", path, "--format", "json"]) == 0
+    ok, deep_row = json.loads(capsys.readouterr().out)
+    assert ok["parse_error"] is None
+    assert deep_row["parse_error"].startswith("SyntaxError:")
+
+
 def test_scan_writes_a_file(tmp_path, capsys):
     src = write(tmp_path, "f.csv", "source_id,formula\nr1,=A1+A2\n")
     out = str(tmp_path / "report.csv")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sheetsmith import (
@@ -5,6 +7,7 @@ from sheetsmith import (
     BinaryOp,
     BooleanLiteral,
     CellRef,
+    FormulaAst,
     FormulaSyntaxError,
     FunctionCall,
     NumberLiteral,
@@ -15,6 +18,7 @@ from sheetsmith import (
     UnaryOp,
     UnknownFunctionError,
 )
+from sheetsmith.formulas import children
 
 # Canonical corpus: each entry survives parse -> render byte-for-byte.
 CANONICAL = [
@@ -200,3 +204,63 @@ def test_syntax_error_positions():
 def test_row_zero_rejected():
     with pytest.raises(FormulaSyntaxError):
         parse("=A0")
+
+
+def _nested_ifs(levels):
+    return "=" + "IF(TRUE," * levels + "1" + ",0)" * levels
+
+
+@pytest.mark.parametrize("text", [
+    _nested_ifs(64),
+    "=" + "(" * 64 + "1" + ")" * 64,
+    "=" + "-" * 64 + "1",
+    "=" + "-(" * 32 + "A1" + ")" * 32,
+    "=" + "1<1+1*1^IF(TRUE," * 64 + "1" + ",0)" * 64,
+], ids=["calls", "groups", "minus", "mixed", "operators-between-calls"])
+def test_sixty_four_nesting_levels_parse(text):
+    ast = parse(text)
+    assert render(parse(render(ast))) == render(ast)
+
+
+@pytest.mark.parametrize("text", [
+    _nested_ifs(65),
+    "=" + "(" * 65 + "1" + ")" * 65,
+    "=" + "-" * 1000 + "1",
+    "=" + "-(" * 32 + "-A1" + ")" * 32,
+], ids=["calls", "groups", "minus-run", "mixed"])
+def test_deeper_nesting_is_a_syntax_error(text):
+    with pytest.raises(FormulaSyntaxError, match="nests deeper than 64") as info:
+        parse(text)
+    assert info.value.position is not None
+
+
+def test_tiny_number_keeps_its_value():
+    ast = parse("=0.00000000000000000001")
+    assert render(ast) == "=0.00000000000000000001"
+    assert parse(render(ast)) == ast
+
+
+def test_huge_number_is_stable_under_render_and_parse():
+    once = render(parse("=123456789012345678901"))
+    assert render(parse(once)) == once
+    assert parse(once) == parse("=123456789012345678901")
+
+
+def _has_negative_literal(node):
+    if isinstance(node, NumberLiteral):
+        return node.value < 0
+    return any(_has_negative_literal(child) for child in children(node))
+
+
+def test_round_trip_over_generated_trees():
+    # a negative literal renders as '-3' and parses back as unary minus, so
+    # only trees without one must come back equal; every tree's text is stable
+    from test_acceptance import _random_node
+
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        tree = FormulaAst(_random_node(rng, depth=4))
+        text = render(tree)
+        assert render(parse(text)) == text, text
+        if not _has_negative_literal(tree.root):
+            assert parse(text) == tree, text

@@ -21,6 +21,7 @@ from sheetsmith import (
     SearchBudgetExceededError,
     semantic_equivalence,
     synthesize,
+    validate_examples,
 )
 
 GRADES = [
@@ -208,3 +209,11 @@ def test_grading_result_generalises_like_the_reference():
     domain = {"C5": range(0, 101), "D5": range(0, 101)}
     same, witness = semantic_equivalence(result.formula, reference, domain)
     assert same, f"diverges at {witness}"
+
+
+def test_synthesized_text_keeps_tiny_thresholds():
+    examples = [LabeledExample({"a": 0.0}, "lo"), LabeledExample({"a": 2e-20}, "hi")]
+    result = synthesize(examples)
+    assert result.training_report.passes == 2
+    report = validate_examples(parse(result.rendered), example_grids(examples))
+    assert report.passes == 2, result.rendered
