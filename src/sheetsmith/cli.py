@@ -21,22 +21,31 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from typing import Optional
 
 from . import csvio
 from .confidence import (
+    ApproachSummary,
     exceeds_base_error_ceiling,
     ExperimentSummary,
     fit_accuracy_curve,
     question_outcome,
+    QuestionOutcome,
+    QuestionSummary,
     summarize_experiment,
 )
 from .errors import SheetsmithError, UsageError
 from .evaluator import EvalError, validate_examples, Value
-from .formulas import FormulaAst, number_text, render
-from .metrics import metrics_report
+from .formulas import (
+    BooleanLiteral,
+    NumberLiteral,
+    render,
+    TextLiteral,
+    token_text,
+)
+from .metrics import HalsteadCounts, metrics_report, MetricsReport
 from .parser import parse
 from .synthesis import (
     DEFAULT_SEARCH_BUDGET,
@@ -49,53 +58,39 @@ from .synthesis import (
 BUDGET_ENV_VAR = "SHEETSMITH_SEARCH_BUDGET"
 
 
-@dataclass(frozen=True)
-class RiskReportRow:
-    """One scanned formula: either the metrics or a parse error, never both."""
-
-    source_id: str
-    formula: str
-    n1: Optional[int] = None
-    n2: Optional[int] = None
-    N1: Optional[int] = None
-    N2: Optional[int] = None
-    complexity: Optional[float] = None
-    out_of_range_flag: Optional[bool] = None
-    volume: Optional[float] = None
-    difficulty: Optional[float] = None
-    effort: Optional[float] = None
-    miller_concepts: Optional[int] = None
-    miller_flag: Optional[bool] = None
-    parse_error: Optional[str] = None
+def _names(cls) -> tuple[str, ...]:
+    return tuple(field.name for field in fields(cls))
 
 
-def risk_report_row(source_id: str, formula: str) -> RiskReportRow:
+# the scan report: the Halstead counts, then every other MetricsReport field
+REPORT_COLUMNS = (
+    "source_id",
+    "formula",
+    *_names(HalsteadCounts),
+    *(name for name in _names(MetricsReport) if name != "counts"),
+    "parse_error",
+)
+
+
+def _report_row(
+    source_id: str,
+    formula: str,
+    report: Optional[MetricsReport] = None,
+    parse_error: Optional[str] = None,
+) -> dict:
+    """One scanned formula over REPORT_COLUMNS: metrics or a parse error."""
+    values = {"source_id": source_id, "formula": formula, "parse_error": parse_error}
+    if report is not None:
+        values.update(vars(report.counts), **vars(report))
+    return {name: values.get(name) for name in REPORT_COLUMNS}
+
+
+def risk_report_row(source_id: str, formula: str) -> dict:
     """Metrics row for a formula, with parse failures captured, not raised."""
     try:
-        return _metrics_row(source_id, formula, parse(formula))
+        return _report_row(source_id, formula, metrics_report(parse(formula)))
     except SheetsmithError as exc:
-        return RiskReportRow(
-            source_id=source_id, formula=formula, parse_error=f"{exc.code}: {exc}"
-        )
-
-
-def _metrics_row(source_id: str, formula: str, ast: FormulaAst) -> RiskReportRow:
-    report = metrics_report(ast)
-    return RiskReportRow(
-        source_id=source_id,
-        formula=formula,
-        n1=report.counts.n1,
-        n2=report.counts.n2,
-        N1=report.counts.N1,
-        N2=report.counts.N2,
-        complexity=report.complexity,
-        out_of_range_flag=report.out_of_range_flag,
-        volume=report.volume,
-        difficulty=report.difficulty,
-        effort=report.effort,
-        miller_concepts=report.miller_concepts,
-        miller_flag=report.miller_flag,
-    )
+        return _report_row(source_id, formula, parse_error=f"{exc.code}: {exc}")
 
 
 def _cell_text(value) -> str:
@@ -112,11 +107,8 @@ def _cell_text(value) -> str:
 def _value_text(value: Value) -> str:
     if isinstance(value, EvalError):
         return f"#{value.kind}"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, float):
-        return number_text(value)
-    return '"' + str(value) + '"'
+    literal = {bool: BooleanLiteral, float: NumberLiteral, str: TextLiteral}
+    return token_text(literal[type(value)](value))
 
 
 def _stamp_line(stream) -> None:
@@ -137,15 +129,12 @@ def _write_csv(path_or_stream, header, rows, stamp=False):
         writer.writerow([_cell_text(cell) for cell in row])
 
 
-_ROW_FIELDS = tuple(RiskReportRow.__dataclass_fields__)
-
-
 # ----- analyze ---------------------------------------------------------
 
 
 def _cmd_analyze(args) -> int:
     ast = parse(args.formula)
-    row = asdict(_metrics_row("-", args.formula, ast))
+    row = _report_row("-", args.formula, metrics_report(ast))
     if args.format == "table":
         # the metric fields sit between formula and parse_error
         metrics = list(row.items())[2:-1]
@@ -154,7 +143,7 @@ def _cmd_analyze(args) -> int:
         for name, value in pairs:
             print(f"{name:<{width}}  {_cell_text(value)}")
     elif args.format == "csv":
-        _write_csv(sys.stdout, _ROW_FIELDS, [list(row.values())])
+        _write_csv(sys.stdout, REPORT_COLUMNS, [row.values()])
     else:
         print(json.dumps(row, indent=2))
     return 0
@@ -167,7 +156,7 @@ def _cmd_scan(args) -> int:
     entries = csvio.read_formulas_csv(args.path)
     rows = [risk_report_row(source_id, text) for source_id, text in entries]
     if args.format == "json":
-        payload = json.dumps([asdict(row) for row in rows], indent=2)
+        payload = json.dumps(rows, indent=2)
         if args.output == "-":
             print(payload)
         else:
@@ -177,11 +166,11 @@ def _cmd_scan(args) -> int:
         target = sys.stdout if args.output == "-" else args.output
         _write_csv(
             target,
-            _ROW_FIELDS,
-            [list(asdict(row).values()) for row in rows],
+            REPORT_COLUMNS,
+            [row.values() for row in rows],
             stamp=args.stamp,
         )
-    flagged = sum(1 for row in rows if row.miller_flag)
+    flagged = sum(1 for row in rows if row["miller_flag"])
     if args.fail_on_miller and flagged:
         print(
             f"error: MillerLimit: {flagged} of {len(rows)} formulas "
@@ -243,7 +232,7 @@ def _cmd_synthesize(args) -> int:
                 )
                 continue
             try:
-                values = {name: float(text) for name, text in zip(names, parts)}
+                values = dict(zip(names, map(csvio.finite_float, parts[:-1])))
             except ValueError:
                 print("attribute values must be numbers", file=sys.stderr)
                 continue
@@ -275,30 +264,28 @@ def _cmd_validate(args) -> int:
 
 
 def _summary_tables(summary: ExperimentSummary) -> str:
-    lines = []
-    header = (
+    # the rows are unpacked whole, so a field added to a summary fails here
+    lines = [
         f"{'approach':<12} {'question':<10} {'complexity':>10} {'accuracy%':>9} "
         f"{'mean_err':>8} {'mean_ratio':>10}"
-    )
-    lines.append(header)
-    for q in summary.questions:
+    ]
+    for approach, question, complexity, _, accuracy, errors, ratio, _ in map(
+        astuple, summary.questions
+    ):
         lines.append(
-            f"{q.approach:<12} {q.question_id:<10} {q.complexity:>10.4f} "
-            f"{_opt(q.percentage_accuracy):>9} {_opt(q.mean_errors):>8} "
-            f"{_opt(q.mean_confidence_ratio):>10}"
+            f"{approach:<12} {question:<10} {complexity:>10.4f} "
+            f"{_opt(accuracy):>9} {_opt(errors):>8} {_opt(ratio):>10}"
         )
     lines.append("")
     lines.append(
         f"{'approach':<12} {'participants':>12} {'with_errors%':>12} "
         f"{'accuracy%':>9} {'mean_err':>8} {'mean_ratio':>10}"
     )
-    for a in summary.approaches:
+    for approach, participants, *rates in map(astuple, summary.approaches):
+        with_errors, accuracy, errors, ratio = map(_opt, rates)
         lines.append(
-            f"{a.approach:<12} {a.participants:>12} "
-            f"{_opt(a.percentage_models_with_errors):>12} "
-            f"{_opt(a.percentage_accuracy):>9} "
-            f"{_opt(a.mean_errors_per_question):>8} "
-            f"{_opt(a.mean_confidence_ratio):>10}"
+            f"{approach:<12} {participants:>12} {with_errors:>12} "
+            f"{accuracy:>9} {errors:>8} {ratio:>10}"
         )
     return "\n".join(lines)
 
@@ -313,103 +300,39 @@ def _cmd_confidence(args) -> int:
     summary = summarize_experiment(records, complexities)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    def path(name: str) -> str:
-        return os.path.join(args.out_dir, name)
+    def write(name: str, header, rows) -> None:
+        _write_csv(os.path.join(args.out_dir, name), header, rows, stamp=args.stamp)
 
-    outcome_rows = []
-    for record in records:
-        outcome = question_outcome(record)
-        outcome_rows.append(
-            [
-                record.participant_id,
-                record.question_id,
-                record.approach,
-                outcome.f_score,
-                outcome.combined_overconfidence,
-                outcome.confidence_ratio,
-            ]
-        )
-    _write_csv(
-        path("outcomes.csv"),
-        [
-            "participant_id",
-            "question_id",
-            "approach",
-            "f_score",
-            "combined_overconfidence",
-            "confidence_ratio",
-        ],
-        outcome_rows,
-        stamp=args.stamp,
-    )
+    def pick(row, names) -> list:
+        return [getattr(row, name) for name in names]
 
-    _write_csv(
-        path("summary_questions.csv"),
-        [
-            "approach",
-            "question_id",
-            "complexity",
-            "attempted",
-            "percentage_accuracy",
-            "mean_errors",
-            "mean_confidence_ratio",
-            "mean_difficulty",
-        ],
-        [
-            [
-                q.approach,
-                q.question_id,
-                q.complexity,
-                q.attempted,
-                q.percentage_accuracy,
-                q.mean_errors,
-                q.mean_confidence_ratio,
-                q.mean_difficulty,
-            ]
-            for q in summary.questions
-        ],
-        stamp=args.stamp,
+    keys = ("participant_id", "question_id", "approach")
+    write(
+        "outcomes.csv",
+        keys + _names(QuestionOutcome),
+        [pick(r, keys) + list(astuple(question_outcome(r))) for r in records],
     )
-    _write_csv(
-        path("summary_approaches.csv"),
-        [
-            "approach",
-            "participants",
-            "percentage_models_with_errors",
-            "percentage_accuracy",
-            "mean_errors_per_question",
-            "mean_confidence_ratio",
-        ],
-        [
-            [
-                a.approach,
-                a.participants,
-                a.percentage_models_with_errors,
-                a.percentage_accuracy,
-                a.mean_errors_per_question,
-                a.mean_confidence_ratio,
-            ]
-            for a in summary.approaches
-        ],
-        stamp=args.stamp,
-    )
+    for name, cls, rows in (
+        ("summary_questions.csv", QuestionSummary, summary.questions),
+        ("summary_approaches.csv", ApproachSummary, summary.approaches),
+    ):
+        write(name, _names(cls), map(astuple, rows))
 
+    ratio_columns = ("question_id", "mean_confidence_ratio", "mean_difficulty")
     for approach_row in summary.approaches:
         approach = approach_row.approach
         mine = [q for q in summary.questions if q.approach == approach]
         accuracy = sorted(mine, key=lambda q: (q.complexity, q.question_id))
-        # points.csv shape, so the file feeds `fit --points` directly
-        _write_csv(
-            path(f"accuracy_vs_complexity_{approach}.csv"),
-            ["complexity", "accuracy_pct"],
+        # the fit-points header, so the file feeds `fit --points` directly
+        write(
+            f"accuracy_vs_complexity_{approach}.csv",
+            csvio.POINTS_HEADER,
             [[q.complexity, q.percentage_accuracy] for q in accuracy],
-            stamp=args.stamp,
         )
-        _write_csv(
-            path(f"confidence_ratio_{approach}.csv"),
-            ["question_id", "mean_confidence_ratio", "mean_difficulty"],
-            [[q.question_id, q.mean_confidence_ratio, q.mean_difficulty] for q in mine],
-            stamp=args.stamp,
+        write(
+            f"confidence_ratio_{approach}.csv",
+            ratio_columns,
+            [pick(q, ratio_columns) for q in mine],
         )
 
     print(_summary_tables(summary))
@@ -424,14 +347,7 @@ def _cmd_fit(args) -> int:
     fit = fit_accuracy_curve(points)
     usable_x = [x for x, y in points if y > 0]
     ceiling_exceeded = exceeds_base_error_ceiling(fit, min(usable_x), args.ceiling)
-    payload = {
-        "a": fit.a,
-        "b": fit.b,
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-        "points_dropped": fit.points_dropped,
-        "ceiling_exceeded": ceiling_exceeded,
-    }
+    payload = {**asdict(fit), "ceiling_exceeded": ceiling_exceeded}
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":

@@ -8,6 +8,7 @@ and value problems, so the CLI can report them as file errors.
 from __future__ import annotations
 
 import csv
+import math
 from typing import Iterator, Sequence
 
 from .confidence import ConfidenceRecord
@@ -24,9 +25,17 @@ def _rows(path: str) -> Iterator[list[str]]:
         yield from csv.reader(handle)
 
 
+def finite_float(text: str) -> float:
+    """float(text), except that nan and inf raise ValueError like non-numbers."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _float(path: str, line: int, column: str, text: str) -> float:
     try:
-        return float(text)
+        return finite_float(text)
     except ValueError:
         raise InputFileError(
             f"{path} line {line}: {column} must be a number, got {text!r}"
@@ -129,16 +138,14 @@ def read_complexities_csv(path: str) -> dict[str, float]:
     return out
 
 
+POINTS_HEADER = ("complexity", "accuracy_pct")
+
+
 def read_points_csv(path: str) -> list[tuple[float, float]]:
     """complexity,accuracy_pct pairs for curve fitting."""
     return [
-        (
-            _float(path, line, "complexity", complexity),
-            _float(path, line, "accuracy_pct", accuracy),
-        )
-        for line, (complexity, accuracy) in _table(
-            path, ("complexity", "accuracy_pct")
-        )
+        tuple(_float(path, line, name, text) for name, text in zip(POINTS_HEADER, row))
+        for line, row in _table(path, POINTS_HEADER)
     ]
 
 

@@ -133,14 +133,24 @@ def _eval(node: Node, grid: Grid) -> Value:
 
 
 def _eval_binary(node: BinaryOp, grid: Grid) -> Value:
-    left = _eval(node.left, grid)
-    if isinstance(left, EvalError):
-        return left
-    right = _eval(node.right, grid)
-    if isinstance(right, EvalError):
-        return right
-    op = node.op
+    # walk the left side of a flat chain such as A1+A1+... in a loop; left
+    # operands still go first, and the first error value ends the chain
+    spine = []
+    while isinstance(node, BinaryOp):
+        spine.append(node)
+        node = node.left
+    value = _eval(node, grid)
+    for node in reversed(spine):
+        if isinstance(value, EvalError):
+            return value
+        right = _eval(node.right, grid)
+        if isinstance(right, EvalError):
+            return right
+        value = _binary(node.op, value, right)
+    return value
 
+
+def _binary(op: str, left: Value, right: Value) -> Value:
     if op in ("+", "-", "*", "/", "^"):
         if not (_is_number(left) and _is_number(right)):
             return EvalError(TYPE_MISMATCH, f"'{op}' needs numeric operands")

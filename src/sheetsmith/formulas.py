@@ -221,10 +221,17 @@ def _render(node: Node) -> str:
     if isinstance(node, UnaryOp):
         return "-" + _wrap(node.operand, _UNARY, tight=False)
     if isinstance(node, BinaryOp):
-        p = BINARY_PRECEDENCE[node.op]
-        # equal precedence on the right needs parens to survive reparsing,
-        # since all binary operators associate left
-        return _wrap(node.left, p, tight=False) + node.op + _wrap(node.right, p, tight=True)
+        # walk the left side of a flat chain such as A1+A1+... in a loop; equal
+        # precedence on the right needs parens, since all operators associate left
+        parts = []
+        while True:
+            p = BINARY_PRECEDENCE[node.op]
+            parts.append(node.op + _wrap(node.right, p, tight=True))
+            node = node.left
+            if not isinstance(node, BinaryOp) or _precedence(node) < p:
+                break
+        parts.append(_wrap(node, p, tight=False))
+        return "".join(reversed(parts))
     raise TypeError(f"not a formula node: {node!r}")
 
 

@@ -112,9 +112,8 @@ def halstead_extended(counts: HalsteadCounts) -> tuple[float, float, float]:
 
 def miller_concepts(ast: FormulaAst) -> tuple[int, bool]:
     """N1 + n2 as a count of concepts held in mind; flag when above 9."""
-    counts = halstead_counts(ast)
-    concepts = counts.N1 + counts.n2
-    return concepts, concepts > MILLER_LIMIT
+    report = metrics_report(ast)
+    return report.miller_concepts, report.miller_flag
 
 
 def metrics_report(ast: FormulaAst) -> MetricsReport:

@@ -302,3 +302,107 @@ def test_usage_errors_exit_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "analyze" in capsys.readouterr().out
+
+
+LONG_CHAIN = "=" + "+".join(["C5"] * 2000)
+
+
+def test_analyze_long_flat_chain(capsys):
+    assert main(["analyze", LONG_CHAIN]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["canonical", LONG_CHAIN]
+    assert "miller_concepts    2000" in lines
+
+
+def test_validate_long_flat_chain(tmp_path, capsys):
+    path = write(tmp_path, "ex.csv", "x,label\n1,a\n")
+    assert main(["validate", "--formula", LONG_CHAIN, "--examples", path]) == 0
+    assert capsys.readouterr().out == (
+        'example 1: FAIL expected "a" got 2000\n0/1 pass\n'
+    )
+
+
+def test_fit_rejects_nan_points(tmp_path, capsys):
+    path = write(
+        tmp_path, "pts.csv", "complexity,accuracy_pct\n1.0,50.0\nnan,40.0\n2.0,25.0\n"
+    )
+    assert main(["fit", "--points", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: InputFile: {path} line 3: complexity must be a number, got 'nan'\n"
+    )
+
+
+def test_synthesize_rejects_infinite_attributes(tmp_path, capsys):
+    path = write(tmp_path, "ex.csv", "x,label\n1,a\ninf,b\n")
+    assert main(["synthesize", "--examples", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: InputFile: {path} line 3: x must be a number, got 'inf'\n"
+    )
+
+
+def test_validate_prints_values_as_formula_text(tmp_path, capsys):
+    path = write(tmp_path, "ex.csv", 'x,label\n1,"a""b"\n2,c\n3,d\n')
+    formula = '=IF(C5=1,"x",IF(C5=2,C5/0,C5*2.5))'
+    assert main(["validate", "--formula", formula, "--examples", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        'example 1: FAIL expected "a""b" got "x"',
+        'example 2: FAIL expected "c" got #DivideByZero',
+        'example 3: FAIL expected "d" got 7.5',
+        "0/3 pass",
+    ]
+
+
+def test_scan_header_is_the_report_columns(tmp_path, capsys):
+    path = write(tmp_path, "f.csv", "source_id,formula\nbad,=SUM(\n")
+    assert main(["scan", path]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == (
+        "source_id,formula,n1,n2,N1,N2,complexity,out_of_range_flag,"
+        "volume,difficulty,effort,miller_concepts,miller_flag,parse_error"
+    )
+    assert row.startswith('bad,=SUM(,,,,,,,,,,,,"SyntaxError: ')
+
+
+def test_confidence_headers_and_fit_keys(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main([
+        "confidence",
+        "--results", fixture("experiment_results.csv"),
+        "--complexities", fixture("question_complexities.csv"),
+        "--out-dir", str(out_dir),
+    ]) == 0
+    headers = {
+        "outcomes.csv": "participant_id,question_id,approach,"
+        "f_score,combined_overconfidence,confidence_ratio",
+        "summary_questions.csv": "approach,question_id,complexity,attempted,"
+        "percentage_accuracy,mean_errors,mean_confidence_ratio,mean_difficulty",
+        "summary_approaches.csv": "approach,participants,"
+        "percentage_models_with_errors,percentage_accuracy,"
+        "mean_errors_per_question,mean_confidence_ratio",
+        "accuracy_vs_complexity_traditional.csv": "complexity,accuracy_pct",
+        "accuracy_vs_complexity_edm.csv": "complexity,accuracy_pct",
+        "confidence_ratio_traditional.csv": "question_id,mean_confidence_ratio,"
+        "mean_difficulty",
+        "confidence_ratio_edm.csv": "question_id,mean_confidence_ratio,"
+        "mean_difficulty",
+    }
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(headers)
+    for name, header in headers.items():
+        assert (out_dir / name).read_text().splitlines()[0] == header, name
+    capsys.readouterr()
+    points = str(out_dir / "accuracy_vs_complexity_edm.csv")
+    assert main(["fit", "--points", points, "--format", "json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "a", "b", "r_squared", "points_used", "points_dropped", "ceiling_exceeded"
+    ]
+
+
+def test_synthesize_interactive_rejects_nan_and_inf(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "ex.csv", "score,label\n35,Fail\n45,Pass\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("inf,Fail\nnan,Pass\n\n"))
+    assert main(["synthesize", "--examples", path, "--interactive"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("attribute values must be numbers") == 2
+    assert captured.out.count("formula:") == 1

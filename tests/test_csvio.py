@@ -99,3 +99,11 @@ def test_formulas(tmp_path):
         ("r1", "=A1+A2"),
         ("r2", "=IF(A1,1,2)"),
     ]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_numbers_are_rejected(tmp_path, text):
+    path = write(tmp_path, "p.csv", f"complexity,accuracy_pct\n1.0,50\n2.0,{text}\n")
+    message = f"line 3: accuracy_pct must be a number, got '{text}'"
+    with pytest.raises(InputFileError, match=message):
+        csvio.read_points_csv(path)

@@ -229,3 +229,14 @@ def test_error_values_compare_by_kind_in_equivalence():
         parse("=A1/0"), parse("=(A1+1)/0"), {"A1": range(3)}
     )
     assert same
+
+
+def test_long_flat_chain_goes_left_to_right_and_stops_at_the_first_error():
+    terms = ["A1"] * 3000
+    assert ev("=" + "+".join(terms), {"A1": 1}) == 3000.0
+    terms[10], terms[2000] = "A1/0", "B1"
+    assert kind(ev("=" + "+".join(terms), {"A1": 1})) == "DivideByZero"
+    terms[10], terms[2000] = "B1", "A1/0"
+    assert kind(ev("=" + "+".join(terms), {"A1": 1})) == "MissingCell"
+    # a left operand's error wins over a type mismatch further right
+    assert kind(ev("=" + "-".join(["B1"] + ["TRUE"] * 3000), {})) == "MissingCell"

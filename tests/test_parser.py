@@ -264,3 +264,10 @@ def test_round_trip_over_generated_trees():
         assert render(parse(text)) == text, text
         if not _has_negative_literal(tree.root):
             assert parse(text) == tree, text
+
+
+def test_long_flat_chains_render_back_to_their_text():
+    mixed = "=" + "-".join(["A1*2"] * 3000) + "/B1^2<" + "+".join(["C1"] * 3000)
+    assert render(parse(mixed)) == mixed
+    grouped = "=" + "+".join(["A1"] * 3000) + "-(B1-C1)*2"
+    assert render(parse(grouped)) == grouped
