@@ -238,8 +238,13 @@ def fit_accuracy_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
 
     The fit is linear in log space, so points with accuracy <= 0 cannot be
     used; they are dropped and counted. r_squared is the coefficient of
-    determination of the log-space line.
+    determination of the log-space line. Non-finite points, and points
+    whose fit overflows or divides by an underflowed zero, raise
+    DegenerateXError.
     """
+    for point in points:
+        if not all(map(math.isfinite, point)):
+            raise DegenerateXError(f"point {tuple(point)} is not finite")
     usable = [(x, y) for x, y in points if y > 0]
     dropped = len(points) - len(usable)
     if len(usable) < 2:
@@ -250,20 +255,27 @@ def fit_accuracy_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
     logy = [math.log(y) for _, y in usable]
     if all(x == xs[0] for x in xs):
         raise DegenerateXError("all points share one complexity value")
-    x_mean = sum(xs) / len(xs)
-    y_mean = sum(logy) / len(logy)
-    slope = sum((x - x_mean) * (v - y_mean) for x, v in zip(xs, logy)) / sum(
-        (x - x_mean) ** 2 for x in xs
-    )
-    intercept = y_mean - slope * x_mean
-    ss_res = sum((v - (intercept + slope * x)) ** 2 for x, v in zip(xs, logy))
-    ss_tot = sum((v - y_mean) ** 2 for v in logy)
-    if ss_tot > 0:
-        r_squared = 1.0 - ss_res / ss_tot
-    else:
-        r_squared = 1.0 if ss_res == 0 else 0.0
+    try:
+        x_mean = sum(xs) / len(xs)
+        y_mean = sum(logy) / len(logy)
+        slope = sum((x - x_mean) * (v - y_mean) for x, v in zip(xs, logy)) / sum(
+            (x - x_mean) ** 2 for x in xs
+        )
+        intercept = y_mean - slope * x_mean
+        ss_res = sum((v - (intercept + slope * x)) ** 2 for x, v in zip(xs, logy))
+        ss_tot = sum((v - y_mean) ** 2 for v in logy)
+        if ss_tot > 0:
+            r_squared = 1.0 - ss_res / ss_tot
+        else:
+            r_squared = 1.0 if ss_res == 0 else 0.0
+        a = math.exp(intercept)
+        finite = all(map(math.isfinite, (a, slope, r_squared)))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise DegenerateXError("these complexity values give no finite fit")
     return CurveFit(
-        a=math.exp(intercept),
+        a=a,
         b=slope,
         r_squared=r_squared,
         points_used=len(usable),

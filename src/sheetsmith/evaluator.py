@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from math import isfinite
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DomainTooLargeError, EmptyExampleSetError
@@ -155,23 +156,27 @@ def _binary(op: str, left: Value, right: Value) -> Value:
         if not (_is_number(left) and _is_number(right)):
             return EvalError(TYPE_MISMATCH, f"'{op}' needs numeric operands")
         if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
+            result = left + right
+        elif op == "-":
+            result = left - right
+        elif op == "*":
+            result = left * right
+        elif op == "/":
             if right == 0:
                 return EvalError(DIVIDE_BY_ZERO, "division by zero")
-            return left / right
-        try:
-            result = left ** right
-        except ZeroDivisionError:
-            return EvalError(DIVIDE_BY_ZERO, "zero raised to a negative power")
-        except OverflowError:
-            return EvalError(TYPE_MISMATCH, "power result out of range")
-        if isinstance(result, complex):
-            return EvalError(TYPE_MISMATCH, "fractional power of a negative number")
+            result = left / right
+        else:
+            try:
+                result = left ** right
+            except ZeroDivisionError:
+                return EvalError(DIVIDE_BY_ZERO, "zero raised to a negative power")
+            except OverflowError:
+                return EvalError(TYPE_MISMATCH, "power result out of range")
+            if isinstance(result, complex):
+                return EvalError(TYPE_MISMATCH, "fractional power of a negative number")
+        # overflow (or inf/nan arriving from a grid) is an error, never a number
+        if not isfinite(result):
+            return EvalError(TYPE_MISMATCH, f"'{op}' result out of range")
         return result
 
     # comparison; same-type only
@@ -262,13 +267,14 @@ def _eval_call(node: FunctionCall, grid: Grid) -> Value:
             numbers.append(value)
     if not numbers:
         return EvalError(EMPTY_AGGREGATE, f"{name} of zero values")
-    if name == "SUM":
-        return float(sum(numbers))
     if name == "MIN":
         return min(numbers)
     if name == "MAX":
         return max(numbers)
-    return sum(numbers) / len(numbers)
+    total = float(sum(numbers))
+    if not isfinite(total):
+        return EvalError(TYPE_MISMATCH, f"{name} result out of range")
+    return total if name == "SUM" else total / len(numbers)
 
 
 def values_equal(a: Value, b: Value, tolerance: float = NUMERIC_TOLERANCE) -> bool:

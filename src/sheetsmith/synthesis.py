@@ -9,14 +9,28 @@ audited with the metrics module like any hand-written one.
 
 Search is deterministic and returns the first consistent list in a fixed
 total order: depth 1 upward, and within a depth a depth-first walk that tries
-candidates at every slot in enumerate_candidates order. A rule's label is
-forced by the examples it captures, so candidate lists whose rule would mix
-labels are pruned, and rules capturing nothing are skipped; neither pruning
-can change which list is reached first at the minimal depth.
+candidates at every slot in enumerate_candidates order. Four prunings keep
+the walk short, and none changes which list is reached first:
+
+1. A rule's label is forced by the examples it captures, so a rule whose
+   capture would mix labels is pruned.
+2. A rule capturing nothing is skipped.
+3. Failed states are remembered. What can follow a rule depends only on the
+   rows still unclassified and the slots left, not on the rules before it,
+   so a (rows, slots) state that has failed once, at any depth, fails again
+   and is not walked twice.
+4. Each capture is placed once. A predicate capturing exactly the rows of an
+   earlier one leads to the same states, which have already failed, and a
+   predicate capturing no row at all leads nowhere; both are dropped before
+   the walk starts.
+
+The best pass rate reported on failure is a maximum over the states walked,
+and skipping a state walked before leaves it unchanged.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -62,6 +76,13 @@ class LabeledExample:
 
     attributes: dict[str, float]
     label: str
+
+    def __post_init__(self) -> None:
+        for name, value in self.attributes.items():
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"attribute {name!r} must be a finite number, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -267,10 +288,11 @@ def synthesize(
 ) -> SynthesisResult:
     """Find the first decision list consistent with every example.
 
-    The budget counts candidate placements tried during the search; exceeding
-    it raises SearchBudgetExceeded. The rendered text of a consistent list is
-    parsed again and re-checked through the evaluator before being returned,
-    so the training report always shows a full pass for the text users copy.
+    The budget counts candidate placements actually tried during the search,
+    after the prunings above; exceeding it raises SearchBudgetExceeded. The
+    rendered text of a consistent list is parsed again and re-checked through
+    the evaluator before being returned, so the training report always shows
+    a full pass for the text users copy.
     """
     config = config or HypothesisConfig()
     _check_examples(examples)
@@ -293,22 +315,28 @@ def synthesize(
     if len(labels) == 1:
         return _checked_result(FormulaAst(TextLiteral(labels[0])), grids, 0)
 
-    predicates = enumerate_candidates(examples, config)
     count = len(examples)
     full_mask = (1 << count) - 1
-    masks = []
-    for predicate in predicates:
-        values = _aggregate_values(predicate.aggregate, predicate.attribute, examples)
+    family_values = {
+        family: _aggregate_values(*family, examples)
+        for family in _families(config, names)
+    }
+    # pruning 4: the first predicate of each non-empty capture, in order
+    placements: dict[int, Predicate] = {}
+    for predicate in enumerate_candidates(examples, config):
+        values = family_values[predicate.aggregate, predicate.attribute]
         mask = 0
         for i, value in enumerate(values):
             if _satisfies(value, predicate.comparator, predicate.threshold):
                 mask |= 1 << i
-        masks.append(mask)
+        if mask:
+            placements.setdefault(mask, predicate)
     label_masks = {label: 0 for label in labels}
     for i, example in enumerate(examples):
         label_masks[example.label] |= 1 << i
 
     explored = 0
+    failed: set[tuple[int, int]] = set()
     best_passes = max(m.bit_count() for m in label_masks.values())
 
     def note_best(alive: int) -> None:
@@ -321,8 +349,10 @@ def synthesize(
         alive: int, slots: int, rules: list[tuple[Predicate, str]]
     ) -> Optional[tuple[list[tuple[Predicate, str]], str]]:
         nonlocal explored
+        if (alive, slots) in failed:  # pruning 3
+            return None
         note_best(alive)
-        for predicate, mask in zip(predicates, masks):
+        for mask, predicate in placements.items():
             explored += 1
             if explored > search_budget:
                 raise SearchBudgetExceededError(
@@ -353,6 +383,7 @@ def synthesize(
             found = extend(remaining, slots - 1, new_rules)
             if found is not None:
                 return found
+        failed.add((alive, slots))
         return None
 
     result = None

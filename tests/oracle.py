@@ -79,8 +79,17 @@ def _binary(node, cells):
     op = node.op
     if op in ("=", "<>", "<", "<=", ">", ">="):
         return _compare(op, left, right)
-    left = _num(left)
-    right = _num(right)
+    return _finite(_arith(op, _num(left), _num(right)))
+
+
+def _finite(number):
+    # an arithmetic result that overflowed (or is nan) is an error value
+    if number != number or abs(number) == float("inf"):
+        raise Err("TypeMismatch")
+    return number
+
+
+def _arith(op, left, right):
     if op == "+":
         return left + right
     if op == "-":
@@ -164,6 +173,7 @@ def _call(node, cells):
         total = 0.0
         for number in numbers:
             total = total + number
+        total = _finite(total)
         if name == "SUM":
             return total
         return total / len(numbers)

@@ -293,6 +293,24 @@ def test_fit_insufficient_points_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: InsufficientPoints:")
 
 
+def test_fit_overflowing_points_exit_one(tmp_path, capsys):
+    path = write(
+        tmp_path, "pts.csv", "complexity,accuracy_pct\n1e-300,50\n1e300,40\n"
+    )
+    assert main(["fit", "--points", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegenerateX:")
+    assert len(err.splitlines()) == 1
+
+
+def test_validate_shows_an_overflowing_product_as_an_error(tmp_path, capsys):
+    path = write(tmp_path, "x.csv", "x,label\n1,1\n")
+    assert main(["validate", "--formula", "=10^300*10^300", "--examples", path]) == 0
+    out = capsys.readouterr().out
+    assert "got #TypeMismatch" in out
+    assert "0/1 pass" in out
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["analyze"]) == 2

@@ -223,6 +223,23 @@ def test_fit_rejects_degenerate_x():
         fit_accuracy_curve([(1.0, 50.0), (1.0, 25.0)])
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1e-300, 50.0), (1e300, 40.0)],
+        [(1e308, 50.0), (1.7e308, 40.0)],
+        [(0.0, 1e-300), (1e-300, 1e300)],
+        [(1.0, 50.0), (2.0, 25.0), (float("nan"), 10.0)],
+        [(1.0, 50.0), (float("inf"), 25.0)],
+        [(1.0, float("inf")), (2.0, 25.0)],
+        [(1.0, 50.0), (2.0, 25.0), (3.0, float("nan"))],
+    ],
+)
+def test_fit_rejects_points_with_no_finite_fit(points):
+    with pytest.raises(DegenerateXError):
+        fit_accuracy_curve(points)
+
+
 def test_fit_flat_data_has_unit_r_squared():
     fit = fit_accuracy_curve([(1.0, 50.0), (2.0, 50.0), (3.0, 50.0)])
     assert fit.a == pytest.approx(50.0)

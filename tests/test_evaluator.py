@@ -1,5 +1,6 @@
 import pytest
 
+from oracle import oracle_eval
 from sheetsmith import (
     DomainTooLargeError,
     EmptyExampleSetError,
@@ -70,6 +71,23 @@ def test_power_edge_cases():
     assert kind(ev("=0^-1")) == "DivideByZero"
     assert kind(ev("=(-2)^0.5")) == "TypeMismatch"
     assert kind(ev("=10^10000")) == "TypeMismatch"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "=10^300*10^300",
+        "=10^300*10^300-10^300*10^300",
+        "=-10^300*10^300",
+        "=10^300/10^-300",
+        "=10^308+10^308",
+        "=SUM(10^308,10^308)",
+        "=AVERAGE(10^308,10^308)",
+    ],
+)
+def test_overflow_is_an_error_value(text):
+    assert kind(ev(text)) == "TypeMismatch"
+    assert oracle_eval(parse(text), {}).kind == "TypeMismatch"
 
 
 def test_missing_cell():

@@ -4,6 +4,10 @@ Everything here is deterministic: the search order is pinned, so so is the
 first consistent formula it returns.
 """
 
+import operator
+import random
+import statistics
+
 import pytest
 
 from sheetsmith import (
@@ -23,6 +27,8 @@ from sheetsmith import (
     synthesize,
     validate_examples,
 )
+from sheetsmith.formulas import render
+from sheetsmith.synthesis import _compile, default_cell_assignment
 
 GRADES = [
     (20, 30, "Fail"), (39, 80, "Fail"), (80, 39, "Fail"),
@@ -217,3 +223,130 @@ def test_synthesized_text_keeps_tiny_thresholds():
     assert result.training_report.passes == 2
     report = validate_examples(parse(result.rendered), example_grids(examples))
     assert report.passes == 2, result.rendered
+
+
+def test_non_finite_attribute_values_rejected():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            LabeledExample({"a": bad}, "x")
+
+
+# ----- the search against a plain depth-first reference -------------------
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_AGGREGATES = {"MIN": min, "MAX": max, "AVERAGE": statistics.fmean, "SUM": sum}
+
+
+def reference_synthesize(examples, config):
+    """Rendered text of the first list, or the exhaustion message.
+
+    Every candidate is tried at every slot, in enumerate_candidates order,
+    with no memo and no dropped duplicates: the search as first specified.
+    Row sets are bit masks, row i being bit i.
+    """
+    candidates = enumerate_candidates(examples, config)
+
+    def value(predicate, example):
+        if predicate.attribute is not None:
+            return example.attributes[predicate.attribute]
+        return _AGGREGATES[predicate.aggregate](list(example.attributes.values()))
+
+    holds = [
+        sum(
+            1 << i for i, example in enumerate(examples)
+            if _OPS[c.comparator](value(c, example), c.threshold)
+        )
+        for c in candidates
+    ]
+    rows_of = {}
+    for i, example in enumerate(examples):
+        rows_of[example.label] = rows_of.get(example.label, 0) | 1 << i
+    best = 0
+
+    def note(alive):
+        nonlocal best
+        fallback = max((alive & rows).bit_count() for rows in rows_of.values())
+        best = max(best, len(examples) - alive.bit_count() + fallback)
+
+    def pure_label(subset):
+        return next((l for l, rows in rows_of.items() if subset & ~rows == 0), None)
+
+    def walk(alive, slots, rules):
+        note(alive)
+        for candidate, held in zip(candidates, holds):
+            captured = alive & held
+            label = pure_label(captured) if captured else None
+            if label is None:
+                continue
+            rest = alive & ~captured
+            new_rules = rules + [(candidate, label)]
+            if slots == 1:
+                if pure_label(rest) is not None:
+                    return new_rules, pure_label(rest)
+                note(rest)
+            elif rest:
+                found = walk(rest, slots - 1, new_rules)
+                if found:
+                    return found
+        return None
+
+    names = list(examples[0].attributes)
+    if len(rows_of) == 1:
+        return render(_compile([], examples[0].label, names, {}))
+    for depth in range(1, config.max_decision_depth + 1):
+        found = walk((1 << len(examples)) - 1, depth, [])
+        if found:
+            rules, default = found
+            return render(
+                _compile(rules, default, names, default_cell_assignment(names))
+            )
+    rate = 100.0 * best / len(examples)
+    return (
+        f"no decision list up to depth {config.max_decision_depth} fits all "
+        f"{len(examples)} examples; best candidate passes {rate:.1f}%"
+    )
+
+
+def random_example_set(rng):
+    names = [f"m{k}" for k in range(rng.randint(1, 3))]
+    labels = ["lo", "mid", "hi"][: rng.randint(2, 3)]
+    seen = {}
+    examples = []
+    for _ in range(rng.randint(6, 12)):
+        marks = tuple(float(rng.randint(0, 5)) for _ in names)
+        label = seen.setdefault(marks, rng.choice(labels))
+        examples.append(LabeledExample(dict(zip(names, marks)), label))
+    return examples, HypothesisConfig(max_decision_depth=rng.randint(1, 3))
+
+
+def test_search_matches_a_plain_depth_first_reference():
+    solved = exhausted = 0
+    for seed in range(200):
+        examples, config = random_example_set(random.Random(seed))
+        try:
+            got = synthesize(examples, config).rendered
+            solved += 1
+        except HypothesisSpaceExhaustedError as exc:
+            got = str(exc)
+            exhausted += 1
+        assert got == reference_synthesize(examples, config), f"seed {seed}"
+    assert solved >= 20 and exhausted >= 20
+
+
+def test_random_twenty_row_set_finishes_within_the_default_budget():
+    rng = random.Random(0)
+    examples = [
+        LabeledExample(
+            {name: float(rng.randint(0, 100)) for name in ("a", "b", "c")},
+            rng.choice("PF"),
+        )
+        for _ in range(20)
+    ]
+    # the search without a failed-state memo spends all 10M placements here
+    result = synthesize(examples)
+    assert result.training_report.all_passed
+
+
+def test_grading_search_takes_far_fewer_placements():
+    # 33,189 placements before failed states were remembered
+    assert synthesize(rows(GRADES)).candidates_explored < 33_189
