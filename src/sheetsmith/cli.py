@@ -202,7 +202,10 @@ def _cmd_synthesize(args) -> int:
         # keep the library's own empty-input error and wording
         synthesize(examples)
     names = list(examples[0].attributes.keys())
-    config = HypothesisConfig(max_decision_depth=args.max_depth)
+    try:
+        config = HypothesisConfig(max_decision_depth=args.max_depth)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     budget = _search_budget()
     while True:
         result = synthesize(examples, config, search_budget=budget)

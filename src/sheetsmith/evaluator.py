@@ -25,6 +25,7 @@ from .formulas import (
     FunctionCall,
     Node,
     NumberLiteral,
+    ORDERING,
     RangeRef,
     TextLiteral,
     UnaryOp,
@@ -63,7 +64,10 @@ def _norm(value) -> Value:
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, float)):
-        return float(value)
+        value = float(value)
+        if not isfinite(value):
+            raise ValueError(f"grid numbers must be finite, got {value!r}")
+        return value
     if isinstance(value, (str, EvalError)):
         return value
     raise TypeError(f"not a grid value: {value!r}")
@@ -174,7 +178,8 @@ def _binary(op: str, left: Value, right: Value) -> Value:
                 return EvalError(TYPE_MISMATCH, "power result out of range")
             if isinstance(result, complex):
                 return EvalError(TYPE_MISMATCH, "fractional power of a negative number")
-        # overflow (or inf/nan arriving from a grid) is an error, never a number
+        # grids hold finite numbers only, so a non-finite result is an
+        # overflow: an error value, never a number
         if not isfinite(result):
             return EvalError(TYPE_MISMATCH, f"'{op}' result out of range")
         return result
@@ -183,31 +188,15 @@ def _binary(op: str, left: Value, right: Value) -> Value:
     if op in ("=", "<>"):
         if isinstance(left, bool) != isinstance(right, bool):
             return EvalError(TYPE_MISMATCH, "'=' across different types")
-        if isinstance(left, bool):
-            equal = left == right
-        elif _is_number(left) and _is_number(right):
-            equal = left == right
-        elif isinstance(left, str) and isinstance(right, str):
-            equal = left == right
-        else:
+        if isinstance(left, str) != isinstance(right, str):
             return EvalError(TYPE_MISMATCH, f"'{op}' across different types")
-        return equal if op == "=" else not equal
+        return (left == right) == (op == "=")
 
     if isinstance(left, bool) or isinstance(right, bool):
         return EvalError(TYPE_MISMATCH, f"'{op}' cannot order TRUE/FALSE")
-    if _is_number(left) and _is_number(right):
-        pass
-    elif isinstance(left, str) and isinstance(right, str):
-        pass
-    else:
+    if isinstance(left, str) != isinstance(right, str):
         return EvalError(TYPE_MISMATCH, f"'{op}' across different types")
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+    return ORDERING[op](left, right)
 
 
 def _eval_call(node: FunctionCall, grid: Grid) -> Value:
@@ -265,6 +254,11 @@ def _eval_call(node: FunctionCall, grid: Grid) -> Value:
             if not _is_number(value):
                 return EvalError(TYPE_MISMATCH, f"{name} needs numeric arguments")
             numbers.append(value)
+    return aggregate(name, numbers)
+
+
+def aggregate(name: str, numbers: Sequence[float]) -> Value:
+    """A formula's MIN, MAX, AVERAGE or SUM; no numbers or an overflow is an error."""
     if not numbers:
         return EvalError(EMPTY_AGGREGATE, f"{name} of zero values")
     if name == "MIN":

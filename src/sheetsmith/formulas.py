@@ -7,6 +7,7 @@ where precedence requires, so rendering the same tree twice is byte-identical.
 from __future__ import annotations
 
 import decimal
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -192,6 +193,9 @@ BINARY_PRECEDENCE = {
     "*": _MUL, "/": _MUL,
     "^": _POW,
 }
+
+# the meaning of each ordering comparator, for the evaluator and synthesis
+ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _precedence(node: Node) -> int:

@@ -26,12 +26,17 @@ the walk short, and none changes which list is reached first:
 
 The best pass rate reported on failure is a maximum over the states walked,
 and skipping a state walked before leaves it unchanged.
+
+Predicates mean what the printed formula means: a family's value on a row
+comes from evaluator.aggregate, and a predicate's rows are picked with the
+evaluator's comparators, formulas.ORDERING. A family whose aggregate is an
+error on some row (a SUM or AVERAGE past the largest float) is left out, as
+a rule testing it returns that error on any such row it reaches.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -41,8 +46,9 @@ from .errors import (
     InconsistentExamplesError,
     SearchBudgetExceededError,
 )
-from .evaluator import Grid, ValidationReport, validate_examples
+from .evaluator import aggregate, EvalError, Grid, ValidationReport, validate_examples
 from .formulas import (
+    AGGREGATE_FUNCTIONS,
     BinaryOp,
     CellRef,
     column_index,
@@ -51,6 +57,7 @@ from .formulas import (
     FunctionCall,
     Node,
     NumberLiteral,
+    ORDERING,
     RangeRef,
     render,
     TextLiteral,
@@ -61,7 +68,8 @@ from .parser import parse
 
 SINGLE_ATTRIBUTE = "ATTRIBUTE"
 
-DEFAULT_AGGREGATES = ("MIN", "MAX", "AVERAGE", "SUM", SINGLE_ATTRIBUTE)
+# every aggregate is searched unless a config narrows the set
+DEFAULT_AGGREGATES = AGGREGATE_FUNCTIONS + (SINGLE_ATTRIBUTE,)
 
 # The two comparators the studied grading formulas actually use; keeping the
 # default set this small also keeps the searched space and output style tight.
@@ -91,6 +99,19 @@ class HypothesisConfig:
     comparators: tuple[str, ...] = DEFAULT_COMPARATORS
     max_decision_depth: int = 5
     cell_assignment: Optional[Mapping[str, str]] = None
+
+    def __post_init__(self) -> None:
+        for kind, names, allowed in (
+            ("aggregate", self.aggregates, DEFAULT_AGGREGATES),
+            ("comparator", self.comparators, tuple(ORDERING)),
+        ):
+            for name in names:
+                if name not in allowed:
+                    raise ValueError(f"{kind} {name!r} is not one of {allowed}")
+        if self.max_decision_depth < 1:
+            raise ValueError(
+                f"max_decision_depth must be 1 or more, got {self.max_decision_depth}"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,54 +149,41 @@ def _check_examples(examples: Sequence[LabeledExample]) -> None:
         if example.label == "":
             raise EmptyLabelError(f"example {index} has an empty label")
         row = tuple(example.attributes.values())
-        if row in seen and seen[row] != example.label:
+        if seen.setdefault(row, example.label) != example.label:
             raise InconsistentExamplesError(
                 f"identical rows {row} are labelled both "
                 f"{seen[row]!r} and {example.label!r}"
             )
-        seen.setdefault(row, example.label)
 
 
-def _aggregate_values(
-    aggregate: str, attribute: Optional[str], examples: Sequence[LabeledExample]
-) -> list[float]:
-    out = []
-    for example in examples:
-        values = list(example.attributes.values())
-        if aggregate == "MIN":
-            out.append(min(values))
-        elif aggregate == "MAX":
-            out.append(max(values))
-        elif aggregate == "AVERAGE":
-            out.append(statistics.fmean(values))
-        elif aggregate == "SUM":
-            out.append(float(sum(values)))
-        else:
-            out.append(float(example.attributes[attribute]))
+Family = tuple[str, Optional[str]]  # (aggregate, attribute or None)
+
+
+def _family_values(
+    examples: Sequence[LabeledExample], config: HypothesisConfig
+) -> dict[Family, list[float]]:
+    """Each family's value on every row, in search order, if none is an error."""
+    names = _attribute_names(examples)
+    rows = [[float(v) for v in ex.attributes.values()] for ex in examples]
+    out: dict[Family, list[float]] = {}
+    for kind in config.aggregates:
+        if kind == SINGLE_ATTRIBUTE:
+            for i, attribute in enumerate(names):
+                out[kind, attribute] = [row[i] for row in rows]
+            continue
+        values = [aggregate(kind, row) for row in rows]
+        if not any(isinstance(value, EvalError) for value in values):
+            out[kind, None] = values
     return out
 
 
 def _thresholds(values: Sequence[float]) -> list[float]:
     """Sorted distinct values interleaved with midpoints of adjacent pairs."""
     distinct = sorted(set(values))
-    out = []
-    for i, value in enumerate(distinct):
-        if i:
-            out.append((distinct[i - 1] + value) / 2)
-        out.append(value)
+    out = distinct[:1]
+    for low, high in zip(distinct, distinct[1:]):
+        out += [(low + high) / 2, high]
     return out
-
-
-def _families(
-    config: HypothesisConfig, names: Sequence[str]
-) -> list[tuple[str, Optional[str]]]:
-    families: list[tuple[str, Optional[str]]] = []
-    for aggregate in config.aggregates:
-        if aggregate == SINGLE_ATTRIBUTE:
-            families.extend((SINGLE_ATTRIBUTE, name) for name in names)
-        else:
-            families.append((aggregate, None))
-    return families
 
 
 def enumerate_candidates(
@@ -186,30 +194,23 @@ def enumerate_candidates(
     Order is: aggregates as configured (each attribute in turn for the
     single-attribute family), then thresholds ascending, then comparators as
     configured. Thresholds are the observed aggregate values plus midpoints
-    of adjacent distinct values.
+    of adjacent distinct values. A family whose aggregate is an error on
+    some row has no candidates.
     """
     config = config or HypothesisConfig()
     _check_examples(examples)
-    names = _attribute_names(examples)
-    candidates = []
-    for aggregate, attribute in _families(config, names):
-        values = _aggregate_values(aggregate, attribute, examples)
-        for threshold in _thresholds(values):
-            for comparator in config.comparators:
-                candidates.append(
-                    Predicate(aggregate, comparator, threshold, attribute)
-                )
-    return candidates
+    return _candidates(_family_values(examples, config), config.comparators)
 
 
-def _satisfies(value: float, comparator: str, threshold: float) -> bool:
-    if comparator == "<":
-        return value < threshold
-    if comparator == "<=":
-        return value <= threshold
-    if comparator == ">":
-        return value > threshold
-    return value >= threshold
+def _candidates(
+    family_values: Mapping[Family, Sequence[float]], comparators: Sequence[str]
+) -> list[Predicate]:
+    return [
+        Predicate(kind, comparator, threshold, attribute)
+        for (kind, attribute), values in family_values.items()
+        for threshold in _thresholds(values)
+        for comparator in comparators
+    ]
 
 
 def default_cell_assignment(names: Sequence[str]) -> dict[str, str]:
@@ -305,10 +306,7 @@ def synthesize(
     if len(set(assignment.values())) != len(assignment):
         raise ValueError("cell assignment maps two attributes to one cell")
 
-    labels: list[str] = []
-    for example in examples:
-        if example.label not in labels:
-            labels.append(example.label)
+    labels = list(dict.fromkeys(example.label for example in examples))
 
     grids = example_grids(examples, assignment)
 
@@ -317,17 +315,15 @@ def synthesize(
 
     count = len(examples)
     full_mask = (1 << count) - 1
-    family_values = {
-        family: _aggregate_values(*family, examples)
-        for family in _families(config, names)
-    }
+    family_values = _family_values(examples, config)
     # pruning 4: the first predicate of each non-empty capture, in order
     placements: dict[int, Predicate] = {}
-    for predicate in enumerate_candidates(examples, config):
+    for predicate in _candidates(family_values, config.comparators):
         values = family_values[predicate.aggregate, predicate.attribute]
+        holds = ORDERING[predicate.comparator]
         mask = 0
         for i, value in enumerate(values):
-            if _satisfies(value, predicate.comparator, predicate.threshold):
+            if holds(value, predicate.threshold):
                 mask |= 1 << i
         if mask:
             placements.setdefault(mask, predicate)

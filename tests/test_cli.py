@@ -137,6 +137,14 @@ def test_synthesize_depth_cap_exits_one(tmp_path, capsys):
     assert "%" in err
 
 
+def test_synthesize_max_depth_zero_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "grades.csv", GRADES_CSV)
+    assert main(["synthesize", "--examples", path, "--max-depth", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Usage:")
+    assert len(err.splitlines()) == 1
+
+
 def test_synthesize_budget_env(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "grades.csv", GRADES_CSV)
     monkeypatch.setenv("SHEETSMITH_SEARCH_BUDGET", "5")

@@ -170,6 +170,12 @@ def test_grid_normalises_ints_to_floats():
     assert isinstance(evaluate(parse("=A1"), grid), float)
 
 
+def test_grid_rejects_non_finite_numbers():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            Grid({"A1": bad})
+
+
 def test_values_equal():
     assert values_equal(1.0, 1.0 + 1e-12)
     assert not values_equal(1.0, 1.1)

@@ -231,6 +231,72 @@ def test_non_finite_attribute_values_rejected():
             LabeledExample({"a": bad}, "x")
 
 
+COMPARATORS = "'<', '<=', '>', '>='"
+
+
+@pytest.mark.parametrize(
+    "config,allowed",
+    [
+        ({"comparators": ("=",)}, COMPARATORS),
+        ({"comparators": ("<>",)}, COMPARATORS),
+        ({"comparators": ("~",)}, COMPARATORS),
+        ({"aggregates": ("MEDIAN",)}, "'MIN', 'MAX', 'AVERAGE', 'SUM', 'ATTRIBUTE'"),
+        ({"max_decision_depth": 0}, "1 or more"),
+    ],
+    ids=["equals", "not-equals", "unknown-comparator", "median", "depth-0"],
+)
+def test_config_rejects_what_the_search_cannot_test(config, allowed):
+    with pytest.raises(ValueError) as info:
+        HypothesisConfig(**config)
+    assert allowed in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "comparator,expected",
+    [
+        ("<", '=IF(MIN(C5)<2,"x",IF(MIN(C5)<4,"y","x"))'),
+        ("<=", '=IF(MIN(C5)<=1,"x",IF(MIN(C5)<=3,"y","x"))'),
+        (">", '=IF(MIN(C5)>3,"x",IF(MIN(C5)>1,"y","x"))'),
+        (">=", '=IF(MIN(C5)>=4,"x",IF(MIN(C5)>=2,"y","x"))'),
+    ],
+)
+def test_each_ordering_comparator_alone(comparator, expected):
+    examples = [
+        LabeledExample({"a": 1.0}, "x"),
+        LabeledExample({"a": 3.0}, "y"),
+        LabeledExample({"a": 5.0}, "x"),
+    ]
+    result = synthesize(examples, HypothesisConfig(comparators=(comparator,)))
+    assert result.rendered == expected
+    assert result.training_report.all_passed
+
+
+def test_average_thresholds_are_the_values_the_formula_computes():
+    # fmean gives 0.2 here but the formula's sum/len 0.20000000000000004, so
+    # a threshold of 0.2 with <= would leave the "lo" row uncaptured
+    examples = [
+        LabeledExample({"a": 0.1, "b": 0.2, "c": 0.3}, "lo"),
+        LabeledExample({"a": 1.0, "b": 1.0, "c": 1.0}, "hi"),
+    ]
+    config = HypothesisConfig(aggregates=("AVERAGE",), comparators=("<=", ">"))
+    result = synthesize(examples, config)
+    report = validate_examples(parse(result.rendered), example_grids(examples))
+    assert report.all_passed, result.rendered
+
+
+def test_families_that_overflow_on_a_row_are_left_out():
+    examples = [
+        LabeledExample({"a": 1e308, "b": 1e308}, "x"),
+        LabeledExample({"a": 1.0, "b": 1.0}, "y"),
+    ]
+    result = synthesize(examples)
+    assert "SUM" not in result.rendered and "AVERAGE" not in result.rendered
+    report = validate_examples(parse(result.rendered), example_grids(examples))
+    assert report.all_passed, result.rendered
+    with pytest.raises(HypothesisSpaceExhaustedError):
+        synthesize(examples, HypothesisConfig(aggregates=("SUM",)))
+
+
 # ----- the search against a plain depth-first reference -------------------
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
