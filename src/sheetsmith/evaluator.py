@@ -4,18 +4,27 @@ Values are plain Python floats, strings, and bools, plus EvalError for the
 in-sheet error conditions. Errors are values, not exceptions: they propagate
 through every operator and function unchanged. There is no implicit coercion
 between types anywhere; a text cell fed to SUM is a TypeMismatch, not a zero.
+
+compile_formula walks a tree once and returns closures that read a
+{canonical ref: value} dict; it is the only evaluation path. evaluate and
+validate_examples compile once per call, and semantic_equivalence compiles
+both formulas once, checks every domain value up front, and builds a Grid
+only for the witness it returns. The parser rejects non-finite literals, so
+every number a compiled formula reads is finite.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from math import isfinite
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainTooLargeError, EmptyExampleSetError
 from .formulas import (
+    AGGREGATE_FUNCTIONS,
     BinaryOp,
     BooleanLiteral,
     CellRef,
@@ -105,59 +114,98 @@ class Grid:
 
 def evaluate(ast: FormulaAst, grid: Grid) -> Value:
     """Evaluate a formula against a grid, returning a value or an EvalError."""
-    return _eval(ast.root, grid)
+    return compile_formula(ast)(grid._cells)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, float)
+Compiled = Callable[[Mapping[str, Value]], Value]
 
 
-def _eval(node: Node, grid: Grid) -> Value:
+def compile_formula(ast: FormulaAst) -> Compiled:
+    """Turn a formula into a function of a {canonical ref: value} dict.
+
+    The tree is walked once; calling the result runs only the closures built
+    here. Cell values must be grid values (see Grid), and an absent cell
+    reads as MissingCell.
+    """
+    return _compile(ast.root)
+
+
+def _constant(value: Value) -> Compiled:
+    return lambda cells: value
+
+
+def _compile(node: Node) -> Compiled:
     if isinstance(node, NumberLiteral):
-        return float(node.value)
-    if isinstance(node, TextLiteral):
-        return node.value
-    if isinstance(node, BooleanLiteral):
-        return node.value
+        return _constant(float(node.value))
+    if isinstance(node, (TextLiteral, BooleanLiteral)):
+        return _constant(node.value)
     if isinstance(node, CellRef):
-        return grid.lookup(node.canonical())
+        name = canonical_ref(node.canonical())
+        missing = EvalError(MISSING_CELL, f"cell {name} is empty")
+        return lambda cells: cells.get(name, missing)
     if isinstance(node, RangeRef):
-        return EvalError(TYPE_MISMATCH, "range used outside an aggregate function")
+        return _constant(
+            EvalError(TYPE_MISMATCH, "range used outside an aggregate function")
+        )
     if isinstance(node, UnaryOp):
-        value = _eval(node.operand, grid)
-        if isinstance(value, EvalError):
-            return value
-        if not _is_number(value):
-            return EvalError(TYPE_MISMATCH, "unary '-' needs a number")
-        return -value
+        return _compile_unary(
+            _compile(node.operand), float, operator.neg, "unary '-' needs a number"
+        )
     if isinstance(node, BinaryOp):
-        return _eval_binary(node, grid)
+        return _compile_chain(node)
     if isinstance(node, FunctionCall):
-        return _eval_call(node, grid)
+        if node.name in AGGREGATE_FUNCTIONS:
+            return _compile_aggregate(node)
+        args = [_compile(arg) for arg in node.args]
+        if node.name == "IF":
+            return _compile_if(*args)
+        if node.name == "NOT":
+            return _compile_unary(*args, bool, operator.not_, "NOT needs TRUE or FALSE")
+        return _compile_logical(node.name, args)
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def _eval_binary(node: BinaryOp, grid: Grid) -> Value:
-    # walk the left side of a flat chain such as A1+A1+... in a loop; left
-    # operands still go first, and the first error value ends the chain
+def _compile_unary(operand: Compiled, accepts: type, apply, message: str) -> Compiled:
+    def unary(cells):
+        value = operand(cells)
+        if isinstance(value, accepts):
+            return apply(value)
+        if isinstance(value, EvalError):
+            return value
+        return EvalError(TYPE_MISMATCH, message)
+
+    return unary
+
+
+def _compile_chain(node: BinaryOp) -> Compiled:
+    # a flat chain such as A1+A1+... is one closure looping over its
+    # (operator, right operand) pairs, so neither compiling nor running it
+    # recurses per term; left operands go first, and the first error value
+    # ends the chain
     spine = []
     while isinstance(node, BinaryOp):
         spine.append(node)
         node = node.left
-    value = _eval(node, grid)
-    for node in reversed(spine):
-        if isinstance(value, EvalError):
-            return value
-        right = _eval(node.right, grid)
-        if isinstance(right, EvalError):
-            return right
-        value = _binary(node.op, value, right)
-    return value
+    first = _compile(node)
+    steps = [(step.op, _compile(step.right)) for step in reversed(spine)]
+
+    def chain(cells):
+        value = first(cells)
+        for op, right in steps:
+            if isinstance(value, EvalError):
+                return value
+            operand = right(cells)
+            if isinstance(operand, EvalError):
+                return operand
+            value = _binary(op, value, operand)
+        return value
+
+    return chain
 
 
 def _binary(op: str, left: Value, right: Value) -> Value:
     if op in ("+", "-", "*", "/", "^"):
-        if not (_is_number(left) and _is_number(right)):
+        if not (isinstance(left, float) and isinstance(right, float)):
             return EvalError(TYPE_MISMATCH, f"'{op}' needs numeric operands")
         if op == "+":
             result = left + right
@@ -199,62 +247,76 @@ def _binary(op: str, left: Value, right: Value) -> Value:
     return ORDERING[op](left, right)
 
 
-def _eval_call(node: FunctionCall, grid: Grid) -> Value:
-    name = node.name
+def _compile_if(condition: Compiled, then: Compiled,
+                otherwise: Compiled = _constant(False)) -> Compiled:
+    def branch(cells):
+        value = condition(cells)
+        if value is True:
+            return then(cells)
+        if value is False:
+            return otherwise(cells)
+        if isinstance(value, EvalError):
+            return value
+        return EvalError(TYPE_MISMATCH, "IF condition must be TRUE or FALSE")
 
-    if name == "IF":
-        condition = _eval(node.args[0], grid)
-        if isinstance(condition, EvalError):
-            return condition
-        if not isinstance(condition, bool):
-            return EvalError(TYPE_MISMATCH, "IF condition must be TRUE or FALSE")
-        if condition:
-            return _eval(node.args[1], grid)
-        if len(node.args) == 3:
-            return _eval(node.args[2], grid)
-        return False
+    return branch
 
-    if name in ("AND", "OR"):
+
+def _compile_logical(name: str, args: list[Compiled]) -> Compiled:
+    reduce = all if name == "AND" else any
+
+    def logical(cells):
+        # every argument is evaluated before any is type-checked
         values = []
-        for arg in node.args:
-            value = _eval(arg, grid)
+        for arg in args:
+            value = arg(cells)
             if isinstance(value, EvalError):
                 return value
             values.append(value)
         for value in values:
             if not isinstance(value, bool):
                 return EvalError(TYPE_MISMATCH, f"{name} needs TRUE/FALSE arguments")
-        return all(values) if name == "AND" else any(values)
+        return reduce(values)
 
-    if name == "NOT":
-        value = _eval(node.args[0], grid)
-        if isinstance(value, EvalError):
-            return value
-        if not isinstance(value, bool):
-            return EvalError(TYPE_MISMATCH, "NOT needs TRUE or FALSE")
-        return not value
+    return logical
 
-    # MIN / MAX / AVERAGE / SUM over flattened arguments
-    numbers = []
-    for arg in node.args:
-        if isinstance(arg, RangeRef):
-            for ref in cells_in_range(arg):
-                value = grid.lookup(ref)
-                if isinstance(value, EvalError):
+
+def _compile_aggregate(node: FunctionCall) -> Compiled:
+    # MIN / MAX / AVERAGE / SUM over flattened arguments; a range is kept as
+    # its cell names, read row-major
+    name = node.name
+    args = [
+        cells_in_range(arg) if isinstance(arg, RangeRef) else _compile(arg)
+        for arg in node.args
+    ]
+
+    def call(cells):
+        numbers = []
+        for arg in args:
+            if isinstance(arg, list):
+                for ref in arg:
+                    value = cells.get(ref)
+                    if isinstance(value, float):
+                        numbers.append(value)
+                    elif value is None:
+                        return EvalError(MISSING_CELL, f"cell {ref} is empty")
+                    elif isinstance(value, EvalError):
+                        return value
+                    else:
+                        return EvalError(
+                            TYPE_MISMATCH, f"{name} over non-numeric cell {ref}"
+                        )
+            else:
+                value = arg(cells)
+                if isinstance(value, float):
+                    numbers.append(value)
+                elif isinstance(value, EvalError):
                     return value
-                if not _is_number(value):
-                    return EvalError(
-                        TYPE_MISMATCH, f"{name} over non-numeric cell {ref}"
-                    )
-                numbers.append(value)
-        else:
-            value = _eval(arg, grid)
-            if isinstance(value, EvalError):
-                return value
-            if not _is_number(value):
-                return EvalError(TYPE_MISMATCH, f"{name} needs numeric arguments")
-            numbers.append(value)
-    return aggregate(name, numbers)
+                else:
+                    return EvalError(TYPE_MISMATCH, f"{name} needs numeric arguments")
+        return aggregate(name, numbers)
+
+    return call
 
 
 def aggregate(name: str, numbers: Sequence[float]) -> Value:
@@ -281,7 +343,7 @@ def values_equal(a: Value, b: Value, tolerance: float = NUMERIC_TOLERANCE) -> bo
         )
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a == b
-    if _is_number(a) and _is_number(b):
+    if isinstance(a, float) and isinstance(b, float):
         return abs(a - b) <= tolerance
     if isinstance(a, str) and isinstance(b, str):
         return a == b
@@ -313,11 +375,12 @@ def validate_examples(
     """Evaluate a formula against (grid, expected) pairs, preserving order."""
     if not examples:
         raise EmptyExampleSetError("no examples to validate against")
+    run = compile_formula(ast)
     outcomes = []
     passes = 0
     for index, (grid, expected) in enumerate(examples):
         expected = _norm(expected)
-        actual = evaluate(ast, grid)
+        actual = run(grid._cells)
         passed = values_equal(actual, expected)
         passes += passed
         outcomes.append(ExampleOutcome(index, expected, actual, passed))
@@ -350,7 +413,8 @@ def semantic_equivalence(
     ``domain`` maps cell references to candidate values; the grids enumerated
     are the full cartesian product, first cell varying slowest. Returns
     (True, None) when outputs match everywhere under values_equal, else
-    (False, first differing grid).
+    (False, first differing grid). Every domain value is checked as a grid
+    value before any grid is enumerated.
     """
     names = [canonical_ref(name) for name in domain.keys()]
     value_lists = [list(values) for values in domain.values()]
@@ -361,11 +425,13 @@ def semantic_equivalence(
         raise DomainTooLargeError(
             f"domain enumerates {total} grids, cap is {max_grids}"
         )
+    value_lists = [[_norm(value) for value in values] for values in value_lists]
     uncovered = (referenced_cells(a) | referenced_cells(b)) - set(names)
     if uncovered:
         raise ValueError(f"domain does not cover cells: {sorted(uncovered)}")
+    run_a, run_b = compile_formula(a), compile_formula(b)
     for combo in itertools.product(*value_lists):
-        grid = Grid(dict(zip(names, combo)))
-        if not values_equal(evaluate(a, grid), evaluate(b, grid)):
-            return False, grid
+        cells = dict(zip(names, combo))
+        if not values_equal(run_a(cells), run_b(cells)):
+            return False, Grid(cells)
     return True, None

@@ -13,13 +13,15 @@ operator tighter than the level it was called at, and parses each right-hand
 operand one level tighter than that operator, so all binary operators
 associate left. Unary minus binds tighter than '^'. Function calls,
 parenthesised groups and unary minus each open one nesting level; input
-nested deeper than MAX_NESTING levels (Excel's cap) is a syntax error.
-Input is case-insensitive; positions in errors index the original string.
+nested deeper than MAX_NESTING levels (Excel's cap) is a syntax error, and
+so is a number literal too large for a float. Input is case-insensitive;
+positions in errors index the original string.
 """
 
 from __future__ import annotations
 
 import re
+from math import isfinite
 
 from .errors import ArityError, FormulaSyntaxError, UnknownFunctionError
 from .formulas import (
@@ -151,8 +153,11 @@ class _Parser:
         token = self.peek()
         kind, text, pos = token
         if kind == "NUMBER":
+            value = float(text)
+            if not isfinite(value):
+                raise FormulaSyntaxError("number out of range", pos)
             self.advance()
-            return NumberLiteral(float(text))
+            return NumberLiteral(value)
         if kind == "STRING":
             self.advance()
             return TextLiteral(text[1:-1].replace('""', '"'))

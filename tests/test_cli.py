@@ -432,3 +432,24 @@ def test_synthesize_interactive_rejects_nan_and_inf(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.err.count("attribute values must be numbers") == 2
     assert captured.out.count("formula:") == 1
+
+
+HUGE_NUMBER = "=" + "9" * 400
+
+
+def test_analyze_number_out_of_range_is_a_syntax_error(capsys):
+    assert main(["analyze", HUGE_NUMBER]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: SyntaxError: number out of range (position 1)\n"
+    )
+
+
+def test_scan_records_number_out_of_range_and_keeps_other_rows(tmp_path, capsys):
+    path = write(tmp_path, "f.csv", f"source_id,formula\nok,=A1+A2\nhuge,{HUGE_NUMBER}\n")
+    assert main(["scan", path, "--format", "json"]) == 0
+    ok, huge = json.loads(capsys.readouterr().out)
+    assert (ok["n1"], ok["n2"], ok["complexity"], ok["parse_error"]) == (1, 2, 0.5, None)
+    assert huge["complexity"] is None
+    assert huge["parse_error"] == "SyntaxError: number out of range (position 1)"

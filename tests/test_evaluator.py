@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from oracle import oracle_eval
@@ -6,9 +9,11 @@ from sheetsmith import (
     EmptyExampleSetError,
     EvalError,
     evaluate,
+    FormulaAst,
     Grid,
     parse,
     referenced_cells,
+    render,
     semantic_equivalence,
     validate_examples,
     values_equal,
@@ -264,3 +269,50 @@ def test_long_flat_chain_goes_left_to_right_and_stops_at_the_first_error():
     assert kind(ev("=" + "+".join(terms), {"A1": 1})) == "MissingCell"
     # a left operand's error wins over a type mismatch further right
     assert kind(ev("=" + "-".join(["B1"] + ["TRUE"] * 3000), {})) == "MissingCell"
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [(float("nan"), ValueError), (float("inf"), ValueError), (None, TypeError)],
+)
+def test_semantic_equivalence_checks_domain_values_before_enumerating(bad, error):
+    # the formulas differ on the very first grid, so only a check made before
+    # enumeration can see the bad value at the end of the list
+    with pytest.raises(error):
+        semantic_equivalence(parse("=A1"), parse("=A1+1"), {"A1": [0, 1, bad]})
+
+
+def _equivalence_grid_by_grid(a, b, domain):
+    names = list(domain)
+    for combo in itertools.product(*domain.values()):
+        grid = Grid(dict(zip(names, combo)))
+        if not values_equal(evaluate(a, grid), evaluate(b, grid)):
+            return False, grid
+    return True, None
+
+
+def test_semantic_equivalence_matches_a_grid_by_grid_loop():
+    # half the pairs are a tree against itself with A1 and B1 swapped, which
+    # agree wherever the two cells hold equal values; the other half are two
+    # unrelated trees
+    from test_acceptance import _random_node
+
+    rng = random.Random(20261018)
+    pool = [-3, 0, 1, 2.5, 7, "a", "hi", True, False]
+    verdicts, late_witnesses = set(), 0
+    for _ in range(300):
+        a = FormulaAst(_random_node(rng, depth=3))
+        if rng.random() < 0.5:
+            text = render(a).replace("A1", "#").replace("B1", "A1").replace("#", "B1")
+            b = parse(text)
+        else:
+            b = FormulaAst(_random_node(rng, depth=3))
+        values = rng.sample(pool, rng.randint(1, 4))
+        domain = {"A1": values, "B1": rng.sample(values, len(values))}
+        expected = _equivalence_grid_by_grid(a, b, domain)
+        assert semantic_equivalence(a, b, domain) == expected, (render(a), domain)
+        verdicts.add(expected[0])
+        first_grid = Grid({"A1": values[0], "B1": domain["B1"][0]})
+        late_witnesses += expected[1] not in (None, first_grid)
+    assert verdicts == {True, False}
+    assert late_witnesses >= 5

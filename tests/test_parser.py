@@ -271,3 +271,15 @@ def test_long_flat_chains_render_back_to_their_text():
     assert render(parse(mixed)) == mixed
     grouped = "=" + "+".join(["A1"] * 3000) + "-(B1-C1)*2"
     assert render(parse(grouped)) == grouped
+
+
+def test_number_too_large_for_a_float_is_a_syntax_error():
+    huge = "9" * 400
+    with pytest.raises(FormulaSyntaxError, match="number out of range") as info:
+        parse(f"={huge}<1")
+    assert info.value.position == 1
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse(f"=A1+{huge}")
+    assert info.value.position == 4
+    # the largest literal a float holds still parses
+    assert parse("=" + "9" * 308).root == NumberLiteral(float("9" * 308))
