@@ -417,6 +417,9 @@ def semantic_equivalence(
     value before any grid is enumerated.
     """
     names = [canonical_ref(name) for name in domain.keys()]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"domain names cell {name} more than once")
     value_lists = [list(values) for values in domain.values()]
     total = 1
     for values in value_lists:

@@ -25,18 +25,25 @@ the walk short, and none changes which list is reached first:
    the walk starts.
 
 The best pass rate reported on failure is a maximum over the states walked,
-and skipping a state walked before leaves it unchanged.
+and skipping a state walked before leaves it unchanged. It is worked out
+once, after a failed search, over the states that search visited: those in
+the failed set and the rows a full list left unclassified. A search that
+succeeds never computes it.
 
 Predicates mean what the printed formula means: a family's value on a row
-comes from evaluator.aggregate, and a predicate's rows are picked with the
-evaluator's comparators, formulas.ORDERING. A family whose aggregate is an
-error on some row (a SUM or AVERAGE past the largest float) is left out, as
-a rule testing it returns that error on any such row it reaches.
+comes from evaluator.aggregate. A predicate's rows come from one sort of the
+family's rows by value: bisecting the sorted values at a threshold gives the
+rows below it and the rows up to it, and each comparator's rows are one of
+those sets or its complement, as formulas.ORDERING would pick them. A family
+whose aggregate is an error on some row (a SUM or AVERAGE past the largest
+float) is left out, as a rule testing it returns that error on any such row
+it reaches.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -46,7 +53,14 @@ from .errors import (
     InconsistentExamplesError,
     SearchBudgetExceededError,
 )
-from .evaluator import aggregate, EvalError, Grid, ValidationReport, validate_examples
+from .evaluator import (
+    aggregate,
+    canonical_ref,
+    EvalError,
+    Grid,
+    ValidationReport,
+    validate_examples,
+)
 from .formulas import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
@@ -199,17 +213,11 @@ def enumerate_candidates(
     """
     config = config or HypothesisConfig()
     _check_examples(examples)
-    return _candidates(_family_values(examples, config), config.comparators)
-
-
-def _candidates(
-    family_values: Mapping[Family, Sequence[float]], comparators: Sequence[str]
-) -> list[Predicate]:
     return [
         Predicate(kind, comparator, threshold, attribute)
-        for (kind, attribute), values in family_values.items()
+        for (kind, attribute), values in _family_values(examples, config).items()
         for threshold in _thresholds(values)
-        for comparator in comparators
+        for comparator in config.comparators
     ]
 
 
@@ -217,6 +225,26 @@ def default_cell_assignment(names: Sequence[str]) -> dict[str, str]:
     """First attribute in C5, then D5, E5, ... along row 5."""
     start = column_index("C")
     return {name: f"{column_letters(start + i)}5" for i, name in enumerate(names)}
+
+
+def _cell_assignment(
+    names: Sequence[str], given: Optional[Mapping[str, str]]
+) -> dict[str, str]:
+    """The given assignment in canonical refs, one cell per attribute."""
+    if not given:
+        return default_cell_assignment(names)
+    unplaced = [name for name in names if name not in given]
+    if unplaced:
+        raise ValueError(f"cell assignment gives no cell to attributes {unplaced}")
+    attribute_of: dict[str, str] = {}
+    for name, ref in given.items():
+        cell = canonical_ref(ref)
+        if attribute_of.setdefault(cell, name) != name:
+            raise ValueError(
+                f"cell assignment maps {attribute_of[cell]!r} and {name!r} "
+                f"to one cell, {cell}"
+            )
+    return {name: cell for cell, name in attribute_of.items()}
 
 
 def _cell_node(ref: str) -> CellRef:
@@ -271,8 +299,7 @@ def example_grids(
     assignment: Optional[Mapping[str, str]] = None,
 ) -> list[tuple[Grid, str]]:
     """(grid, expected label) pairs for validating against the examples."""
-    names = _attribute_names(examples)
-    assignment = dict(assignment) if assignment else default_cell_assignment(names)
+    assignment = _cell_assignment(_attribute_names(examples), assignment)
     return [
         (
             Grid({assignment[name]: value for name, value in ex.attributes.items()}),
@@ -298,13 +325,7 @@ def synthesize(
     config = config or HypothesisConfig()
     _check_examples(examples)
     names = _attribute_names(examples)
-    assignment = (
-        dict(config.cell_assignment)
-        if config.cell_assignment
-        else default_cell_assignment(names)
-    )
-    if len(set(assignment.values())) != len(assignment):
-        raise ValueError("cell assignment maps two attributes to one cell")
+    assignment = _cell_assignment(names, config.cell_assignment)
 
     labels = list(dict.fromkeys(example.label for example in examples))
 
@@ -318,28 +339,32 @@ def synthesize(
     family_values = _family_values(examples, config)
     # pruning 4: the first predicate of each non-empty capture, in order
     placements: dict[int, Predicate] = {}
-    for predicate in _candidates(family_values, config.comparators):
-        values = family_values[predicate.aggregate, predicate.attribute]
-        holds = ORDERING[predicate.comparator]
-        mask = 0
-        for i, value in enumerate(values):
-            if holds(value, predicate.threshold):
-                mask |= 1 << i
-        if mask:
-            placements.setdefault(mask, predicate)
+    for (kind, attribute), values in family_values.items():
+        order = sorted(range(count), key=values.__getitem__)
+        ordered = [values[i] for i in order]
+        prefix = [0]  # prefix[k]: the rows of the k smallest values
+        for i in order:
+            prefix.append(prefix[-1] | 1 << i)
+        for threshold in _thresholds(values):
+            below = prefix[bisect_left(ordered, threshold)]
+            upto = prefix[bisect_right(ordered, threshold)]
+            captures = {
+                "<": below,
+                "<=": upto,
+                ">": full_mask & ~upto,
+                ">=": full_mask & ~below,
+            }
+            for comparator in config.comparators:
+                mask = captures[comparator]
+                if mask and mask not in placements:
+                    placements[mask] = Predicate(kind, comparator, threshold, attribute)
     label_masks = {label: 0 for label in labels}
     for i, example in enumerate(examples):
         label_masks[example.label] |= 1 << i
 
     explored = 0
     failed: set[tuple[int, int]] = set()
-    best_passes = max(m.bit_count() for m in label_masks.values())
-
-    def note_best(alive: int) -> None:
-        nonlocal best_passes
-        settled = count - alive.bit_count()
-        fallback = max((alive & m).bit_count() for m in label_masks.values())
-        best_passes = max(best_passes, settled + fallback)
+    leftovers: set[int] = set()  # rows a full list left unclassified
 
     def extend(
         alive: int, slots: int, rules: list[tuple[Predicate, str]]
@@ -347,7 +372,6 @@ def synthesize(
         nonlocal explored
         if (alive, slots) in failed:  # pruning 3
             return None
-        note_best(alive)
         for mask, predicate in placements.items():
             explored += 1
             if explored > search_budget:
@@ -372,7 +396,7 @@ def synthesize(
                 for label in labels:
                     if remaining & label_masks[label] == remaining:
                         return new_rules, label
-                note_best(remaining)
+                leftovers.add(remaining)
                 continue
             if remaining == 0:
                 continue  # deeper slots would capture nothing
@@ -388,6 +412,13 @@ def synthesize(
         if result is not None:
             break
     if result is None:
+        # every state entered ends in failed, as no search below it succeeded
+        best_passes = max(
+            count
+            - alive.bit_count()
+            + max((alive & m).bit_count() for m in label_masks.values())
+            for alive in leftovers | {alive for alive, _ in failed}
+        )
         rate = 100.0 * best_passes / count
         raise HypothesisSpaceExhaustedError(
             f"no decision list up to depth {config.max_decision_depth} fits all "

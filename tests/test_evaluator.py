@@ -252,6 +252,13 @@ def test_semantic_equivalence_requires_covered_cells():
         semantic_equivalence(parse("=A1+B7"), parse("=A1"), {"A1": range(3)})
 
 
+@pytest.mark.parametrize("spelling", ["a1", "$A$1"])
+def test_semantic_equivalence_rejects_two_keys_for_one_cell(spelling):
+    # the later list would silently replace the earlier one in every grid
+    with pytest.raises(ValueError, match="A1"):
+        semantic_equivalence(parse("=A1"), parse("=3"), {"A1": [1, 2], spelling: [3]})
+
+
 def test_error_values_compare_by_kind_in_equivalence():
     # both sides divide by zero everywhere, so they are equivalent
     same, _ = semantic_equivalence(

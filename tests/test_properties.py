@@ -1,7 +1,8 @@
-"""Generated formulas: evaluate agrees with the independent oracle.
+"""Generated inputs: evaluate agrees with the independent oracle, and
+synthesize's text passes its own training rows.
 
 Hypothesis runs derandomized with a fixed example budget, so every run tests
-the same trees and grids.
+the same inputs.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,14 +14,23 @@ from sheetsmith import (
     BooleanLiteral,
     CellRef,
     evaluate,
+    example_grids,
     FormulaAst,
     FunctionCall,
     Grid,
+    HypothesisConfig,
+    HypothesisSpaceExhaustedError,
+    LabeledExample,
     NumberLiteral,
+    parse,
     RangeRef,
+    synthesize,
     TextLiteral,
     UnaryOp,
+    validate_examples,
 )
+from sheetsmith.formulas import ORDERING
+from sheetsmith.synthesis import DEFAULT_AGGREGATES
 
 CELLS = ("A1", "B1", "C1")
 RANGES = [
@@ -118,3 +128,53 @@ def test_evaluate_agrees_with_the_oracle_on_long_flat_chains(chain, cells):
         root = BinaryOp(op, root, right)
     mine = evaluate(FormulaAst(root), Grid(cells))
     assert _agree(mine, _oracle_chain(first, steps, cells))
+
+
+# ----- synthesis ------------------------------------------------------------
+
+
+def _subsets(names):
+    return st.lists(st.sampled_from(names), min_size=1, unique=True).map(
+        lambda chosen: tuple(name for name in names if name in chosen)
+    )
+
+
+@st.composite
+def example_sets(draw):
+    names = draw(st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]))
+    marks = st.sampled_from([0.0, 1.0, 2.5, 40.0, 99.5, 1e300])
+    rows = draw(
+        st.dictionaries(
+            st.tuples(*[marks] * len(names)),
+            st.sampled_from(["lo", "mid", "hi"]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return [
+        LabeledExample(dict(zip(names, row)), label) for row, label in rows.items()
+    ]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    example_sets(),
+    _subsets(tuple(ORDERING)),
+    _subsets(DEFAULT_AGGREGATES),
+    st.integers(min_value=1, max_value=3),
+)
+def test_synthesized_text_passes_its_training_rows(
+    examples, comparators, aggregates, depth
+):
+    config = HypothesisConfig(
+        aggregates=aggregates, comparators=comparators, max_decision_depth=depth
+    )
+    try:
+        result = synthesize(examples, config)
+    except HypothesisSpaceExhaustedError as exc:
+        labels = [example.label for example in examples]
+        largest = max(labels.count(label) for label in labels)
+        assert 100.0 * largest / len(labels) <= exc.best_pass_rate < 100
+    else:
+        report = validate_examples(parse(result.rendered), example_grids(examples))
+        assert report.all_passed, result.rendered

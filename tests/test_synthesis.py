@@ -4,6 +4,7 @@ Everything here is deterministic: the search order is pinned, so so is the
 first consistent formula it returns.
 """
 
+import math
 import operator
 import random
 import statistics
@@ -27,7 +28,7 @@ from sheetsmith import (
     synthesize,
     validate_examples,
 )
-from sheetsmith.formulas import render
+from sheetsmith.formulas import ORDERING, render
 from sheetsmith.synthesis import _compile, default_cell_assignment
 
 GRADES = [
@@ -153,6 +154,28 @@ def test_non_adjacent_cells_fall_back_to_argument_lists():
     config = HypothesisConfig(cell_assignment={"a": "A1", "b": "C1"})
     result = synthesize(examples, config)
     assert "MIN(A1,C1)" in result.rendered
+
+
+@pytest.mark.parametrize(
+    "assignment,message",
+    [
+        ({"a": "C5"}, "no cell to attributes ['b']"),
+        ({"a": "C5", "b": "c5"}, "'a' and 'b' to one cell, C5"),
+        ({"a": "C5", "b": "$C$5"}, "'a' and 'b' to one cell, C5"),
+    ],
+    ids=["attribute-without-cell", "lower-case-twin", "absolute-twin"],
+)
+def test_cell_assignment_gives_each_attribute_its_own_cell(assignment, message):
+    examples = [
+        LabeledExample({"a": 1.0, "b": 2.0}, "lo"),
+        LabeledExample({"a": 9.0, "b": 8.0}, "hi"),
+    ]
+    with pytest.raises(ValueError) as info:
+        synthesize(examples, HypothesisConfig(cell_assignment=assignment))
+    assert message in str(info.value)
+    with pytest.raises(ValueError) as info:
+        example_grids(examples, assignment)
+    assert message in str(info.value)
 
 
 def test_synthesised_formula_agrees_with_training_grids():
@@ -399,6 +422,46 @@ def test_search_matches_a_plain_depth_first_reference():
     assert solved >= 20 and exhausted >= 20
 
 
+# values with ties and with float neighbours, whose midpoint rounds onto one
+# of the two, so a threshold may equal an observed value
+_POOL = [
+    0.0, 1.0, math.nextafter(1.0, 2), 2.0, math.nextafter(2.0, 0), 2.5, -1.0
+]
+
+
+def every_comparator_set(rng):
+    names = [f"m{k}" for k in range(rng.randint(1, 2))]
+    labels = ["lo", "mid", "hi"][: rng.randint(2, 3)]
+    seen = {}
+    examples = []
+    for _ in range(rng.randint(4, 10)):
+        marks = tuple(rng.choice(_POOL) for _ in names)
+        label = seen.setdefault(marks, rng.choice(labels))
+        examples.append(LabeledExample(dict(zip(names, marks)), label))
+    comparators = tuple(c for c in ORDERING if rng.random() < 0.5)
+    comparators = comparators or (rng.choice(list(ORDERING)),)
+    config = HypothesisConfig(
+        aggregates=("MIN", "MAX", "ATTRIBUTE"),
+        comparators=comparators,
+        max_decision_depth=rng.randint(1, 3),
+    )
+    return examples, config
+
+
+def test_every_comparator_captures_the_rows_the_reference_does():
+    solved = exhausted = 0
+    for seed in range(300):
+        examples, config = every_comparator_set(random.Random(seed))
+        try:
+            got = synthesize(examples, config).rendered
+            solved += 1
+        except HypothesisSpaceExhaustedError as exc:
+            got = str(exc)
+            exhausted += 1
+        assert got == reference_synthesize(examples, config), f"seed {seed}"
+    assert solved >= 50 and exhausted >= 50
+
+
 def test_random_twenty_row_set_finishes_within_the_default_budget():
     rng = random.Random(0)
     examples = [
@@ -411,6 +474,15 @@ def test_random_twenty_row_set_finishes_within_the_default_budget():
     # the search without a failed-state memo spends all 10M placements here
     result = synthesize(examples)
     assert result.training_report.all_passed
+
+
+def test_grading_search_is_pinned():
+    result = synthesize(rows(GRADES))
+    assert result.rendered == (
+        '=IF(MIN(C5:D5)<39.5,"Fail",IF(AVERAGE(C5:D5)<54.75,"Pass",'
+        'IF(AVERAGE(C5:D5)<69.75,"Merit","Dist")))'
+    )
+    assert result.candidates_explored == 1751
 
 
 def test_grading_search_takes_far_fewer_placements():
