@@ -21,13 +21,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple
 from datetime import datetime, timezone
 from typing import Optional
 
 from . import csvio
 from .confidence import (
     ApproachSummary,
+    DEFAULT_BASE_ERROR_CEILING,
     exceeds_base_error_ceiling,
     ExperimentSummary,
     fit_accuracy_curve,
@@ -58,16 +59,12 @@ from .synthesis import (
 BUDGET_ENV_VAR = "SHEETSMITH_SEARCH_BUDGET"
 
 
-def _names(cls) -> tuple[str, ...]:
-    return tuple(field.name for field in fields(cls))
-
-
 # the scan report: the Halstead counts, then every other MetricsReport field
 REPORT_COLUMNS = (
     "source_id",
     "formula",
-    *_names(HalsteadCounts),
-    *(name for name in _names(MetricsReport) if name != "counts"),
+    *csvio.columns(HalsteadCounts),
+    *(name for name in csvio.columns(MetricsReport) if name != "counts"),
     "parse_error",
 )
 
@@ -312,14 +309,14 @@ def _cmd_confidence(args) -> int:
     keys = ("participant_id", "question_id", "approach")
     write(
         "outcomes.csv",
-        keys + _names(QuestionOutcome),
+        keys + csvio.columns(QuestionOutcome),
         [pick(r, keys) + list(astuple(question_outcome(r))) for r in records],
     )
     for name, cls, rows in (
         ("summary_questions.csv", QuestionSummary, summary.questions),
         ("summary_approaches.csv", ApproachSummary, summary.approaches),
     ):
-        write(name, _names(cls), map(astuple, rows))
+        write(name, csvio.columns(cls), map(astuple, rows))
 
     ratio_columns = ("question_id", "mean_confidence_ratio", "mean_difficulty")
     for approach_row in summary.approaches:
@@ -395,7 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="build a formula from examples")
     p.add_argument("--examples", required=True, help="CSV of attributes + label")
-    p.add_argument("--max-depth", type=int, default=5)
+    p.add_argument(
+        "--max-depth", type=int, default=HypothesisConfig.max_decision_depth
+    )
     p.add_argument(
         "--interactive",
         action="store_true",
@@ -417,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit accuracy = a*exp(b*complexity)")
     p.add_argument("--points", required=True)
-    p.add_argument("--ceiling", type=float, default=95.0)
+    p.add_argument("--ceiling", type=float, default=DEFAULT_BASE_ERROR_CEILING)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=_cmd_fit)
 

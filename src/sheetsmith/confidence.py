@@ -16,7 +16,6 @@ an unattempted question says nothing about calibration.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -42,15 +41,7 @@ def f_score(error_count: int, attempted: bool) -> int:
         return 0
     if error_count < 0:
         raise ValueError("error count cannot be negative")
-    if error_count == 0:
-        return 5
-    if error_count == 1:
-        return 4
-    if error_count == 2:
-        return 3
-    if error_count == 3:
-        return 2
-    return 1
+    return max(5 - error_count, 1)
 
 
 def _check_rating(name: str, value: int) -> None:
@@ -161,67 +152,46 @@ def summarize_experiment(
     for approach in present:
         mine = [r for r in records if r.approach == approach]
         attempted = [r for r in mine if r.attempted]
-        errors_by_participant: dict[str, int] = {}
-        for r in mine:
-            errors_by_participant.setdefault(r.participant_id, 0)
-            if r.attempted:
-                errors_by_participant[r.participant_id] += r.error_count
-        participants = len(errors_by_participant)
-        with_errors = sum(1 for total in errors_by_participant.values() if total)
-        ratios = [
-            outcome.confidence_ratio
-            for outcome in map(question_outcome, attempted)
-            if outcome.confidence_ratio is not None
-        ]
+        participants = len({r.participant_id for r in mine})
+        with_errors = len({r.participant_id for r in attempted if r.error_count})
         approaches.append(
             ApproachSummary(
-                approach=approach,
-                participants=participants,
-                percentage_models_with_errors=100.0 * with_errors / participants,
-                percentage_accuracy=_accuracy(attempted),
-                mean_errors_per_question=_mean_errors(attempted),
-                mean_confidence_ratio=statistics.fmean(ratios) if ratios else None,
+                approach,
+                participants,
+                100.0 * with_errors / participants,
+                *_rates(attempted),
             )
         )
         for question_id in sorted({r.question_id for r in mine}):
             answered = [r for r in attempted if r.question_id == question_id]
-            ratios = [
-                outcome.confidence_ratio
-                for outcome in map(question_outcome, answered)
-                if outcome.confidence_ratio is not None
-            ]
             questions.append(
                 QuestionSummary(
-                    approach=approach,
-                    question_id=question_id,
-                    complexity=complexities[question_id],
-                    attempted=len(answered),
-                    percentage_accuracy=_accuracy(answered),
-                    mean_errors=_mean_errors(answered),
-                    mean_confidence_ratio=(
-                        statistics.fmean(ratios) if ratios else None
-                    ),
-                    mean_difficulty=(
-                        statistics.fmean(r.difficulty for r in answered)
-                        if answered
-                        else None
-                    ),
+                    approach,
+                    question_id,
+                    complexities[question_id],
+                    len(answered),
+                    *_rates(answered),
+                    _mean([r.difficulty for r in answered]),
                 )
             )
     return ExperimentSummary(tuple(questions), tuple(approaches))
 
 
-def _accuracy(attempted: Sequence[ConfidenceRecord]) -> Optional[float]:
-    if not attempted:
-        return None
-    correct = sum(1 for r in attempted if r.error_count == 0)
-    return 100.0 * correct / len(attempted)
+def _rates(
+    attempted: Sequence[ConfidenceRecord],
+) -> tuple[Optional[float], Optional[float], Optional[float]]:
+    """Accuracy %, mean errors and mean confidence ratio, as both summaries
+    order them; each is None when nothing was attempted. An attempted answer
+    scores F >= 1, so every one has a confidence ratio."""
+    return (
+        _mean([100.0 * (r.error_count == 0) for r in attempted]),
+        _mean([r.error_count for r in attempted]),
+        _mean([question_outcome(r).confidence_ratio for r in attempted]),
+    )
 
 
-def _mean_errors(attempted: Sequence[ConfidenceRecord]) -> Optional[float]:
-    if not attempted:
-        return None
-    return sum(r.error_count for r in attempted) / len(attempted)
+def _mean(xs: Sequence[float]) -> Optional[float]:
+    return math.fsum(xs) / len(xs) if xs else None
 
 
 @dataclass(frozen=True)

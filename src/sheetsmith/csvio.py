@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import fields
 from typing import Iterator, Sequence
 
 from .confidence import ConfidenceRecord
 from .errors import InputFileError
 from .synthesis import LabeledExample
+
+
+def columns(cls) -> tuple[str, ...]:
+    """A table's header: the field names of the dataclass that holds its rows."""
+    return tuple(field.name for field in fields(cls))
 
 
 def _rows(path: str) -> Iterator[list[str]]:
@@ -89,21 +95,10 @@ def read_examples_csv(path: str) -> list[LabeledExample]:
     return examples
 
 
-_RESULT_COLUMNS = (
-    "participant_id",
-    "question_id",
-    "approach",
-    "attempted",
-    "error_count",
-    "confidence",
-    "difficulty",
-)
-
-
 def read_results_csv(path: str) -> list[ConfidenceRecord]:
     """Per-question experiment records; attempted is 0 or 1."""
     records = []
-    for line, row in _table(path, _RESULT_COLUMNS):
+    for line, row in _table(path, columns(ConfidenceRecord)):
         participant, question, approach, attempted, errors, conf, diff = row
         if attempted not in ("0", "1"):
             raise InputFileError(

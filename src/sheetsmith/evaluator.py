@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -27,6 +26,7 @@ from .formulas import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
     BooleanLiteral,
+    cell_ref,
     CellRef,
     cells_in_range,
     children,
@@ -58,15 +58,10 @@ class EvalError:
 
 Value = Union[float, str, bool, EvalError]
 
-_REF_RE = re.compile(r"^\$?([A-Za-z]+)\$?(\d+)$")
-
 
 def canonical_ref(text: str) -> str:
     """Uppercase relative form of a cell reference string."""
-    match = _REF_RE.match(text.strip())
-    if match is None or int(match.group(2)) == 0:
-        raise ValueError(f"not a cell reference: {text!r}")
-    return match.group(1).upper() + str(int(match.group(2)))
+    return cell_ref(text).canonical()
 
 
 def _norm(value) -> Value:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import decimal
 import operator
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -24,6 +25,11 @@ SUPPORTED_FUNCTIONS = {
 }
 
 AGGREGATE_FUNCTIONS = ("MIN", "MAX", "AVERAGE", "SUM")
+
+# A1-style cell text in any case: '$'?, column letters, '$'?, row digits; the
+# parser's tokenizer and cell_ref both match it
+CELL_PATTERN = r"(\$?)([A-Za-z]+)(\$?)(\d+)"
+_CELL = re.compile(CELL_PATTERN)
 
 
 def column_index(letters: str) -> int:
@@ -113,6 +119,17 @@ Node = Union[
 @dataclass(frozen=True)
 class FormulaAst:
     root: Node
+
+
+def cell_ref(text: str) -> CellRef:
+    """The cell named by text such as "c5", "$C$5" or " C05 "; rows start at 1."""
+    match = _CELL.fullmatch(text.strip())
+    if match:
+        col_mark, letters, row_mark, digits = match.groups()
+        row = int(digits)
+        if row:
+            return CellRef(letters.upper(), row, bool(col_mark), bool(row_mark))
+    raise ValueError(f"not a cell reference: {text!r}")
 
 
 def make_range(a: CellRef, b: CellRef) -> RangeRef:

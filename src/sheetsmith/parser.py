@@ -28,6 +28,8 @@ from .formulas import (
     BINARY_PRECEDENCE,
     BinaryOp,
     BooleanLiteral,
+    CELL_PATTERN,
+    cell_ref,
     CellRef,
     FormulaAst,
     FunctionCall,
@@ -42,11 +44,11 @@ from .formulas import (
 MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<WS>\s+)
     | (?P<NUMBER>\d+(?:\.\d+)?)
     | (?P<STRING>"(?:[^"]|"")*")
-    | (?P<CELL>\$?[A-Za-z]+\$?\d+)
+    | (?P<CELL>{CELL_PATTERN})
     | (?P<NAME>[A-Za-z]+)
     | (?P<OP><=|>=|<>|[<>=+\-*/^])
     | (?P<LPAREN>\()
@@ -57,8 +59,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_CELL_RE = re.compile(r"^(\$?)([A-Za-z]+)(\$?)(\d+)$")
 
 # (kind, text, position); kind is a group name of _TOKEN_RE or "EOF"
 _Token = tuple[str, str, int]
@@ -163,11 +163,11 @@ class _Parser:
             return TextLiteral(text[1:-1].replace('""', '"'))
         if kind == "CELL":
             self.advance()
-            start = self.cell_ref(token)
+            start = self.cell(token)
             if self.peek()[0] == "COLON":
                 self.advance()
                 end_token = self.expect("CELL", "a cell reference after ':'")
-                return make_range(start, self.cell_ref(end_token))
+                return make_range(start, self.cell(end_token))
             return start
         if kind == "NAME":
             return self.name(token)
@@ -225,12 +225,9 @@ class _Parser:
                 args.append(self.binary())
         return args
 
-    def cell_ref(self, token: _Token) -> CellRef:
-        _, text, pos = token
-        match = _CELL_RE.match(text)
-        assert match is not None
-        col_mark, letters, row_mark, digits = match.groups()
-        row = int(digits)
-        if row == 0:
-            raise FormulaSyntaxError("cell row must be at least 1", pos)
-        return CellRef(letters.upper(), row, bool(col_mark), bool(row_mark))
+    def cell(self, token: _Token) -> CellRef:
+        # the token already has the shape of a cell, so only its row can be wrong
+        try:
+            return cell_ref(token[1])
+        except ValueError:
+            raise FormulaSyntaxError("cell row must be at least 1", token[2]) from None

@@ -9,8 +9,10 @@ audited with the metrics module like any hand-written one.
 
 Search is deterministic and returns the first consistent list in a fixed
 total order: depth 1 upward, and within a depth a depth-first walk that tries
-candidates at every slot in enumerate_candidates order. Four prunings keep
-the walk short, and none changes which list is reached first:
+candidates at every slot in the order of _candidates, the one generator of
+candidates and their captured rows, which enumerate_candidates also reads.
+Four prunings keep the walk short, and none changes which list is reached
+first:
 
 1. A rule's label is forced by the examples it captures, so a rule whose
    capture would mix labels is pruned.
@@ -31,13 +33,13 @@ the failed set and the rows a full list left unclassified. A search that
 succeeds never computes it.
 
 Predicates mean what the printed formula means: a family's value on a row
-comes from evaluator.aggregate. A predicate's rows come from one sort of the
-family's rows by value: bisecting the sorted values at a threshold gives the
-rows below it and the rows up to it, and each comparator's rows are one of
-those sets or its complement, as formulas.ORDERING would pick them. A family
-whose aggregate is an error on some row (a SUM or AVERAGE past the largest
-float) is left out, as a rule testing it returns that error on any such row
-it reaches.
+comes from evaluator.aggregate. In _candidates a predicate's rows come from
+one sort of the family's rows by value: bisecting the sorted values at a
+threshold gives the rows below it and the rows up to it, and each
+comparator's rows are one of those sets or its complement, as
+formulas.ORDERING would pick them. A family whose aggregate is an error on
+some row (a SUM or AVERAGE past the largest float) is left out, as a rule
+testing it returns that error on any such row it reaches.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     EmptyLabelError,
@@ -64,7 +66,8 @@ from .evaluator import (
 from .formulas import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
-    CellRef,
+    cell_ref,
+    cells_in_range,
     column_index,
     column_letters,
     FormulaAst,
@@ -119,6 +122,8 @@ class HypothesisConfig:
             ("aggregate", self.aggregates, DEFAULT_AGGREGATES),
             ("comparator", self.comparators, tuple(ORDERING)),
         ):
+            if not names:
+                raise ValueError(f"{kind}s must name at least one of {allowed}")
             for name in names:
                 if name not in allowed:
                     raise ValueError(f"{kind} {name!r} is not one of {allowed}")
@@ -155,7 +160,8 @@ def _attribute_names(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
     return names
 
 
-def _check_examples(examples: Sequence[LabeledExample]) -> None:
+def _check_examples(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
+    """Reject an unusable training set; return its attribute names."""
     if not examples:
         raise EmptyLabelError("no labelled examples were given")
     seen: dict[tuple, str] = {}
@@ -168,27 +174,10 @@ def _check_examples(examples: Sequence[LabeledExample]) -> None:
                 f"identical rows {row} are labelled both "
                 f"{seen[row]!r} and {example.label!r}"
             )
+    return _attribute_names(examples)
 
 
 Family = tuple[str, Optional[str]]  # (aggregate, attribute or None)
-
-
-def _family_values(
-    examples: Sequence[LabeledExample], config: HypothesisConfig
-) -> dict[Family, list[float]]:
-    """Each family's value on every row, in search order, if none is an error."""
-    names = _attribute_names(examples)
-    rows = [[float(v) for v in ex.attributes.values()] for ex in examples]
-    out: dict[Family, list[float]] = {}
-    for kind in config.aggregates:
-        if kind == SINGLE_ATTRIBUTE:
-            for i, attribute in enumerate(names):
-                out[kind, attribute] = [row[i] for row in rows]
-            continue
-        values = [aggregate(kind, row) for row in rows]
-        if not any(isinstance(value, EvalError) for value in values):
-            out[kind, None] = values
-    return out
 
 
 def _thresholds(values: Sequence[float]) -> list[float]:
@@ -198,6 +187,43 @@ def _thresholds(values: Sequence[float]) -> list[float]:
     for low, high in zip(distinct, distinct[1:]):
         out += [(low + high) / 2, high]
     return out
+
+
+def _candidates(
+    examples: Sequence[LabeledExample],
+    names: Sequence[str],
+    config: HypothesisConfig,
+) -> Iterator[tuple[Family, float, str, int]]:
+    """Every candidate as (family, threshold, comparator, captured rows), in
+    search order; the captured rows are a bit mask, row i being bit i."""
+    rows = [[float(v) for v in ex.attributes.values()] for ex in examples]
+    families: dict[Family, list[float]] = {}
+    for kind in config.aggregates:
+        if kind == SINGLE_ATTRIBUTE:
+            for i, attribute in enumerate(names):
+                families[kind, attribute] = [row[i] for row in rows]
+            continue
+        values = [aggregate(kind, row) for row in rows]
+        if not any(isinstance(value, EvalError) for value in values):
+            families[kind, None] = values
+    full_mask = (1 << len(rows)) - 1
+    for family, values in families.items():
+        order = sorted(range(len(rows)), key=values.__getitem__)
+        ordered = [values[i] for i in order]
+        prefix = [0]  # prefix[k]: the rows of the k smallest values
+        for i in order:
+            prefix.append(prefix[-1] | 1 << i)
+        for threshold in _thresholds(values):
+            below = prefix[bisect_left(ordered, threshold)]
+            upto = prefix[bisect_right(ordered, threshold)]
+            captures = {
+                "<": below,
+                "<=": upto,
+                ">": full_mask & ~upto,
+                ">=": full_mask & ~below,
+            }
+            for comparator in config.comparators:
+                yield family, threshold, comparator, captures[comparator]
 
 
 def enumerate_candidates(
@@ -212,12 +238,12 @@ def enumerate_candidates(
     some row has no candidates.
     """
     config = config or HypothesisConfig()
-    _check_examples(examples)
+    names = _check_examples(examples)
     return [
         Predicate(kind, comparator, threshold, attribute)
-        for (kind, attribute), values in _family_values(examples, config).items()
-        for threshold in _thresholds(values)
-        for comparator in config.comparators
+        for (kind, attribute), threshold, comparator, _ in _candidates(
+            examples, names, config
+        )
     ]
 
 
@@ -247,27 +273,20 @@ def _cell_assignment(
     return {name: cell for cell, name in attribute_of.items()}
 
 
-def _cell_node(ref: str) -> CellRef:
-    letters = ref.rstrip("0123456789")
-    return CellRef(letters.upper(), int(ref[len(letters):]))
-
-
 def _aggregate_node(
     predicate: Predicate, names: Sequence[str], assignment: Mapping[str, str]
 ) -> Node:
     if predicate.aggregate == SINGLE_ATTRIBUTE:
-        return _cell_node(assignment[predicate.attribute])
-    refs = [_cell_node(assignment[name]) for name in names]
+        return cell_ref(assignment[predicate.attribute])
+    refs = [cell_ref(assignment[name]) for name in names]
     if len(refs) == 1:
         return FunctionCall(predicate.aggregate, (refs[0],))
-    contiguous = all(r.row == refs[0].row for r in refs) and all(
-        column_index(refs[i + 1].column) == column_index(refs[i].column) + 1
-        for i in range(len(refs) - 1)
-    )
-    if contiguous:
-        return FunctionCall(
-            predicate.aggregate, (RangeRef(refs[0], refs[-1]),)
-        )
+    # cells side by side along one row print as the range that covers them
+    span = RangeRef(refs[0], refs[-1])
+    if refs[0].row == refs[-1].row and cells_in_range(span) == [
+        ref.canonical() for ref in refs
+    ]:
+        return FunctionCall(predicate.aggregate, (span,))
     return FunctionCall(predicate.aggregate, tuple(refs))
 
 
@@ -299,7 +318,12 @@ def example_grids(
     assignment: Optional[Mapping[str, str]] = None,
 ) -> list[tuple[Grid, str]]:
     """(grid, expected label) pairs for validating against the examples."""
-    assignment = _cell_assignment(_attribute_names(examples), assignment)
+    return _grids(examples, _cell_assignment(_attribute_names(examples), assignment))
+
+
+def _grids(
+    examples: Sequence[LabeledExample], assignment: Mapping[str, str]
+) -> list[tuple[Grid, str]]:
     return [
         (
             Grid({assignment[name]: value for name, value in ex.attributes.items()}),
@@ -323,52 +347,40 @@ def synthesize(
     a full pass for the text users copy.
     """
     config = config or HypothesisConfig()
-    _check_examples(examples)
-    names = _attribute_names(examples)
+    names = _check_examples(examples)
     assignment = _cell_assignment(names, config.cell_assignment)
-
-    labels = list(dict.fromkeys(example.label for example in examples))
-
-    grids = example_grids(examples, assignment)
-
-    if len(labels) == 1:
-        return _checked_result(FormulaAst(TextLiteral(labels[0])), grids, 0)
+    grids = _grids(examples, assignment)
+    label_masks: dict[str, int] = {}  # label -> its rows, in order of appearance
+    for i, example in enumerate(examples):
+        label_masks[example.label] = label_masks.get(example.label, 0) | 1 << i
+    if len(label_masks) == 1:
+        return _checked_result(FormulaAst(TextLiteral(examples[0].label)), grids, 0)
 
     count = len(examples)
     full_mask = (1 << count) - 1
-    family_values = _family_values(examples, config)
     # pruning 4: the first predicate of each non-empty capture, in order
     placements: dict[int, Predicate] = {}
-    for (kind, attribute), values in family_values.items():
-        order = sorted(range(count), key=values.__getitem__)
-        ordered = [values[i] for i in order]
-        prefix = [0]  # prefix[k]: the rows of the k smallest values
-        for i in order:
-            prefix.append(prefix[-1] | 1 << i)
-        for threshold in _thresholds(values):
-            below = prefix[bisect_left(ordered, threshold)]
-            upto = prefix[bisect_right(ordered, threshold)]
-            captures = {
-                "<": below,
-                "<=": upto,
-                ">": full_mask & ~upto,
-                ">=": full_mask & ~below,
-            }
-            for comparator in config.comparators:
-                mask = captures[comparator]
-                if mask and mask not in placements:
-                    placements[mask] = Predicate(kind, comparator, threshold, attribute)
-    label_masks = {label: 0 for label in labels}
-    for i, example in enumerate(examples):
-        label_masks[example.label] |= 1 << i
+    for (kind, attribute), threshold, comparator, mask in _candidates(
+        examples, names, config
+    ):
+        if mask and mask not in placements:
+            placements[mask] = Predicate(kind, comparator, threshold, attribute)
+    # each row's label and the rows that share it
+    row_labels = [(example.label, label_masks[example.label]) for example in examples]
+
+    def shared_label(rows: int) -> Optional[str]:
+        """The label of every row in a non-empty set, or None if they differ."""
+        label, same = row_labels[(rows & -rows).bit_length() - 1]
+        return label if rows & same == rows else None
 
     explored = 0
     failed: set[tuple[int, int]] = set()
     leftovers: set[int] = set()  # rows a full list left unclassified
 
     def extend(
-        alive: int, slots: int, rules: list[tuple[Predicate, str]]
+        alive: int, slots: int
     ) -> Optional[tuple[list[tuple[Predicate, str]], str]]:
+        """Rules for the rows in alive, at most slots of them, and a default."""
         nonlocal explored
         if (alive, slots) in failed:  # pruning 3
             return None
@@ -381,53 +393,43 @@ def synthesize(
             captured = alive & mask
             if captured == 0:
                 continue
-            rule_label = None
-            for label in labels:
-                if captured & label_masks[label] == captured:
-                    rule_label = label
-                    break
+            rule_label = shared_label(captured)
             if rule_label is None:
                 continue  # mixed capture: every completion would misclassify
             remaining = alive & ~captured
-            new_rules = rules + [(predicate, rule_label)]
             if slots == 1:
-                if remaining == 0:
-                    return new_rules, labels[0]
-                for label in labels:
-                    if remaining & label_masks[label] == remaining:
-                        return new_rules, label
+                default = shared_label(remaining) if remaining else examples[0].label
+                if default is not None:
+                    return [(predicate, rule_label)], default
                 leftovers.add(remaining)
                 continue
             if remaining == 0:
                 continue  # deeper slots would capture nothing
-            found = extend(remaining, slots - 1, new_rules)
+            found = extend(remaining, slots - 1)
             if found is not None:
+                found[0].insert(0, (predicate, rule_label))
                 return found
         failed.add((alive, slots))
         return None
 
-    result = None
     for depth in range(1, config.max_decision_depth + 1):
-        result = extend(full_mask, depth, [])
-        if result is not None:
-            break
-    if result is None:
-        # every state entered ends in failed, as no search below it succeeded
-        best_passes = max(
-            count
-            - alive.bit_count()
-            + max((alive & m).bit_count() for m in label_masks.values())
-            for alive in leftovers | {alive for alive, _ in failed}
-        )
-        rate = 100.0 * best_passes / count
-        raise HypothesisSpaceExhaustedError(
-            f"no decision list up to depth {config.max_decision_depth} fits all "
-            f"{count} examples; best candidate passes {rate:.1f}%",
-            best_pass_rate=rate,
-        )
-
-    rules, default = result
-    return _checked_result(_compile(rules, default, names, assignment), grids, explored)
+        found = extend(full_mask, depth)
+        if found is not None:
+            formula = _compile(*found, names, assignment)
+            return _checked_result(formula, grids, explored)
+    # every state entered ends in failed, as no search below it succeeded
+    best_passes = max(
+        count
+        - alive.bit_count()
+        + max((alive & m).bit_count() for m in label_masks.values())
+        for alive in leftovers | {alive for alive, _ in failed}
+    )
+    rate = 100.0 * best_passes / count
+    raise HypothesisSpaceExhaustedError(
+        f"no decision list up to depth {config.max_decision_depth} fits all "
+        f"{count} examples; best candidate passes {rate:.1f}%",
+        best_pass_rate=rate,
+    )
 
 
 def _checked_result(

@@ -1,0 +1,99 @@
+"""Byte-for-byte pins of the command line's outputs on the bundled data.
+
+Each pin is the sha256 of the exact bytes a command writes, so a refactor
+that keeps behaviour keeps every digest, and any change to a number's
+digits, a column or a line ending shows up here.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import sheetsmith
+from sheetsmith.cli import main
+from test_cli import fixture, REFERENCE
+
+CONFIDENCE = {
+    "accuracy_vs_complexity_edm.csv":
+        "c14190f7f76a99d1048ff12ad51fa394447386d35deb71b78c06a4324104681d",
+    "accuracy_vs_complexity_traditional.csv":
+        "124cbaab18f8d45281348dfc328f0a9aa561b4ded0a04f9ef2662b82e8641721",
+    "confidence_ratio_edm.csv":
+        "c08aa9048760ef9a1576c6438504e2da150c0a17a48479f5c1aa12eebe6093ca",
+    "confidence_ratio_traditional.csv":
+        "bda7bf4a780f0478bacb382473cc0d25698199b98285dac757bd6efafe5f808a",
+    "outcomes.csv": "f4924ea7888d8fe7c8b02a357b92120d3f746fa104cf00412b7ac8b9521efdf9",
+    "summary_approaches.csv":
+        "33f0125a6bfb2349fa79183ceec8514807882a9e73e3c2786477b55803319520",
+    "summary_questions.csv":
+        "4a9475dea577dfdb808204c70cefedff1e162b551de2fb6e1e66cc1cadf81488",
+    "stdout": "47d713eb8d0d2cec8a78be7d0d75ff5e760331c90eae9069059548f64f03d94f",
+}
+
+FIT_JSON = {
+    "traditional": "b3541dfada9fd0f75e107817d91c0511a7478b2ec41ce1df4381f31699560c98",
+    "edm": "081b7d040439479870a55a2b0684ff0279b951f0e79b376944ad69015cbbc9ee",
+}
+
+SYNTHESIZE_STDOUT = "0af9c51e685da4a4c92776b851fdd24e567ed816ef3de966b0615955a41e831a"
+VALIDATE_STDOUT = "dc3c0d6849936f936f4777fd4da8d2557462dbb223f7ccb52c1cde16e2db106c"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stdout(capsys, argv) -> str:
+    assert main(argv) == 0
+    return sha256(capsys.readouterr().out.encode())
+
+
+def _confidence(out_dir, capsys) -> dict:
+    stdout = _stdout(capsys, [
+        "confidence",
+        "--results", fixture("experiment_results.csv"),
+        "--complexities", fixture("question_complexities.csv"),
+        "--out-dir", str(out_dir),
+    ])
+    digests = {path.name: sha256(path.read_bytes()) for path in out_dir.iterdir()}
+    return {**digests, "stdout": stdout}
+
+
+def test_confidence_files_and_stdout_are_pinned(tmp_path, capsys):
+    assert _confidence(tmp_path, capsys) == CONFIDENCE
+
+
+def test_fit_json_on_both_accuracy_files_is_pinned(tmp_path, capsys):
+    _confidence(tmp_path, capsys)
+    for approach, pinned in FIT_JSON.items():
+        points = str(tmp_path / f"accuracy_vs_complexity_{approach}.csv")
+        argv = ["fit", "--points", points, "--format", "json"]
+        assert _stdout(capsys, argv) == pinned, approach
+
+
+def test_synthesize_on_the_bundled_grades_is_pinned(capsys):
+    argv = ["synthesize", "--examples", fixture("grading_examples.csv")]
+    assert _stdout(capsys, argv) == SYNTHESIZE_STDOUT
+
+
+def test_validate_on_the_bundled_grades_is_pinned(capsys):
+    argv = [
+        "validate", "--formula", REFERENCE,
+        "--examples", fixture("grading_examples.csv"),
+    ]
+    assert _stdout(capsys, argv) == VALIDATE_STDOUT
+
+
+def test_importing_the_cli_leaves_statistics_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sheetsmith.__file__)))
+    probe = (
+        "import sys, sheetsmith.cli; "
+        "print(sorted({'statistics', 'fractions'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

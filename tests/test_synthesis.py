@@ -274,6 +274,14 @@ def test_config_rejects_what_the_search_cannot_test(config, allowed):
     assert allowed in str(info.value)
 
 
+@pytest.mark.parametrize("field", ["aggregates", "comparators"])
+def test_config_rejects_an_empty_aggregate_or_comparator_set(field):
+    # an empty set leaves no candidate, which the search would report as
+    # examples that no list fits
+    with pytest.raises(ValueError, match=f"^{field} must name at least one of"):
+        HypothesisConfig(**{field: ()})
+
+
 @pytest.mark.parametrize(
     "comparator,expected",
     [
