@@ -10,6 +10,7 @@ import decimal
 import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 # name -> (min arity, max arity); None = unbounded
@@ -26,10 +27,14 @@ SUPPORTED_FUNCTIONS = {
 
 AGGREGATE_FUNCTIONS = ("MIN", "MAX", "AVERAGE", "SUM")
 
-# A1-style cell text in any case: '$'?, column letters, '$'?, row digits; the
-# parser's tokenizer and cell_ref both match it
-CELL_PATTERN = r"(\$?)([A-Za-z]+)(\$?)(\d+)"
-_CELL = re.compile(CELL_PATTERN)
+# A1-style cell text in any case: '$'?, column letters, '$'?, row digits;
+# cell_ref reads it, and the parser's tokenizer embeds it without the groups
+_CELL = re.compile(r"(\$?)([A-Za-z]+)(\$?)(\d+)")
+CELL_PATTERN = _CELL.pattern.replace("(", "(?:")
+
+# entries in each cache of shared leaf nodes, cell_ref's and the parser's;
+# a full one holds about 0.7 MB
+LEAF_CACHE_SIZE = 2048
 
 
 def column_index(letters: str) -> int:
@@ -121,8 +126,13 @@ class FormulaAst:
     root: Node
 
 
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
 def cell_ref(text: str) -> CellRef:
-    """The cell named by text such as "c5", "$C$5" or " C05 "; rows start at 1."""
+    """The cell named by text such as "c5", "$C$5" or " C05 "; rows start at 1.
+
+    Results are cached and shared: CellRef is frozen, so equal text gives an
+    equal, possibly identical, node.
+    """
     match = _CELL.fullmatch(text.strip())
     if match:
         col_mark, letters, row_mark, digits = match.groups()
@@ -136,13 +146,15 @@ def make_range(a: CellRef, b: CellRef) -> RangeRef:
     """Build a range normalized so start is the top-left corner.
 
     Columns and rows are ordered independently; absolute markers travel with
-    the component they marked.
+    the component they marked. Corners already in order are kept as they are.
     """
-    cols = sorted(
-        [(column_index(a.column), a.column, a.column_absolute),
-         (column_index(b.column), b.column, b.column_absolute)]
-    )
-    rows = sorted([(a.row, a.row_absolute), (b.row, b.row_absolute)])
+    cols = [(column_index(a.column), a.column, a.column_absolute),
+            (column_index(b.column), b.column, b.column_absolute)]
+    rows = [(a.row, a.row_absolute), (b.row, b.row_absolute)]
+    if cols[0] <= cols[1] and rows[0] <= rows[1]:
+        return RangeRef(a, b)
+    cols.sort()
+    rows.sort()
     start = CellRef(cols[0][1], rows[0][0], cols[0][2], rows[0][1])
     end = CellRef(cols[1][1], rows[1][0], cols[1][2], rows[1][1])
     return RangeRef(start, end)

@@ -4,8 +4,7 @@ Grammar, loosest binding first:
 
     formula  := '='? binary
     binary   := unary (OP unary)*      operators bind by formulas.BINARY_PRECEDENCE
-    unary    := '-' unary | primary
-    primary  := NUMBER | STRING | TRUE | FALSE | cell (':' cell)?
+    unary    := '-' unary | NUMBER | STRING | TRUE | FALSE | CELL (':' CELL)?
               | NAME '(' binary (',' binary)* ')' | '(' binary ')'
 
 ``binary`` climbs the precedence table: after an operand it takes every
@@ -16,11 +15,27 @@ parenthesised groups and unary minus each open one nesting level; input
 nested deeper than MAX_NESTING levels (Excel's cap) is a syntax error, and
 so is a number literal too large for a float. Input is case-insensitive;
 positions in errors index the original string.
+
+The tokenizer is one ``findall`` of an ungrouped pattern. Every character
+belongs to exactly one match, so a token's position is the sum of the
+lengths before it; its kind comes from its text (operators and punctuation)
+or its first character.
+
+Leaves are shared. A number or text literal is built once per distinct
+token text by a bounded cache, and a cell by ``formulas.cell_ref``, which is
+cached the same way, so a sheet that names the same cells, marks and labels
+in every row builds each of them once. Sharing is safe because every node
+is a frozen dataclass compared by value: compare nodes with ``==``, never by
+identity. An invalid literal (a number too large for a float, a cell in
+row 0) raises on every parse, since a cache never stores an error. Each
+cache holds at most LEAF_CACHE_SIZE entries, about 0.7 MB when full.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import accumulate
 from math import isfinite
 
 from .errors import ArityError, FormulaSyntaxError, UnknownFunctionError
@@ -30,9 +45,9 @@ from .formulas import (
     BooleanLiteral,
     CELL_PATTERN,
     cell_ref,
-    CellRef,
     FormulaAst,
     FunctionCall,
+    LEAF_CACHE_SIZE,
     make_range,
     Node,
     NumberLiteral,
@@ -43,41 +58,78 @@ from .formulas import (
 
 MAX_NESTING = 64
 
+# punctuation and one-character operators, CELL, NAME, NUMBER, STRING,
+# comparisons, whitespace, and any other single character; the tables below
+# classify each text. Only CELL before NAME and '.' last decide a match: the
+# other alternatives start with different characters.
 _TOKEN_RE = re.compile(
-    rf"""
-      (?P<WS>\s+)
-    | (?P<NUMBER>\d+(?:\.\d+)?)
-    | (?P<STRING>"(?:[^"]|"")*")
-    | (?P<CELL>{CELL_PATTERN})
-    | (?P<NAME>[A-Za-z]+)
-    | (?P<OP><=|>=|<>|[<>=+\-*/^])
-    | (?P<LPAREN>\()
-    | (?P<RPAREN>\))
-    | (?P<COMMA>,)
-    | (?P<COLON>:)
-    | (?P<BAD>.)
-    """,
-    re.VERBOSE,
+    rf'[(),:+\-*/^=]|{CELL_PATTERN}|[A-Za-z]+|\d+(?:\.\d+)?|"(?:[^"]|"")*"'
+    r"|<[=>]?|>=?|\s+|."
 )
 
-# (kind, text, position); kind is a group name of _TOKEN_RE or "EOF"
+# token kinds by whole text: operators, punctuation, and the one-character
+# tokens, which are common; a lone '"' or '$' could not start its token
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_KIND_OF_TEXT = {
+    **dict.fromkeys(_LETTERS, "NAME"),
+    **dict.fromkeys("0123456789", "NUMBER"),
+    **dict.fromkeys(" \t\n\r\f\v", "WS"),
+    **dict.fromkeys(BINARY_PRECEDENCE, "OP"),
+    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON",
+    '"': "BAD", "$": "BAD",
+}
+
+
+def _kind_of_first(text: str) -> str:
+    """The kind of a token that is not in _KIND_OF_TEXT, from its first character."""
+    first = text[0]
+    if first == '"':
+        return "STRING"
+    if first == "$":
+        return "CELL"
+    if first in _LETTERS:
+        # a cell ends in its row's digits, a name in a letter
+        return "NAME" if text[-1].isalpha() else "CELL"
+    # \s and \d match Unicode whitespace and decimal digits too
+    if first.isdecimal():
+        return "NUMBER"
+    return "WS" if first.isspace() else "BAD"
+
+
+_BOOLEANS = {"TRUE": BooleanLiteral(True), "FALSE": BooleanLiteral(False)}
+
+# (kind, text, position); kind is NUMBER, STRING, CELL, NAME, OP, LPAREN,
+# RPAREN, COMMA, COLON or EOF
 _Token = tuple[str, str, int]
 
 
 def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(source):
-        kind = match.lastgroup
-        if kind == "WS":
-            continue
-        text, pos = match.group(), match.start()
-        if kind == "BAD":
-            if text == '"':
-                raise FormulaSyntaxError("unterminated text literal", pos)
-            raise FormulaSyntaxError(f"unexpected character {text!r}", pos)
-        tokens.append((kind, text, pos))
-    tokens.append(("EOF", "", len(source)))
+    texts = _TOKEN_RE.findall(source)
+    kinds = [_KIND_OF_TEXT.get(text) or _kind_of_first(text) for text in texts]
+    # every character is in exactly one match, so positions are running lengths
+    positions = list(accumulate(map(len, texts), initial=0))
+    if "BAD" in kinds:
+        index = kinds.index("BAD")
+        text, pos = texts[index], positions[index]
+        if text == '"':
+            raise FormulaSyntaxError("unterminated text literal", pos)
+        raise FormulaSyntaxError(f"unexpected character {text!r}", pos)
+    tokens = list(zip(kinds, texts, positions))
+    if "WS" in kinds:
+        tokens = [token for token in tokens if token[0] != "WS"]
+    tokens.append(("EOF", "", positions[-1]))
     return tokens
+
+
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
+def _literal(text: str) -> Node:
+    """The leaf of a NUMBER or STRING token's text."""
+    if text[0] == '"':
+        return TextLiteral(text[1:-1].replace('""', '"'))
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"number out of range: {text!r}")
+    return NumberLiteral(value)
 
 
 def parse(source: str) -> FormulaAst:
@@ -85,10 +137,10 @@ def parse(source: str) -> FormulaAst:
     if not source or not source.strip():
         raise FormulaSyntaxError("empty formula", 0)
     parser = _Parser(_tokenize(source))
-    if parser.peek()[:2] == ("OP", "="):
-        parser.advance()
+    if parser.tokens[0][:2] == ("OP", "="):
+        parser.index = 1
     root = parser.binary()
-    kind, text, pos = parser.peek()
+    kind, text, pos = parser.tokens[parser.index]
     if kind != "EOF":
         raise FormulaSyntaxError(f"expected end of formula, found {text!r}", pos)
     return FormulaAst(root)
@@ -99,109 +151,106 @@ def _found(token: _Token) -> str:
 
 
 class _Parser:
+    """Recursive descent over a token list that ends in EOF.
+
+    The parser never moves past EOF: ``unary`` consumes its token before
+    looking at it but raises on EOF, and every other step consumes only a
+    token whose kind it has checked, which is never EOF.
+    """
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str, what: str) -> None:
         token = self.tokens[self.index]
-        if token[0] != "EOF":
-            self.index += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> _Token:
-        token = self.peek()
         if token[0] != kind:
             raise FormulaSyntaxError(f"expected {what}, found {_found(token)}", token[2])
-        return self.advance()
+        self.index += 1
 
-    def nested(self, parse_inner, pos: int):
-        """Run parse_inner one nesting level deeper, within MAX_NESTING."""
+    def enter(self, pos: int) -> None:
+        """Open one nesting level, within MAX_NESTING; the caller closes it."""
         if self.depth == MAX_NESTING:
             raise FormulaSyntaxError(
                 f"formula nests deeper than {MAX_NESTING} levels", pos
             )
         self.depth += 1
-        result = parse_inner()
-        self.depth -= 1
-        return result
 
     def binary(self, floor: int = 0) -> Node:
         """An operand, then every operator binding tighter than ``floor``."""
         node = self.unary()
+        tokens = self.tokens
         while True:
-            kind, op, _ = self.peek()
-            # the OP token group holds exactly the table's operators
-            precedence = BINARY_PRECEDENCE[op] if kind == "OP" else 0
+            op = tokens[self.index][1]
+            # no other token's text is an operator: text literals keep their
+            # quotes, and EOF's text is empty
+            precedence = BINARY_PRECEDENCE.get(op, 0)
             if precedence <= floor:
                 return node
-            self.advance()
+            self.index += 1
             node = BinaryOp(op, node, self.binary(precedence))
 
     def unary(self) -> Node:
-        kind, text, pos = self.peek()
-        if kind == "OP" and text == "-":
-            self.advance()
-            return UnaryOp(self.nested(self.unary, pos))
-        return self.primary()
-
-    def primary(self) -> Node:
-        token = self.peek()
+        token = self.tokens[self.index]
         kind, text, pos = token
-        if kind == "NUMBER":
-            value = float(text)
-            if not isfinite(value):
-                raise FormulaSyntaxError("number out of range", pos)
-            self.advance()
-            return NumberLiteral(value)
-        if kind == "STRING":
-            self.advance()
-            return TextLiteral(text[1:-1].replace('""', '"'))
+        self.index += 1
         if kind == "CELL":
-            self.advance()
-            start = self.cell(token)
-            if self.peek()[0] == "COLON":
-                self.advance()
-                end_token = self.expect("CELL", "a cell reference after ':'")
-                return make_range(start, self.cell(end_token))
-            return start
+            # only a row can be wrong in text of a cell's shape; pos follows
+            # the corner being read
+            try:
+                node = cell_ref(text)
+                if self.tokens[self.index][0] == "COLON":
+                    self.index += 1
+                    _, text, pos = self.tokens[self.index]
+                    self.expect("CELL", "a cell reference after ':'")
+                    node = make_range(node, cell_ref(text))
+                return node
+            except ValueError:
+                raise FormulaSyntaxError("cell row must be at least 1", pos) from None
+        if kind == "NUMBER" or kind == "STRING":
+            try:
+                return _literal(text)
+            except ValueError:
+                raise FormulaSyntaxError("number out of range", pos) from None
         if kind == "NAME":
-            return self.name(token)
-        if kind == "LPAREN":
-            self.advance()
-            node = self.nested(self.binary, pos)
-            self.expect("RPAREN", "')'")
+            return self.name(text.upper(), pos)
+        if kind == "LPAREN" or text == "-":
+            self.enter(pos)
+            if kind == "LPAREN":
+                node = self.binary()
+                self.expect("RPAREN", "')'")
+            else:
+                node = UnaryOp(self.unary())
+            self.depth -= 1
             return node
         raise FormulaSyntaxError(
             f"expected a number, text, cell, function, or '(', found {_found(token)}",
             pos,
         )
 
-    def name(self, token: _Token) -> Node:
-        _, text, pos = token
-        upper = text.upper()
-        self.advance()
-        if self.peek()[0] == "LPAREN":
-            return self.function_call(upper, pos)
-        if upper == "TRUE":
-            return BooleanLiteral(True)
-        if upper == "FALSE":
-            return BooleanLiteral(False)
-        if upper in SUPPORTED_FUNCTIONS:
-            raise FormulaSyntaxError(
-                f"expected '(' after function name {upper}", self.peek()[2]
-            )
-        raise UnknownFunctionError(upper, pos)
-
-    def function_call(self, name: str, pos: int) -> Node:
+    def name(self, name: str, pos: int) -> Node:
+        """A function call or a boolean, after its NAME token."""
+        kind, _, next_pos = self.tokens[self.index]
+        if kind != "LPAREN":
+            if name in _BOOLEANS:
+                return _BOOLEANS[name]
+            if name in SUPPORTED_FUNCTIONS:
+                raise FormulaSyntaxError(
+                    f"expected '(' after function name {name}", next_pos
+                )
+            raise UnknownFunctionError(name, pos)
         if name not in SUPPORTED_FUNCTIONS:
             raise UnknownFunctionError(name, pos)
-        self.advance()  # LPAREN
-        args = self.nested(self.arguments, pos)
+        self.index += 1
+        self.enter(pos)
+        args: list[Node] = []
+        if self.tokens[self.index][0] != "RPAREN":
+            args.append(self.binary())
+            while self.tokens[self.index][0] == "COMMA":
+                self.index += 1
+                args.append(self.binary())
+        self.depth -= 1
         self.expect("RPAREN", "')' or ','")
         low, high = SUPPORTED_FUNCTIONS[name]
         if len(args) < low or (high is not None and len(args) > high):
@@ -215,19 +264,3 @@ class _Parser:
                 f"{name} takes {wanted} argument(s), got {len(args)}"
             )
         return FunctionCall(name, tuple(args))
-
-    def arguments(self) -> list[Node]:
-        args: list[Node] = []
-        if self.peek()[0] != "RPAREN":
-            args.append(self.binary())
-            while self.peek()[0] == "COMMA":
-                self.advance()
-                args.append(self.binary())
-        return args
-
-    def cell(self, token: _Token) -> CellRef:
-        # the token already has the shape of a cell, so only its row can be wrong
-        try:
-            return cell_ref(token[1])
-        except ValueError:
-            raise FormulaSyntaxError("cell row must be at least 1", token[2]) from None

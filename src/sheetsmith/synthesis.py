@@ -124,9 +124,11 @@ class HypothesisConfig:
         ):
             if not names:
                 raise ValueError(f"{kind}s must name at least one of {allowed}")
-            for name in names:
+            for index, name in enumerate(names):
                 if name not in allowed:
                     raise ValueError(f"{kind} {name!r} is not one of {allowed}")
+                if name in names[:index]:
+                    raise ValueError(f"{kind} {name!r} is named more than once")
         if self.max_decision_depth < 1:
             raise ValueError(
                 f"max_decision_depth must be 1 or more, got {self.max_decision_depth}"
@@ -153,7 +155,8 @@ class SynthesisResult:
 
 
 def _attribute_names(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
-    names = tuple(examples[0].attributes.keys())
+    """The attribute names every example has, in order; none for no examples."""
+    names = tuple(examples[0].attributes.keys()) if examples else ()
     for example in examples[1:]:
         if tuple(example.attributes.keys()) != names:
             raise ValueError("examples disagree on attribute names or order")

@@ -123,6 +123,14 @@ def test_synthesize_grades(tmp_path, capsys):
     assert "training: 12/12 pass" in out
 
 
+def test_validate_on_a_header_only_examples_file_exits_one(tmp_path, capsys):
+    path = write(tmp_path, "empty.csv", "exam,coursework,label\n")
+    assert main(["validate", "--formula", "=1", "--examples", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: EmptyExampleSet: no examples to validate against\n"
+
+
 def test_synthesize_contradiction_exits_one(tmp_path, capsys):
     path = write(tmp_path, "bad.csv", "x,label\n1,a\n1,b\n")
     assert main(["synthesize", "--examples", path]) == 1

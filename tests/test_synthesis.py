@@ -283,6 +283,22 @@ def test_config_rejects_an_empty_aggregate_or_comparator_set(field):
 
 
 @pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"comparators": ("<", "<")}, "comparator '<' is named more than once"),
+        ({"comparators": ("<", ">=", "<=", ">=")},
+         "comparator '>=' is named more than once"),
+        ({"aggregates": ("MIN", "SUM", "MIN")}, "aggregate 'MIN' is named more than once"),
+    ],
+    ids=["comparator-twice", "comparator-later", "aggregate"],
+)
+def test_config_rejects_a_repeated_name(config, message):
+    # a repeated comparator would list every predicate it makes twice
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HypothesisConfig(**config)
+
+
+@pytest.mark.parametrize(
     "comparator,expected",
     [
         ("<", '=IF(MIN(C5)<2,"x",IF(MIN(C5)<4,"y","x"))'),
