@@ -12,6 +12,9 @@ Exit status: 0 on success, 1 for domain errors (the stderr line starts with
 ``error: <Code>:`` naming the module error), 2 for usage or unreadable files.
 File outputs are byte-identical across runs on equal inputs; --stamp opts in
 to a generation-time comment line.
+
+Each command imports the layers it uses when it runs, so a process loads only
+those: ``fit`` never loads the parser, and ``analyze`` never loads synthesis.
 """
 
 from __future__ import annotations
@@ -21,73 +24,43 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, astuple
-from datetime import datetime, timezone
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
 
 from . import csvio
-from .confidence import (
-    ApproachSummary,
-    DEFAULT_BASE_ERROR_CEILING,
-    exceeds_base_error_ceiling,
-    ExperimentSummary,
-    fit_accuracy_curve,
-    question_outcome,
-    QuestionOutcome,
-    QuestionSummary,
-    summarize_experiment,
-)
 from .errors import SheetsmithError, UsageError
-from .evaluator import EvalError, validate_examples, Value
-from .formulas import (
-    BooleanLiteral,
-    NumberLiteral,
-    render,
-    TextLiteral,
-    token_text,
-)
-from .metrics import HalsteadCounts, metrics_report, MetricsReport
-from .parser import parse
-from .synthesis import (
-    DEFAULT_SEARCH_BUDGET,
-    example_grids,
-    HypothesisConfig,
-    LabeledExample,
-    synthesize,
-)
+
+if TYPE_CHECKING:  # the commands import these when they run
+    from .confidence import ExperimentSummary
+    from .metrics import MetricsReport
 
 BUDGET_ENV_VAR = "SHEETSMITH_SEARCH_BUDGET"
 
 
-# the scan report: the Halstead counts, then every other MetricsReport field
-REPORT_COLUMNS = (
-    "source_id",
-    "formula",
-    *csvio.columns(HalsteadCounts),
-    *(name for name in csvio.columns(MetricsReport) if name != "counts"),
-    "parse_error",
-)
+def _report_columns() -> tuple[str, ...]:
+    """The scan report: the Halstead counts, then every other MetricsReport field."""
+    from .metrics import HalsteadCounts, MetricsReport
+
+    return (
+        "source_id",
+        "formula",
+        *csvio.columns(HalsteadCounts),
+        *(name for name in csvio.columns(MetricsReport) if name != "counts"),
+        "parse_error",
+    )
 
 
 def _report_row(
+    columns: tuple[str, ...],
     source_id: str,
     formula: str,
     report: Optional[MetricsReport] = None,
     parse_error: Optional[str] = None,
 ) -> dict:
-    """One scanned formula over REPORT_COLUMNS: metrics or a parse error."""
+    """One scanned formula over the report's columns: metrics or a parse error."""
     values = {"source_id": source_id, "formula": formula, "parse_error": parse_error}
     if report is not None:
         values.update(vars(report.counts), **vars(report))
-    return {name: values.get(name) for name in REPORT_COLUMNS}
-
-
-def risk_report_row(source_id: str, formula: str) -> dict:
-    """Metrics row for a formula, with parse failures captured, not raised."""
-    try:
-        return _report_row(source_id, formula, metrics_report(parse(formula)))
-    except SheetsmithError as exc:
-        return _report_row(source_id, formula, parse_error=f"{exc.code}: {exc}")
+    return {name: values.get(name) for name in columns}
 
 
 def _cell_text(value) -> str:
@@ -101,14 +74,9 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def _value_text(value: Value) -> str:
-    if isinstance(value, EvalError):
-        return f"#{value.kind}"
-    literal = {bool: BooleanLiteral, float: NumberLiteral, str: TextLiteral}
-    return token_text(literal[type(value)](value))
-
-
 def _stamp_line(stream) -> None:
+    from datetime import datetime, timezone
+
     now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     stream.write(f"# generated {now}\n")
 
@@ -130,8 +98,13 @@ def _write_csv(path_or_stream, header, rows, stamp=False):
 
 
 def _cmd_analyze(args) -> int:
+    from .formulas import render
+    from .metrics import metrics_report
+    from .parser import parse
+
     ast = parse(args.formula)
-    row = _report_row("-", args.formula, metrics_report(ast))
+    columns = _report_columns()
+    row = _report_row(columns, "-", args.formula, metrics_report(ast))
     if args.format == "table":
         # the metric fields sit between formula and parse_error
         metrics = list(row.items())[2:-1]
@@ -140,7 +113,7 @@ def _cmd_analyze(args) -> int:
         for name, value in pairs:
             print(f"{name:<{width}}  {_cell_text(value)}")
     elif args.format == "csv":
-        _write_csv(sys.stdout, REPORT_COLUMNS, [row.values()])
+        _write_csv(sys.stdout, columns, [row.values()])
     else:
         print(json.dumps(row, indent=2))
     return 0
@@ -150,8 +123,18 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    entries = csvio.read_formulas_csv(args.path)
-    rows = [risk_report_row(source_id, text) for source_id, text in entries]
+    from .metrics import metrics_report
+    from .parser import parse
+
+    columns = _report_columns()
+    rows = []
+    for source_id, text in csvio.read_formulas_csv(args.path):
+        # a formula that does not parse is reported in its row, not raised
+        try:
+            report, error = metrics_report(parse(text)), None
+        except SheetsmithError as exc:
+            report, error = None, f"{exc.code}: {exc}"
+        rows.append(_report_row(columns, source_id, text, report, error))
     if args.format == "json":
         payload = json.dumps(rows, indent=2)
         if args.output == "-":
@@ -163,7 +146,7 @@ def _cmd_scan(args) -> int:
         target = sys.stdout if args.output == "-" else args.output
         _write_csv(
             target,
-            REPORT_COLUMNS,
+            columns,
             [row.values() for row in rows],
             stamp=args.stamp,
         )
@@ -182,6 +165,8 @@ def _cmd_scan(args) -> int:
 
 
 def _search_budget() -> int:
+    from .synthesis import DEFAULT_SEARCH_BUDGET
+
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_SEARCH_BUDGET
@@ -194,13 +179,18 @@ def _search_budget() -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    from .synthesis import HypothesisConfig, LabeledExample, synthesize
+
     examples = csvio.read_examples_csv(args.examples)
     if not examples:
         # keep the library's own empty-input error and wording
         synthesize(examples)
     names = list(examples[0].attributes.keys())
+    depth = args.max_depth
+    if depth is None:
+        depth = HypothesisConfig.max_decision_depth
     try:
-        config = HypothesisConfig(max_decision_depth=args.max_depth)
+        config = HypothesisConfig(max_decision_depth=depth)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     budget = _search_budget()
@@ -244,6 +234,18 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .evaluator import EvalError, validate_examples
+    from .formulas import BooleanLiteral, NumberLiteral, TextLiteral, token_text
+    from .parser import parse
+    from .synthesis import example_grids
+
+    literal = {bool: BooleanLiteral, float: NumberLiteral, str: TextLiteral}
+
+    def text(value) -> str:
+        if isinstance(value, EvalError):
+            return f"#{value.kind}"
+        return token_text(literal[type(value)](value))
+
     ast = parse(args.formula)
     examples = csvio.read_examples_csv(args.examples)
     pairs = example_grids(examples)
@@ -254,7 +256,7 @@ def _cmd_validate(args) -> int:
         else:
             print(
                 f"example {outcome.index + 1}: FAIL expected "
-                f"{_value_text(outcome.expected)} got {_value_text(outcome.actual)}"
+                f"{text(outcome.expected)} got {text(outcome.actual)}"
             )
     print(f"{report.passes}/{report.total} pass")
     return 0
@@ -264,6 +266,8 @@ def _cmd_validate(args) -> int:
 
 
 def _summary_tables(summary: ExperimentSummary) -> str:
+    from dataclasses import astuple
+
     # the rows are unpacked whole, so a field added to a summary fails here
     lines = [
         f"{'approach':<12} {'question':<10} {'complexity':>10} {'accuracy%':>9} "
@@ -295,6 +299,16 @@ def _opt(value: Optional[float]) -> str:
 
 
 def _cmd_confidence(args) -> int:
+    from dataclasses import astuple
+
+    from .confidence import (
+        ApproachSummary,
+        question_outcome,
+        QuestionOutcome,
+        QuestionSummary,
+        summarize_experiment,
+    )
+
     records = csvio.read_results_csv(args.results)
     complexities = csvio.read_complexities_csv(args.complexities)
     summary = summarize_experiment(records, complexities)
@@ -343,10 +357,19 @@ def _cmd_confidence(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from dataclasses import asdict
+
+    from .confidence import (
+        DEFAULT_BASE_ERROR_CEILING,
+        exceeds_base_error_ceiling,
+        fit_accuracy_curve,
+    )
+
+    ceiling = DEFAULT_BASE_ERROR_CEILING if args.ceiling is None else args.ceiling
     points = csvio.read_points_csv(args.points)
     fit = fit_accuracy_curve(points)
     usable_x = [x for x, y in points if y > 0]
-    ceiling_exceeded = exceeds_base_error_ceiling(fit, min(usable_x), args.ceiling)
+    ceiling_exceeded = exceeds_base_error_ceiling(fit, min(usable_x), ceiling)
     payload = {**asdict(fit), "ceiling_exceeded": ceiling_exceeded}
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -358,7 +381,7 @@ def _cmd_fit(args) -> int:
         if ceiling_exceeded:
             print(
                 f"note: extrapolation at the easiest question exceeds the "
-                f"{args.ceiling}% base-error ceiling"
+                f"{ceiling}% base-error ceiling"
             )
     return 0
 
@@ -392,9 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="build a formula from examples")
     p.add_argument("--examples", required=True, help="CSV of attributes + label")
-    p.add_argument(
-        "--max-depth", type=int, default=HypothesisConfig.max_decision_depth
-    )
+    # None takes the library's default; see _cmd_synthesize
+    p.add_argument("--max-depth", type=int, default=None)
     p.add_argument(
         "--interactive",
         action="store_true",
@@ -416,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit accuracy = a*exp(b*complexity)")
     p.add_argument("--points", required=True)
-    p.add_argument("--ceiling", type=float, default=DEFAULT_BASE_ERROR_CEILING)
+    # None takes the library's default; see _cmd_fit
+    p.add_argument("--ceiling", type=float, default=None)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=_cmd_fit)
 

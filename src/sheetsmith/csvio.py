@@ -10,11 +10,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import fields
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TYPE_CHECKING
 
-from .confidence import ConfidenceRecord
 from .errors import InputFileError
-from .synthesis import LabeledExample
+
+if TYPE_CHECKING:  # the readers import these on first use
+    from .confidence import ConfidenceRecord
+    from .synthesis import LabeledExample
 
 
 def columns(cls) -> tuple[str, ...]:
@@ -78,6 +80,8 @@ def _table(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
 
 def read_examples_csv(path: str) -> list[LabeledExample]:
     """Attribute columns followed by a final 'label' column."""
+    from .synthesis import LabeledExample
+
     header = next(_rows(path), None)
     if not header or len(header) < 2 or header[-1] != "label":
         raise InputFileError(
@@ -97,6 +101,8 @@ def read_examples_csv(path: str) -> list[LabeledExample]:
 
 def read_results_csv(path: str) -> list[ConfidenceRecord]:
     """Per-question experiment records; attempted is 0 or 1."""
+    from .confidence import ConfidenceRecord
+
     records = []
     for line, row in _table(path, columns(ConfidenceRecord)):
         participant, question, approach, attempted, errors, conf, diff = row

@@ -25,10 +25,10 @@ Leaves are shared. A number or text literal is built once per distinct
 token text by a bounded cache, and a cell by ``formulas.cell_ref``, which is
 cached the same way, so a sheet that names the same cells, marks and labels
 in every row builds each of them once. Sharing is safe because every node
-is a frozen dataclass compared by value: compare nodes with ``==``, never by
-identity. An invalid literal (a number too large for a float, a cell in
-row 0) raises on every parse, since a cache never stores an error. Each
-cache holds at most LEAF_CACHE_SIZE entries, about 0.7 MB when full.
+is an immutable value (see ``formulas._node``): compare nodes with ``==``,
+never by identity. An invalid literal (a number too large for a float, a
+cell in row 0) raises on every parse, since a cache never stores an error.
+Each cache holds at most LEAF_CACHE_SIZE entries, about 0.7 MB when full.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ MAX_NESTING = 64
 # classify each text. Only CELL before NAME and '.' last decide a match: the
 # other alternatives start with different characters.
 _TOKEN_RE = re.compile(
-    rf'[(),:+\-*/^=]|{CELL_PATTERN}|[A-Za-z]+|\d+(?:\.\d+)?|"(?:[^"]|"")*"'
+    rf'[(),:+\-*/^=]|{CELL_PATTERN}|[A-Za-z]+|[0-9]+(?:\.[0-9]+)?|"(?:[^"]|"")*"'
     r"|<[=>]?|>=?|\s+|."
 )
 
@@ -90,9 +90,9 @@ def _kind_of_first(text: str) -> str:
     if first in _LETTERS:
         # a cell ends in its row's digits, a name in a letter
         return "NAME" if text[-1].isalpha() else "CELL"
-    # \s and \d match Unicode whitespace and decimal digits too
-    if first.isdecimal():
+    if "0" <= first <= "9":
         return "NUMBER"
+    # \s matches Unicode whitespace too; any other character is a token alone
     return "WS" if first.isspace() else "BAD"
 
 

@@ -303,6 +303,30 @@ def test_fit_ceiling_note(tmp_path, capsys):
     assert "note:" in out
 
 
+def test_fit_note_names_the_ceiling_in_use(tmp_path, capsys):
+    path = write(
+        tmp_path, "pts.csv",
+        "complexity,accuracy_pct\n0.5,97.0\n1.0,96.0\n2.0,94.0\n",
+    )
+    assert main(["fit", "--points", path]) == 0
+    assert "exceeds the 95.0% base-error ceiling" in capsys.readouterr().out
+    assert main(["fit", "--points", path, "--ceiling", "96.5"]) == 0
+    assert "exceeds the 96.5% base-error ceiling" in capsys.readouterr().out
+    assert main(["fit", "--points", path, "--ceiling", "99"]) == 0
+    assert "note:" not in capsys.readouterr().out
+
+
+def test_synthesize_default_depth_is_the_library_default(capsys):
+    from sheetsmith import HypothesisConfig
+
+    grades = fixture("grading_examples.csv")
+    assert main(["synthesize", "--examples", grades]) == 0
+    default = capsys.readouterr().out
+    depth = str(HypothesisConfig.max_decision_depth)
+    assert main(["synthesize", "--examples", grades, "--max-depth", depth]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_fit_insufficient_points_exits_one(tmp_path, capsys):
     path = write(tmp_path, "pts.csv", "complexity,accuracy_pct\n1.0,50.0\n")
     assert main(["fit", "--points", path]) == 1

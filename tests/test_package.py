@@ -1,0 +1,112 @@
+"""The package surface, and which layers each command loads.
+
+``import sheetsmith`` loads no layer; a public name is imported from its home
+module on first use. Each CLI command imports only the layers it needs, so
+the checks below run every command in a fresh interpreter and list the
+``sheetsmith`` modules it loaded.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import sheetsmith
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sheetsmith.__file__)))
+DATA = os.path.join(SRC, "sheetsmith", "data")
+
+
+def _loaded_layers(code: str) -> set:
+    """The sheetsmith.* modules a fresh interpreter holds after running code."""
+    probe = (
+        f"import json, sys\n{code}\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('sheetsmith.')]))"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    return {name.split(".", 1)[1] for name in json.loads(out.splitlines()[-1])}
+
+
+def test_every_public_name_resolves_from_its_home_module():
+    assert len(sheetsmith.__all__) == len(set(sheetsmith.__all__)) == 70
+    for name in sheetsmith.__all__:
+        value = getattr(sheetsmith, name)
+        home = importlib.import_module(f"sheetsmith.{sheetsmith._HOMES[name]}")
+        assert value is getattr(home, name), name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from sheetsmith import *", namespace)
+    assert set(sheetsmith.__all__) <= set(namespace)
+    assert namespace["parse"] is sheetsmith.parser.parse
+
+
+def test_dir_lists_every_public_name():
+    listed = dir(sheetsmith)
+    assert set(sheetsmith.__all__) <= set(listed)
+    assert "__version__" in listed and listed == sorted(listed)
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        sheetsmith.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from sheetsmith import no_such_name", {})
+    assert not hasattr(sheetsmith, "no_such_name")
+
+
+def test_layers_are_attributes_of_the_package():
+    for layer in ("confidence", "errors", "evaluator", "formulas", "metrics",
+                  "parser", "synthesis"):
+        module = importlib.import_module(f"sheetsmith.{layer}")
+        assert getattr(sheetsmith, layer) is module
+
+
+def test_importing_the_package_loads_no_layer():
+    assert _loaded_layers("import sheetsmith") <= {"errors"}
+
+
+def _command(*args) -> str:
+    return f"from sheetsmith import cli\nassert cli.main({list(args)!r}) == 0"
+
+
+def test_analyze_loads_no_evaluator_synthesis_or_statistics():
+    loaded = _loaded_layers(_command("analyze", "=SUM(C5:D5)/2", "--format", "json"))
+    assert "parser" in loaded
+    assert not loaded & {"synthesis", "confidence", "evaluator"}
+
+
+def test_study_commands_load_no_formula_layer(tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text("complexity,accuracy_pct\n1,90\n2,70\n3,50\n")
+    commands = [
+        ("fit", "--points", str(points)),
+        ("confidence", "--results", os.path.join(DATA, "experiment_results.csv"),
+         "--complexities", os.path.join(DATA, "question_complexities.csv"),
+         "--out-dir", str(tmp_path)),
+    ]
+    for command in commands:
+        loaded = _loaded_layers(_command(*command))
+        assert "confidence" in loaded
+        assert not loaded & {"parser", "formulas", "metrics", "evaluator", "synthesis"}
+
+
+def test_synthesis_commands_load_no_study_analytics():
+    grades = os.path.join(DATA, "grading_examples.csv")
+    commands = [
+        ("synthesize", "--examples", grades),
+        ("validate", "--formula", '=IF(MIN(C5:D5)<40,"Fail","Pass")',
+         "--examples", grades),
+    ]
+    for command in commands:
+        loaded = _loaded_layers(_command(*command))
+        assert "synthesis" in loaded
+        assert "confidence" not in loaded
