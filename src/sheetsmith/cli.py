@@ -266,15 +266,13 @@ def _cmd_validate(args) -> int:
 
 
 def _summary_tables(summary: ExperimentSummary) -> str:
-    from dataclasses import astuple
-
     # the rows are unpacked whole, so a field added to a summary fails here
     lines = [
         f"{'approach':<12} {'question':<10} {'complexity':>10} {'accuracy%':>9} "
         f"{'mean_err':>8} {'mean_ratio':>10}"
     ]
     for approach, question, complexity, _, accuracy, errors, ratio, _ in map(
-        astuple, summary.questions
+        _fields, summary.questions
     ):
         lines.append(
             f"{approach:<12} {question:<10} {complexity:>10.4f} "
@@ -285,7 +283,7 @@ def _summary_tables(summary: ExperimentSummary) -> str:
         f"{'approach':<12} {'participants':>12} {'with_errors%':>12} "
         f"{'accuracy%':>9} {'mean_err':>8} {'mean_ratio':>10}"
     )
-    for approach, participants, *rates in map(astuple, summary.approaches):
+    for approach, participants, *rates in map(_fields, summary.approaches):
         with_errors, accuracy, errors, ratio = map(_opt, rates)
         lines.append(
             f"{approach:<12} {participants:>12} {with_errors:>12} "
@@ -294,13 +292,16 @@ def _summary_tables(summary: ExperimentSummary) -> str:
     return "\n".join(lines)
 
 
+def _fields(row, names: tuple[str, ...] = ()) -> list:
+    """A record's values of the given fields, or of all of them in order."""
+    return [getattr(row, name) for name in names or row.__match_args__]
+
+
 def _opt(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:.4g}"
 
 
 def _cmd_confidence(args) -> int:
-    from dataclasses import astuple
-
     from .confidence import (
         ApproachSummary,
         question_outcome,
@@ -317,20 +318,17 @@ def _cmd_confidence(args) -> int:
     def write(name: str, header, rows) -> None:
         _write_csv(os.path.join(args.out_dir, name), header, rows, stamp=args.stamp)
 
-    def pick(row, names) -> list:
-        return [getattr(row, name) for name in names]
-
     keys = ("participant_id", "question_id", "approach")
     write(
         "outcomes.csv",
         keys + csvio.columns(QuestionOutcome),
-        [pick(r, keys) + list(astuple(question_outcome(r))) for r in records],
+        [_fields(r, keys) + _fields(question_outcome(r)) for r in records],
     )
     for name, cls, rows in (
         ("summary_questions.csv", QuestionSummary, summary.questions),
         ("summary_approaches.csv", ApproachSummary, summary.approaches),
     ):
-        write(name, csvio.columns(cls), map(astuple, rows))
+        write(name, csvio.columns(cls), map(_fields, rows))
 
     ratio_columns = ("question_id", "mean_confidence_ratio", "mean_difficulty")
     for approach_row in summary.approaches:
@@ -346,7 +344,7 @@ def _cmd_confidence(args) -> int:
         write(
             f"confidence_ratio_{approach}.csv",
             ratio_columns,
-            [pick(q, ratio_columns) for q in mine],
+            [_fields(q, ratio_columns) for q in mine],
         )
 
     print(_summary_tables(summary))
@@ -357,8 +355,6 @@ def _cmd_confidence(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from dataclasses import asdict
-
     from .confidence import (
         DEFAULT_BASE_ERROR_CEILING,
         exceeds_base_error_ceiling,
@@ -370,7 +366,7 @@ def _cmd_fit(args) -> int:
     fit = fit_accuracy_curve(points)
     usable_x = [x for x, y in points if y > 0]
     ceiling_exceeded = exceeds_base_error_ceiling(fit, min(usable_x), ceiling)
-    payload = {**asdict(fit), "ceiling_exceeded": ceiling_exceeded}
+    payload = {**vars(fit), "ceiling_exceeded": ceiling_exceeded}
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":

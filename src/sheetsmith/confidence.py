@@ -16,9 +16,9 @@ an unattempted question says nothing about calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from ._record import record
 from .errors import (
     DegenerateXError,
     EmptyInputError,
@@ -63,7 +63,7 @@ def confidence_ratio(combined: float, f: int) -> Optional[float]:
     return combined / f
 
 
-@dataclass(frozen=True)
+@record
 class ConfidenceRecord:
     participant_id: str
     question_id: str
@@ -84,7 +84,7 @@ class ConfidenceRecord:
         _check_rating("difficulty", self.difficulty)
 
 
-@dataclass(frozen=True)
+@record
 class QuestionOutcome:
     f_score: int
     combined_overconfidence: float
@@ -98,7 +98,7 @@ def question_outcome(record: ConfidenceRecord) -> QuestionOutcome:
     return QuestionOutcome(f, combined, confidence_ratio(combined, f))
 
 
-@dataclass(frozen=True)
+@record
 class QuestionSummary:
     approach: str
     question_id: str
@@ -110,7 +110,7 @@ class QuestionSummary:
     mean_difficulty: Optional[float]
 
 
-@dataclass(frozen=True)
+@record
 class ApproachSummary:
     approach: str
     participants: int
@@ -120,7 +120,7 @@ class ApproachSummary:
     mean_confidence_ratio: Optional[float]
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentSummary:
     questions: tuple[QuestionSummary, ...]
     approaches: tuple[ApproachSummary, ...]
@@ -194,7 +194,7 @@ def _mean(xs: Sequence[float]) -> Optional[float]:
     return math.fsum(xs) / len(xs) if xs else None
 
 
-@dataclass(frozen=True)
+@record
 class CurveFit:
     a: float
     b: float

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import fields
 from typing import Iterator, Sequence, TYPE_CHECKING
 
 from .errors import InputFileError
@@ -20,8 +19,8 @@ if TYPE_CHECKING:  # the readers import these on first use
 
 
 def columns(cls) -> tuple[str, ...]:
-    """A table's header: the field names of the dataclass that holds its rows."""
-    return tuple(field.name for field in fields(cls))
+    """A table's header: the fields of the record class that holds its rows."""
+    return cls.__match_args__
 
 
 def _rows(path: str) -> Iterator[list[str]]:
@@ -33,9 +32,16 @@ def _rows(path: str) -> Iterator[list[str]]:
         yield from csv.reader(handle)
 
 
+def _ascii(text: str) -> str:
+    """text, if ASCII with no '_': int and float read '_' and other scripts' digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return text
+
+
 def finite_float(text: str) -> float:
-    """float(text), except that nan and inf raise ValueError like non-numbers."""
-    value = float(text)
+    """float(text); '_', non-ASCII text, nan and inf raise ValueError."""
+    value = float(_ascii(text))
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
     return value
@@ -52,7 +58,7 @@ def _float(path: str, line: int, column: str, text: str) -> float:
 
 def _int(path: str, line: int, column: str, text: str) -> int:
     try:
-        return int(text)
+        return int(_ascii(text))
     except ValueError:
         raise InputFileError(
             f"{path} line {line}: {column} must be an integer, got {text!r}"
@@ -60,14 +66,17 @@ def _int(path: str, line: int, column: str, text: str) -> int:
 
 
 def _table(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each non-blank data row of a CSV file.
-
-    The first row must equal ``header`` and every data row must have as many
-    fields as it.
-    """
+    """Yield (line number, fields) for each non-blank data row of a CSV file
+    whose first row must be ``header``."""
     rows = _rows(path)
     if next(rows, None) != list(header):
         raise InputFileError(f"{path}: header must be {','.join(header)}")
+    yield from _data(path, header, rows)
+
+
+def _data(path: str, header: Sequence[str], rows) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each non-blank row after the header row;
+    every such row must have as many fields as the header."""
     for line, row in enumerate(rows, start=2):
         if not row:
             continue
@@ -82,7 +91,8 @@ def read_examples_csv(path: str) -> list[LabeledExample]:
     """Attribute columns followed by a final 'label' column."""
     from .synthesis import LabeledExample
 
-    header = next(_rows(path), None)
+    rows = _rows(path)
+    header = next(rows, None)
     if not header or len(header) < 2 or header[-1] != "label":
         raise InputFileError(
             f"{path}: header must name at least one attribute column "
@@ -90,7 +100,7 @@ def read_examples_csv(path: str) -> list[LabeledExample]:
         )
     attributes = header[:-1]
     examples = []
-    for line, row in _table(path, header):
+    for line, row in _data(path, header, rows):
         values = {
             name: _float(path, line, name, text)
             for name, text in zip(attributes, row)

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Mapping, Optional, Sequence, Union
 
+from ._record import record
 from .errors import DomainTooLargeError, EmptyExampleSetError
 from .formulas import (
     AGGREGATE_FUNCTIONS,
@@ -50,7 +50,7 @@ NUMERIC_TOLERANCE = 1e-9
 DEFAULT_GRID_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
+@record
 class EvalError:
     kind: str
     message: str
@@ -345,7 +345,7 @@ def values_equal(a: Value, b: Value, tolerance: float = NUMERIC_TOLERANCE) -> bo
     return False
 
 
-@dataclass(frozen=True)
+@record
 class ExampleOutcome:
     index: int
     expected: Value
@@ -353,7 +353,7 @@ class ExampleOutcome:
     passed: bool
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     outcomes: tuple[ExampleOutcome, ...]
     passes: int

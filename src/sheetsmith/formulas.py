@@ -11,6 +11,8 @@ import re
 from functools import lru_cache
 from typing import Union
 
+from ._record import record
+
 # name -> (min arity, max arity); None = unbounded
 SUPPORTED_FUNCTIONS = {
     "IF": (2, 3),
@@ -52,81 +54,22 @@ def column_letters(index: int) -> str:
     return letters
 
 
-def _node(body: type) -> type:
-    """An immutable value class with the annotated fields of ``body``, in order.
-
-    It is built with __slots__, so it costs a small fraction of a frozen
-    dataclass to define and to construct. It is constructed positionally or
-    by keyword, with the body's defaults. Only nodes of one class compare
-    equal, by their fields, so BooleanLiteral(True) != NumberLiteral(1.0),
-    and hash agrees with ==. The repr names every field, and assigning or
-    deleting an attribute raises AttributeError. Other methods in the body
-    are kept.
-    """
-    fields = tuple(body.__annotations__)
-    namespace = {k: v for k, v in vars(body).items() if k not in fields}
-    del namespace["__dict__"], namespace["__weakref__"]
-    # a generated __init__ binds keywords and defaults natively, and builds a
-    # node faster than a loop over *args would
-    scope = {"_set": object.__setattr__}
-    exec(
-        f"def __init__(self, {', '.join(fields)}):\n"
-        + "".join(f"    _set(self, {name!r}, {name})\n" for name in fields),
-        scope,
-    )
-    init = scope["__init__"]
-    init.__defaults__ = tuple(vars(body)[n] for n in fields if n in vars(body))
-    # one field gives the bare value, more a tuple; either is fine within a class
-    values = operator.attrgetter(*fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return values(self) == values(other)
-        return NotImplemented
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
-        return f"{body.__name__}({shown})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    namespace.update(
-        __slots__=fields,
-        __match_args__=fields,
-        __init__=init,
-        __eq__=__eq__,
-        __hash__=lambda self: hash(values(self)),
-        __repr__=__repr__,
-        __setattr__=__setattr__,
-        __delattr__=__delattr__,
-        # copy and pickle rebuild a node through __init__
-        __reduce__=lambda self: (
-            self.__class__, tuple(getattr(self, n) for n in fields)
-        ),
-    )
-    return type(body.__name__, body.__bases__, namespace)
-
-
-@_node
+@record
 class NumberLiteral:
     value: float
 
 
-@_node
+@record
 class TextLiteral:
     value: str
 
 
-@_node
+@record
 class BooleanLiteral:
     value: bool
 
 
-@_node
+@record
 class CellRef:
     column: str
     row: int
@@ -138,7 +81,7 @@ class CellRef:
         return f"{self.column}{self.row}"
 
 
-@_node
+@record
 class RangeRef:
     start: CellRef
     end: CellRef
@@ -147,20 +90,20 @@ class RangeRef:
         return f"{self.start.canonical()}:{self.end.canonical()}"
 
 
-@_node
+@record
 class FunctionCall:
     name: str
     args: "tuple[Node, ...]"
 
 
-@_node
+@record
 class BinaryOp:
     op: str
     left: "Node"
     right: "Node"
 
 
-@_node
+@record
 class UnaryOp:
     operand: "Node"
     op: str = "-"
@@ -178,7 +121,7 @@ Node = Union[
 ]
 
 
-@_node
+@record
 class FormulaAst:
     root: Node
 

@@ -20,8 +20,8 @@ Derived values:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DegenerateFormulaError
 from .formulas import (
     CellRef,
@@ -36,7 +36,7 @@ from .formulas import (
 MILLER_LIMIT = 9
 
 
-@dataclass(frozen=True)
+@record
 class HalsteadCounts:
     n1: int  # distinct operators
     n2: int  # distinct operands
@@ -50,7 +50,7 @@ class HalsteadCounts:
             raise ValueError("distinct counts cannot exceed totals")
 
 
-@dataclass(frozen=True)
+@record
 class MetricsReport:
     counts: HalsteadCounts
     complexity: float

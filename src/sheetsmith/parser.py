@@ -25,7 +25,7 @@ Leaves are shared. A number or text literal is built once per distinct
 token text by a bounded cache, and a cell by ``formulas.cell_ref``, which is
 cached the same way, so a sheet that names the same cells, marks and labels
 in every row builds each of them once. Sharing is safe because every node
-is an immutable value (see ``formulas._node``): compare nodes with ``==``,
+is an immutable value (see ``_record.record``): compare nodes with ``==``,
 never by identity. An invalid literal (a number too large for a float, a
 cell in row 0) raises on every parse, since a cache never stores an error.
 Each cache holds at most LEAF_CACHE_SIZE entries, about 0.7 MB when full.

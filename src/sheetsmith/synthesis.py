@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
+from ._record import record
 from .errors import (
     EmptyLabelError,
     HypothesisSpaceExhaustedError,
@@ -95,7 +95,7 @@ DEFAULT_COMPARATORS = ("<", ">=")
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
+@record
 class LabeledExample:
     """One training row: attribute name -> numeric value, plus its label."""
 
@@ -110,7 +110,7 @@ class LabeledExample:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisConfig:
     aggregates: tuple[str, ...] = DEFAULT_AGGREGATES
     comparators: tuple[str, ...] = DEFAULT_COMPARATORS
@@ -135,7 +135,7 @@ class HypothesisConfig:
             )
 
 
-@dataclass(frozen=True)
+@record
 class Predicate:
     """aggregate(row) comparator threshold, e.g. AVERAGE < 54.75."""
 
@@ -145,7 +145,7 @@ class Predicate:
     attribute: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class SynthesisResult:
     formula: FormulaAst
     rendered: str
