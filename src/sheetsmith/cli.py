@@ -10,8 +10,9 @@ Subcommands:
 
 Exit status: 0 on success, 1 for domain errors (the stderr line starts with
 ``error: <Code>:`` naming the module error), 2 for usage or unreadable files.
+This module parses arguments and prints; csvio reads and writes every file.
 File outputs are byte-identical across runs on equal inputs; --stamp opts in
-to a generation-time comment line.
+to a generation-time comment line, which every reader skips.
 
 Each command imports the layers it uses when it runs, so a process loads only
 those: ``fit`` never loads the parser, and ``analyze`` never loads synthesis.
@@ -20,13 +21,14 @@ those: ``fit`` never loads the parser, and ``analyze`` never loads synthesis.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from typing import Optional, TYPE_CHECKING
 
-from . import csvio
+from .csvio import (cell_text, columns, finite_float, open_output, POINTS_HEADER,
+                    read_complexities_csv, read_examples_csv, read_formulas_csv,
+                    read_points_csv, read_results_csv, write_csv)
 from .errors import SheetsmithError, UsageError
 
 if TYPE_CHECKING:  # the commands import these when they run
@@ -43,14 +45,14 @@ def _report_columns() -> tuple[str, ...]:
     return (
         "source_id",
         "formula",
-        *csvio.columns(HalsteadCounts),
-        *(name for name in csvio.columns(MetricsReport) if name != "counts"),
+        *columns(HalsteadCounts),
+        *(name for name in columns(MetricsReport) if name != "counts"),
         "parse_error",
     )
 
 
 def _report_row(
-    columns: tuple[str, ...],
+    header: tuple[str, ...],
     source_id: str,
     formula: str,
     report: Optional[MetricsReport] = None,
@@ -60,38 +62,7 @@ def _report_row(
     values = {"source_id": source_id, "formula": formula, "parse_error": parse_error}
     if report is not None:
         values.update(vars(report.counts), **vars(report))
-    return {name: values.get(name) for name in columns}
-
-
-def _cell_text(value) -> str:
-    """Deterministic CSV cell: lowercase booleans, repr floats, '' for None."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _stamp_line(stream) -> None:
-    from datetime import datetime, timezone
-
-    now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    stream.write(f"# generated {now}\n")
-
-
-def _write_csv(path_or_stream, header, rows, stamp=False):
-    if isinstance(path_or_stream, str):
-        with open(path_or_stream, "w", newline="", encoding="utf-8") as handle:
-            _write_csv(handle, header, rows, stamp)
-        return
-    if stamp:
-        _stamp_line(path_or_stream)
-    writer = csv.writer(path_or_stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell_text(cell) for cell in row])
+    return {name: values.get(name) for name in header}
 
 
 # ----- analyze ---------------------------------------------------------
@@ -103,17 +74,17 @@ def _cmd_analyze(args) -> int:
     from .parser import parse
 
     ast = parse(args.formula)
-    columns = _report_columns()
-    row = _report_row(columns, "-", args.formula, metrics_report(ast))
+    header = _report_columns()
+    row = _report_row(header, "-", args.formula, metrics_report(ast))
     if args.format == "table":
         # the metric fields sit between formula and parse_error
         metrics = list(row.items())[2:-1]
         pairs = [("formula", args.formula), ("canonical", render(ast))] + metrics
         width = max(len(name) for name, _ in pairs)
         for name, value in pairs:
-            print(f"{name:<{width}}  {_cell_text(value)}")
+            print(f"{name:<{width}}  {cell_text(value)}")
     elif args.format == "csv":
-        _write_csv(sys.stdout, columns, [row.values()])
+        write_csv("-", header, [row.values()])
     else:
         print(json.dumps(row, indent=2))
     return 0
@@ -126,30 +97,20 @@ def _cmd_scan(args) -> int:
     from .metrics import metrics_report
     from .parser import parse
 
-    columns = _report_columns()
+    header = _report_columns()
     rows = []
-    for source_id, text in csvio.read_formulas_csv(args.path):
+    for source_id, text in read_formulas_csv(args.path):
         # a formula that does not parse is reported in its row, not raised
         try:
             report, error = metrics_report(parse(text)), None
         except SheetsmithError as exc:
             report, error = None, f"{exc.code}: {exc}"
-        rows.append(_report_row(columns, source_id, text, report, error))
+        rows.append(_report_row(header, source_id, text, report, error))
     if args.format == "json":
-        payload = json.dumps(rows, indent=2)
-        if args.output == "-":
-            print(payload)
-        else:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
+        with open_output(args.output) as stream:
+            stream.write(json.dumps(rows, indent=2) + "\n")
     else:
-        target = sys.stdout if args.output == "-" else args.output
-        _write_csv(
-            target,
-            columns,
-            [row.values() for row in rows],
-            stamp=args.stamp,
-        )
+        write_csv(args.output, header, [row.values() for row in rows], stamp=args.stamp)
     flagged = sum(1 for row in rows if row["miller_flag"])
     if args.fail_on_miller and flagged:
         print(
@@ -181,7 +142,7 @@ def _search_budget() -> int:
 def _cmd_synthesize(args) -> int:
     from .synthesis import HypothesisConfig, LabeledExample, synthesize
 
-    examples = csvio.read_examples_csv(args.examples)
+    examples = read_examples_csv(args.examples)
     if not examples:
         # keep the library's own empty-input error and wording
         synthesize(examples)
@@ -222,7 +183,7 @@ def _cmd_synthesize(args) -> int:
                 )
                 continue
             try:
-                values = dict(zip(names, map(csvio.finite_float, parts[:-1])))
+                values = dict(zip(names, map(finite_float, parts[:-1])))
             except ValueError:
                 print("attribute values must be numbers", file=sys.stderr)
                 continue
@@ -247,7 +208,7 @@ def _cmd_validate(args) -> int:
         return token_text(literal[type(value)](value))
 
     ast = parse(args.formula)
-    examples = csvio.read_examples_csv(args.examples)
+    examples = read_examples_csv(args.examples)
     pairs = example_grids(examples)
     report = validate_examples(ast, pairs)
     for outcome in report.outcomes:
@@ -310,25 +271,25 @@ def _cmd_confidence(args) -> int:
         summarize_experiment,
     )
 
-    records = csvio.read_results_csv(args.results)
-    complexities = csvio.read_complexities_csv(args.complexities)
+    records = read_results_csv(args.results)
+    complexities = read_complexities_csv(args.complexities)
     summary = summarize_experiment(records, complexities)
     os.makedirs(args.out_dir, exist_ok=True)
 
     def write(name: str, header, rows) -> None:
-        _write_csv(os.path.join(args.out_dir, name), header, rows, stamp=args.stamp)
+        write_csv(os.path.join(args.out_dir, name), header, rows, stamp=args.stamp)
 
     keys = ("participant_id", "question_id", "approach")
     write(
         "outcomes.csv",
-        keys + csvio.columns(QuestionOutcome),
+        keys + columns(QuestionOutcome),
         [_fields(r, keys) + _fields(question_outcome(r)) for r in records],
     )
     for name, cls, rows in (
         ("summary_questions.csv", QuestionSummary, summary.questions),
         ("summary_approaches.csv", ApproachSummary, summary.approaches),
     ):
-        write(name, csvio.columns(cls), map(_fields, rows))
+        write(name, columns(cls), map(_fields, rows))
 
     ratio_columns = ("question_id", "mean_confidence_ratio", "mean_difficulty")
     for approach_row in summary.approaches:
@@ -338,7 +299,7 @@ def _cmd_confidence(args) -> int:
         # the fit-points header, so the file feeds `fit --points` directly
         write(
             f"accuracy_vs_complexity_{approach}.csv",
-            csvio.POINTS_HEADER,
+            POINTS_HEADER,
             [[q.complexity, q.percentage_accuracy] for q in accuracy],
         )
         write(
@@ -362,7 +323,7 @@ def _cmd_fit(args) -> int:
     )
 
     ceiling = DEFAULT_BASE_ERROR_CEILING if args.ceiling is None else args.ceiling
-    points = csvio.read_points_csv(args.points)
+    points = read_points_csv(args.points)
     fit = fit_accuracy_curve(points)
     usable_x = [x for x, y in points if y > 0]
     ceiling_exceeded = exceeds_base_error_ceiling(fit, min(usable_x), ceiling)
@@ -370,10 +331,10 @@ def _cmd_fit(args) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        _write_csv(sys.stdout, list(payload), [list(payload.values())])
+        write_csv("-", list(payload), [list(payload.values())])
     else:
         for name, value in payload.items():
-            print(f"{name}: {_cell_text(value)}")
+            print(f"{name}: {cell_text(value)}")
         if ceiling_exceeded:
             print(
                 f"note: extrapolation at the easiest question exceeds the "

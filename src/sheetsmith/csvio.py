@@ -1,15 +1,18 @@
-"""Readers for the toolkit's CSV interchange files.
+"""The toolkit's CSV interchange files: every reader, and the one writer.
 
 All files are comma-separated UTF-8 with a header row and '.' as the decimal
-mark. Readers raise InputFileError with the offending line number for schema
-and value problems, so the CLI can report them as file errors.
+mark; every reader skips the stamp line write_csv may put first. Readers raise
+InputFileError naming the file line a bad row starts on.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from typing import Iterator, Sequence, TYPE_CHECKING
+import sys
+import time
+from contextlib import contextmanager
+from typing import Iterator, Sequence, TextIO, TYPE_CHECKING
 
 from .errors import InputFileError
 
@@ -17,19 +20,60 @@ if TYPE_CHECKING:  # the readers import these on first use
     from .confidence import ConfidenceRecord
     from .synthesis import LabeledExample
 
+STAMP_PREFIX = "# generated "
+
 
 def columns(cls) -> tuple[str, ...]:
     """A table's header: the fields of the record class that holds its rows."""
     return cls.__match_args__
 
 
-def _rows(path: str) -> Iterator[list[str]]:
+@contextmanager
+def open_output(path: str) -> Iterator[TextIO]:
+    """The stream for an output path: stdout for '-', else a new UTF-8 file."""
+    if path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        yield handle
+
+
+def cell_text(value) -> str:
+    """Deterministic CSV cell: lowercase booleans, repr floats, '' for None."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_csv(path: str, header: Sequence[str], rows, stamp: bool = False) -> None:
+    """Write a table to path ('-' = stdout), after a stamp line if asked."""
+    with open_output(path) as stream:
+        if stamp:
+            now = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+            stream.write(f"{STAMP_PREFIX}{now}\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell_text(cell) for cell in row])
+
+
+def _rows(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(file line it starts on, fields) of each record, less a stamp line on top."""
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc.strerror}") from exc
     with handle:
-        yield from csv.reader(handle)
+        reader = csv.reader(handle)
+        start = 1
+        for row in reader:
+            if start > 1 or not row or not row[0].startswith(STAMP_PREFIX):
+                yield start, row
+            start = reader.line_num + 1
 
 
 def _ascii(text: str) -> str:
@@ -66,18 +110,16 @@ def _int(path: str, line: int, column: str, text: str) -> int:
 
 
 def _table(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each non-blank data row of a CSV file
-    whose first row must be ``header``."""
+    """(file line, fields) of each non-blank data row under a first row ``header``."""
     rows = _rows(path)
-    if next(rows, None) != list(header):
+    if next(rows, (1, None))[1] != list(header):
         raise InputFileError(f"{path}: header must be {','.join(header)}")
     yield from _data(path, header, rows)
 
 
 def _data(path: str, header: Sequence[str], rows) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) for each non-blank row after the header row;
-    every such row must have as many fields as the header."""
-    for line, row in enumerate(rows, start=2):
+    """(file line, fields) of each non-blank row; each is as wide as the header."""
+    for line, row in rows:
         if not row:
             continue
         if len(row) != len(header):
@@ -92,7 +134,7 @@ def read_examples_csv(path: str) -> list[LabeledExample]:
     from .synthesis import LabeledExample
 
     rows = _rows(path)
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if not header or len(header) < 2 or header[-1] != "label":
         raise InputFileError(
             f"{path}: header must name at least one attribute column "

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 from math import isfinite
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .errors import DomainTooLargeError, EmptyExampleSetError
@@ -64,6 +64,15 @@ def canonical_ref(text: str) -> str:
     return cell_ref(text).canonical()
 
 
+def _canonical_names(refs: Iterable[str]) -> list[str]:
+    """Each cell reference in canonical form; ValueError if two name one cell."""
+    names = [canonical_ref(ref) for ref in refs]
+    if len(set(names)) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"cell {repeated} is named more than once")
+    return names
+
+
 def _norm(value) -> Value:
     if isinstance(value, bool):
         return value
@@ -81,9 +90,8 @@ class Grid:
     """Read-only cell-to-value mapping. Absent cells read as MissingCell."""
 
     def __init__(self, cells: Optional[Mapping[str, Value]] = None):
-        self._cells = {}
-        for ref, value in (cells or {}).items():
-            self._cells[canonical_ref(ref)] = _norm(value)
+        cells = cells or {}
+        self._cells = dict(zip(_canonical_names(cells), map(_norm, cells.values())))
 
     def lookup(self, ref: str) -> Value:
         if ref in self._cells:
@@ -135,7 +143,7 @@ def _compile(node: Node) -> Compiled:
     if isinstance(node, (TextLiteral, BooleanLiteral)):
         return _constant(node.value)
     if isinstance(node, CellRef):
-        name = canonical_ref(node.canonical())
+        name = node.canonical()
         missing = EvalError(MISSING_CELL, f"cell {name} is empty")
         return lambda cells: cells.get(name, missing)
     if isinstance(node, RangeRef):
@@ -411,10 +419,7 @@ def semantic_equivalence(
     (False, first differing grid). Every domain value is checked as a grid
     value before any grid is enumerated.
     """
-    names = [canonical_ref(name) for name in domain.keys()]
-    for name in names:
-        if names.count(name) > 1:
-            raise ValueError(f"domain names cell {name} more than once")
+    names = _canonical_names(domain.keys())
     value_lists = [list(values) for values in domain.values()]
     total = 1
     for values in value_lists:

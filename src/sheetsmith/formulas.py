@@ -145,16 +145,16 @@ def cell_ref(text: str) -> CellRef:
 def make_range(a: CellRef, b: CellRef) -> RangeRef:
     """Build a range normalized so start is the top-left corner.
 
-    Columns and rows are ordered independently; absolute markers travel with
-    the component they marked. Corners already in order are kept as they are.
+    Columns are ordered by index and rows by number, independently; absolute
+    markers travel with the component they marked, and a tie moves none.
     """
     cols = [(column_index(a.column), a.column, a.column_absolute),
             (column_index(b.column), b.column, b.column_absolute)]
     rows = [(a.row, a.row_absolute), (b.row, b.row_absolute)]
-    if cols[0] <= cols[1] and rows[0] <= rows[1]:
+    if cols[0][0] <= cols[1][0] and rows[0][0] <= rows[1][0]:
         return RangeRef(a, b)
-    cols.sort()
-    rows.sort()
+    cols.sort(key=operator.itemgetter(0))
+    rows.sort(key=operator.itemgetter(0))
     start = CellRef(cols[0][1], rows[0][0], cols[0][2], rows[0][1])
     end = CellRef(cols[1][1], rows[1][0], cols[1][2], rows[1][1])
     return RangeRef(start, end)

@@ -99,17 +99,6 @@ def halstead_complexity(counts: HalsteadCounts) -> tuple[float, bool]:
     return value, value <= 0 or value > 2
 
 
-def halstead_extended(counts: HalsteadCounts) -> tuple[float, float, float]:
-    """(volume, difficulty, effort) from the classic Halstead definitions."""
-    if counts.n2 == 0 or counts.n1 + counts.n2 < 1:
-        raise DegenerateFormulaError(
-            "extended metrics undefined: formula has no operands"
-        )
-    volume = (counts.N1 + counts.N2) * math.log2(counts.n1 + counts.n2)
-    difficulty = (counts.n1 / 2) * (counts.N2 / counts.n2)
-    return volume, difficulty, difficulty * volume
-
-
 def miller_concepts(ast: FormulaAst) -> tuple[int, bool]:
     """N1 + n2 as a count of concepts held in mind; flag when above 9."""
     report = metrics_report(ast)
@@ -119,8 +108,10 @@ def miller_concepts(ast: FormulaAst) -> tuple[int, bool]:
 def metrics_report(ast: FormulaAst) -> MetricsReport:
     """All metrics for one formula in a single pass."""
     counts = halstead_counts(ast)
+    # halstead_complexity has raised if there are no operands, so n2 > 0
     complexity, out_of_range = halstead_complexity(counts)
-    volume, difficulty, effort = halstead_extended(counts)
+    volume = (counts.N1 + counts.N2) * math.log2(counts.n1 + counts.n2)
+    difficulty = (counts.n1 / 2) * (counts.N2 / counts.n2)
     concepts = counts.N1 + counts.n2
     return MetricsReport(
         counts=counts,
@@ -128,7 +119,7 @@ def metrics_report(ast: FormulaAst) -> MetricsReport:
         out_of_range_flag=out_of_range,
         volume=volume,
         difficulty=difficulty,
-        effort=effort,
+        effort=difficulty * volume,
         miller_concepts=concepts,
         miller_flag=concepts > MILLER_LIMIT,
     )

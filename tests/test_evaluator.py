@@ -181,6 +181,22 @@ def test_grid_rejects_non_finite_numbers():
             Grid({"A1": bad})
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [{"A1": 1, "a1": 2}, {"A1": 1, "$A$1": 3}, {"c5": 1, "D5": 2, "C$5": 3}],
+)
+def test_grid_rejects_two_spellings_of_one_cell(cells):
+    # the later value would silently replace the earlier one
+    with pytest.raises(ValueError, match=r"cell [AC][15] is named more than once"):
+        Grid(cells)
+
+
+def test_grid_accepts_distinct_cells_in_any_spelling():
+    grid = Grid({"a1": 1, "$B$1": "x", "c$2": True})
+    assert grid.cells() == {"A1": 1.0, "B1": "x", "C2": True}
+    assert "$A1" in grid and grid.lookup("b1") == "x"
+
+
 def test_values_equal():
     assert values_equal(1.0, 1.0 + 1e-12)
     assert not values_equal(1.0, 1.1)

@@ -147,6 +147,20 @@ def test_range_normalises_corner_order():
     assert isinstance(node.args[0], RangeRef)
 
 
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        ("=SUM($A1:A2)", "=SUM($A1:A2)"),
+        ("=$C$5:$e5", "=$C$5:$E5"),
+        ("=SUM(A$1:A1)", "=SUM(A$1:A1)"),
+        ("=SUM(B2:$A1)", "=SUM($A1:B2)"),
+    ],
+)
+def test_range_corners_tied_on_a_side_keep_their_own_markers(text, rendered):
+    assert render(parse(text)) == rendered
+    assert render(parse(rendered)) == rendered
+
+
 def test_multiletter_columns():
     ast = parse("=AA10+AB1")
     assert ast.root == BinaryOp("+", CellRef("AA", 10), CellRef("AB", 1))

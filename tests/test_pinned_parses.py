@@ -19,7 +19,7 @@ from sheetsmith.errors import SheetsmithError
 
 CORPUS_SIZE = 60_000
 
-PARSE_OUTCOMES = "e2dce811616ff0be1f8b236258f240e229aa95a4a9b41b75ea9fe05afb15417a"
+PARSE_OUTCOMES = "028b4810d7f04c777c62447587ca03a8515b5636aef858099f562f10bedcaeed"
 
 FUNCTIONS = [
     spelling
