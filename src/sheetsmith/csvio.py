@@ -1,8 +1,9 @@
 """The toolkit's CSV interchange files: every reader, and the one writer.
 
 All files are comma-separated UTF-8 with a header row and '.' as the decimal
-mark; every reader skips the stamp line write_csv may put first. Readers raise
-InputFileError naming the file line a bad row starts on.
+mark; readers accept a leading byte-order mark and skip the stamp line
+write_csv may put first. Readers raise InputFileError naming the file line a
+bad row starts on, or only the file when it is not UTF-8.
 """
 
 from __future__ import annotations
@@ -64,16 +65,22 @@ def write_csv(path: str, header: Sequence[str], rows, stamp: bool = False) -> No
 def _rows(path: str) -> Iterator[tuple[int, list[str]]]:
     """(file line it starts on, fields) of each record, less a stamp line on top."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark spreadsheets put on "CSV UTF-8"
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc.strerror}") from exc
     with handle:
         reader = csv.reader(handle)
         start = 1
-        for row in reader:
-            if start > 1 or not row or not row[0].startswith(STAMP_PREFIX):
-                yield start, row
-            start = reader.line_num + 1
+        try:
+            for row in reader:
+                if start > 1 or not row or not row[0].startswith(STAMP_PREFIX):
+                    yield start, row
+                start = reader.line_num + 1
+        except UnicodeDecodeError as exc:
+            # text is decoded a chunk at a time, ahead of the record being
+            # read, so the file is named without a line
+            raise InputFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _ascii(text: str) -> str:

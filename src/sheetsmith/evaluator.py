@@ -5,12 +5,25 @@ in-sheet error conditions. Errors are values, not exceptions: they propagate
 through every operator and function unchanged. There is no implicit coercion
 between types anywhere; a text cell fed to SUM is a TypeMismatch, not a zero.
 
-compile_formula walks a tree once and returns closures that read a
-{canonical ref: value} dict; it is the only evaluation path. evaluate and
-validate_examples compile once per call, and semantic_equivalence compiles
-both formulas once, checks every domain value up front, and builds a Grid
-only for the witness it returns. The parser rejects non-finite literals, so
-every number a compiled formula reads is finite.
+Formulas are evaluated a block of grids at a time. The column compiler
+walks a tree once and turns each node into a function from the block's cell
+columns (one list per cell, one value per grid) to the node's column of
+results, so a node runs once per block, not once per grid. A column carries
+its kind: the one type all its values have, or None if they have several.
+Where a node's inputs all have a type it needs (numbers for + - * and the
+aggregates, numbers or text for comparisons, TRUE/FALSE for AND, OR, NOT and
+IF's condition), it maps a builtin over whole columns. Any other column, and
+any arithmetic result out of range, is evaluated value by value under the
+scalar rules, with the same error values. No node raises, so IF computes
+both branches and picks one per grid.
+
+This is the only evaluation path. compile_formula returns it as a function
+of one grid's cells, which evaluate uses; validate_examples evaluates all its
+examples as one block; semantic_equivalence checks every domain value up
+front, evaluates both formulas on EQUIVALENCE_BLOCK grids at a time, and
+builds a Grid only for the witness it returns. The parser rejects non-finite
+literals and Grid holds finite numbers only, so every number a compiled
+formula reads is finite.
 """
 
 from __future__ import annotations
@@ -49,6 +62,10 @@ NUMERIC_TOLERANCE = 1e-9
 
 DEFAULT_GRID_CAP = 1_000_000
 
+# grids semantic_equivalence evaluates at a time; bounds the memory a block's
+# columns take, whatever the domain size
+EQUIVALENCE_BLOCK = 4096
+
 
 @record
 class EvalError:
@@ -77,10 +94,15 @@ def _norm(value) -> Value:
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, float)):
-        value = float(value)
-        if not isfinite(value):
-            raise ValueError(f"grid numbers must be finite, got {value!r}")
-        return value
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ValueError(
+                "grid numbers must be finite, got an integer too large for a float"
+            ) from None
+        if not isfinite(number):
+            raise ValueError(f"grid numbers must be finite, got {number!r}")
+        return number
     if isinstance(value, (str, EvalError)):
         return value
     raise TypeError(f"not a grid value: {value!r}")
@@ -99,7 +121,7 @@ class Grid:
         canonical = canonical_ref(ref)
         if canonical in self._cells:
             return self._cells[canonical]
-        return EvalError(MISSING_CELL, f"cell {canonical} is empty")
+        return _missing(canonical)
 
     def cells(self) -> dict[str, Value]:
         return dict(self._cells)
@@ -122,69 +144,118 @@ def evaluate(ast: FormulaAst, grid: Grid) -> Value:
 
 Compiled = Callable[[Mapping[str, Value]], Value]
 
+# A column is a block's values with their kind: the one type every value has,
+# or None when they have several. Fast paths read only the kind.
+Column = tuple[Optional[type], list]
+ColumnFn = Callable[[Mapping[str, Column], int], Column]
+
 
 def compile_formula(ast: FormulaAst) -> Compiled:
     """Turn a formula into a function of a {canonical ref: value} dict.
 
-    The tree is walked once; calling the result runs only the closures built
-    here. Cell values must be grid values (see Grid), and an absent cell
+    The tree is compiled once; calling the result evaluates a block of one
+    grid. Cell values must be grid values (see Grid), and an absent cell
     reads as MissingCell.
     """
-    return _compile(ast.root)
+    run = _compile(ast.root)
+    return lambda cells: run(_columns((cells,)), 1)[1][0]
 
 
-def _constant(value: Value) -> Compiled:
-    return lambda cells: value
+def _column(values: list) -> Column:
+    kinds = set(map(type, values))
+    return (kinds.pop() if len(kinds) == 1 else None), values
 
 
-def _compile(node: Node) -> Compiled:
+def _missing(name: str) -> EvalError:
+    return EvalError(MISSING_CELL, f"cell {name} is empty")
+
+
+def _columns(rows: Sequence[Mapping[str, Value]]) -> dict:
+    """A column per cell any {canonical ref: value} row holds; a row without
+    the cell holds its MissingCell."""
+    columns = {}
+    for name in set().union(*rows):
+        missing = _missing(name)
+        columns[name] = _column([row.get(name, missing) for row in rows])
+    return columns
+
+
+def _arguments(args: list[ColumnFn], columns, n: int, kind: type):
+    """Whether every argument's column is of kind, and each one's values."""
+    evaluated = [arg(columns, n) for arg in args]
+    return all(k is kind for k, _ in evaluated), [values for _, values in evaluated]
+
+
+def _rows(value_lists: list, n: int):
+    """The values of each grid, one tuple per grid, from per-argument lists."""
+    return zip(*value_lists) if value_lists else itertools.repeat((), n)
+
+
+def _compile(node: Node) -> ColumnFn:
     if isinstance(node, NumberLiteral):
-        return _constant(float(node.value))
+        return _repeat(float(node.value))
     if isinstance(node, (TextLiteral, BooleanLiteral)):
-        return _constant(node.value)
+        return _repeat(node.value)
     if isinstance(node, CellRef):
-        name = node.canonical()
-        missing = EvalError(MISSING_CELL, f"cell {name} is empty")
-        return lambda cells: cells.get(name, missing)
+        return _read(node.canonical())
     if isinstance(node, RangeRef):
-        return _constant(
+        return _repeat(
             EvalError(TYPE_MISMATCH, "range used outside an aggregate function")
         )
     if isinstance(node, UnaryOp):
-        return _compile_unary(
+        return _unary(
             _compile(node.operand), float, operator.neg, "unary '-' needs a number"
         )
     if isinstance(node, BinaryOp):
-        return _compile_chain(node)
+        return _chain(node)
     if isinstance(node, FunctionCall):
         if node.name in AGGREGATE_FUNCTIONS:
-            return _compile_aggregate(node)
+            return _aggregate_call(node)
         args = [_compile(arg) for arg in node.args]
         if node.name == "IF":
-            return _compile_if(*args)
+            return _branch(*args)
         if node.name == "NOT":
-            return _compile_unary(*args, bool, operator.not_, "NOT needs TRUE or FALSE")
-        return _compile_logical(node.name, args)
+            return _unary(*args, bool, operator.not_, "NOT needs TRUE or FALSE")
+        return _logical(node.name, args)
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def _compile_unary(operand: Compiled, accepts: type, apply, message: str) -> Compiled:
-    def unary(cells):
-        value = operand(cells)
-        if isinstance(value, accepts):
-            return apply(value)
-        if isinstance(value, EvalError):
-            return value
-        return EvalError(TYPE_MISMATCH, message)
+def _repeat(value: Value) -> ColumnFn:
+    kind = type(value)
+    return lambda columns, n: (kind, [value] * n)
+
+
+def _read(name: str) -> ColumnFn:
+    def read(columns, n):
+        column = columns.get(name)
+        return (EvalError, [_missing(name)] * n) if column is None else column
+
+    return read
+
+
+def _unary(operand: ColumnFn, accepts: type, apply, message: str) -> ColumnFn:
+    def unary(columns, n):
+        kind, values = operand(columns, n)
+        if kind is accepts:
+            return kind, list(map(apply, values))
+        return _column(
+            [_unary_value(value, accepts, apply, message) for value in values]
+        )
 
     return unary
 
 
-def _compile_chain(node: BinaryOp) -> Compiled:
-    # a flat chain such as A1+A1+... is one closure looping over its
-    # (operator, right operand) pairs, so neither compiling nor running it
-    # recurses per term; left operands go first, and the first error value
-    # ends the chain
+def _unary_value(value: Value, accepts: type, apply, message: str) -> Value:
+    if isinstance(value, accepts):
+        return apply(value)
+    if isinstance(value, EvalError):
+        return value
+    return EvalError(TYPE_MISMATCH, message)
+
+
+def _chain(node: BinaryOp) -> ColumnFn:
+    # a flat chain such as A1+A1+... is one loop over its (operator, right
+    # operand) pairs, so neither compiling nor running it recurses per term
     spine = []
     while isinstance(node, BinaryOp):
         spine.append(node)
@@ -192,18 +263,41 @@ def _compile_chain(node: BinaryOp) -> Compiled:
     first = _compile(node)
     steps = [(step.op, _compile(step.right)) for step in reversed(spine)]
 
-    def chain(cells):
-        value = first(cells)
+    def chain(columns, n):
+        left = first(columns, n)
         for op, right in steps:
-            if isinstance(value, EvalError):
-                return value
-            operand = right(cells)
-            if isinstance(operand, EvalError):
-                return operand
-            value = _binary(op, value, operand)
-        return value
+            left = _combine(op, left, right(columns, n))
+        return left
 
     return chain
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_EQUALITY = {"=": operator.eq, "<>": operator.ne}
+
+
+def _combine(op: str, left: Column, right: Column) -> Column:
+    (kind, a), (right_kind, b) = left, right
+    if kind is right_kind:
+        if kind is float and op in _ARITHMETIC:
+            out = list(map(_ARITHMETIC[op], a, b))
+            # an overflow leaves the fast path: the scalar rule makes it an error
+            if all(map(isfinite, out)):
+                return float, out
+        elif op in ORDERING and kind in (float, str):
+            return bool, list(map(ORDERING[op], a, b))
+        elif op in _EQUALITY and kind in (float, str, bool):
+            return bool, list(map(_EQUALITY[op], a, b))
+    return _column([_step(op, x, y) for x, y in zip(a, b)])
+
+
+def _step(op: str, left: Value, right: Value) -> Value:
+    # left operands go first, and the first error value ends a chain
+    if isinstance(left, EvalError):
+        return left
+    if isinstance(right, EvalError):
+        return right
+    return _binary(op, left, right)
 
 
 def _binary(op: str, left: Value, right: Value) -> Value:
@@ -250,76 +344,104 @@ def _binary(op: str, left: Value, right: Value) -> Value:
     return ORDERING[op](left, right)
 
 
-def _compile_if(condition: Compiled, then: Compiled,
-                otherwise: Compiled = _constant(False)) -> Compiled:
-    def branch(cells):
-        value = condition(cells)
-        if value is True:
-            return then(cells)
-        if value is False:
-            return otherwise(cells)
-        if isinstance(value, EvalError):
-            return value
-        return EvalError(TYPE_MISMATCH, "IF condition must be TRUE or FALSE")
+def _branch(condition: ColumnFn, then: ColumnFn,
+            otherwise: ColumnFn = _repeat(False)) -> ColumnFn:
+    # no node raises, so both branches can be computed and picked per grid
+    def branch(columns, n):
+        kind, tests = condition(columns, n)
+        then_kind, a = then(columns, n)
+        else_kind, b = otherwise(columns, n)
+        if kind is bool:
+            values = [x if test else y for test, x, y in zip(tests, a, b)]
+            if then_kind is else_kind and then_kind is not None:
+                return then_kind, values
+            return _column(values)
+        return _column(list(map(_if_value, tests, a, b)))
 
     return branch
 
 
-def _compile_logical(name: str, args: list[Compiled]) -> Compiled:
+def _if_value(test: Value, then: Value, otherwise: Value) -> Value:
+    if test is True:
+        return then
+    if test is False:
+        return otherwise
+    if isinstance(test, EvalError):
+        return test
+    return EvalError(TYPE_MISMATCH, "IF condition must be TRUE or FALSE")
+
+
+def _logical(name: str, args: list[ColumnFn]) -> ColumnFn:
     reduce = all if name == "AND" else any
 
-    def logical(cells):
-        # every argument is evaluated before any is type-checked
-        values = []
-        for arg in args:
-            value = arg(cells)
-            if isinstance(value, EvalError):
-                return value
-            values.append(value)
-        for value in values:
-            if not isinstance(value, bool):
-                return EvalError(TYPE_MISMATCH, f"{name} needs TRUE/FALSE arguments")
-        return reduce(values)
+    def logical(columns, n):
+        uniform, value_lists = _arguments(args, columns, n, bool)
+        rows = _rows(value_lists, n)
+        if uniform:
+            return bool, list(map(reduce, rows))
+        return _column([_logical_value(name, reduce, row) for row in rows])
 
     return logical
 
 
-def _compile_aggregate(node: FunctionCall) -> Compiled:
-    # MIN / MAX / AVERAGE / SUM over flattened arguments; a range is kept as
-    # its cell names, read row-major
-    name = node.name
-    args = [
-        cells_in_range(arg) if isinstance(arg, RangeRef) else _compile(arg)
-        for arg in node.args
-    ]
+def _logical_value(name: str, reduce, values: tuple) -> Value:
+    # every argument is evaluated before any is type-checked
+    for value in values:
+        if isinstance(value, EvalError):
+            return value
+    for value in values:
+        if not isinstance(value, bool):
+            return EvalError(TYPE_MISMATCH, f"{name} needs TRUE/FALSE arguments")
+    return reduce(values)
 
-    def call(cells):
-        numbers = []
-        for arg in args:
-            if isinstance(arg, list):
-                for ref in arg:
-                    value = cells.get(ref)
-                    if isinstance(value, float):
-                        numbers.append(value)
-                    elif value is None:
-                        return EvalError(MISSING_CELL, f"cell {ref} is empty")
-                    elif isinstance(value, EvalError):
-                        return value
-                    else:
-                        return EvalError(
-                            TYPE_MISMATCH, f"{name} over non-numeric cell {ref}"
-                        )
-            else:
-                value = arg(cells)
-                if isinstance(value, float):
-                    numbers.append(value)
-                elif isinstance(value, EvalError):
-                    return value
-                else:
-                    return EvalError(TYPE_MISMATCH, f"{name} needs numeric arguments")
-        return aggregate(name, numbers)
+
+def _aggregate_call(node: FunctionCall) -> ColumnFn:
+    # MIN / MAX / AVERAGE / SUM over flattened arguments; a range is one
+    # argument per cell, read row-major and named for its error message
+    name = node.name
+    pick = {"MIN": min, "MAX": max}.get(name)
+    args, refs = [], []
+    for arg in node.args:
+        if isinstance(arg, RangeRef):
+            for ref in cells_in_range(arg):
+                args.append(_read(ref))
+                refs.append(ref)
+        else:
+            args.append(_compile(arg))
+            refs.append(None)
+
+    def call(columns, n):
+        uniform, value_lists = _arguments(args, columns, n, float)
+        if uniform and value_lists:
+            if pick is not None:
+                if len(value_lists) == 1:
+                    return float, value_lists[0]
+                return float, list(map(pick, *value_lists))
+            totals = list(map(sum, zip(*value_lists)))
+            if all(map(isfinite, totals)):
+                if name == "AVERAGE":
+                    count = len(value_lists)
+                    totals = [total / count for total in totals]
+                return float, totals
+        return _column(
+            [_aggregate_value(name, refs, row) for row in _rows(value_lists, n)]
+        )
 
     return call
+
+
+def _aggregate_value(name: str, refs: list, values: tuple) -> Value:
+    numbers = []
+    for ref, value in zip(refs, values):
+        if isinstance(value, float):
+            numbers.append(value)
+        elif isinstance(value, EvalError):
+            return value
+        elif ref is None:
+            return EvalError(TYPE_MISMATCH, f"{name} needs numeric arguments")
+        else:
+            return EvalError(TYPE_MISMATCH, f"{name} over non-numeric cell {ref}")
+    return aggregate(name, numbers)
 
 
 def aggregate(name: str, numbers: Sequence[float]) -> Value:
@@ -378,16 +500,15 @@ def validate_examples(
     """Evaluate a formula against (grid, expected) pairs, preserving order."""
     if not examples:
         raise EmptyExampleSetError("no examples to validate against")
-    run = compile_formula(ast)
-    outcomes = []
-    passes = 0
-    for index, (grid, expected) in enumerate(examples):
-        expected = _norm(expected)
-        actual = run(grid._cells)
-        passed = values_equal(actual, expected)
-        passes += passed
-        outcomes.append(ExampleOutcome(index, expected, actual, passed))
-    return ValidationReport(tuple(outcomes), passes, len(examples))
+    expected = [_norm(value) for _, value in examples]
+    rows = [grid._cells for grid, _ in examples]
+    _, actual = _compile(ast.root)(_columns(rows), len(rows))
+    outcomes = tuple(
+        ExampleOutcome(index, want, got, values_equal(got, want))
+        for index, (want, got) in enumerate(zip(expected, actual))
+    )
+    passes = sum(outcome.passed for outcome in outcomes)
+    return ValidationReport(outcomes, passes, len(examples))
 
 
 def referenced_cells(ast: FormulaAst) -> set[str]:
@@ -432,9 +553,19 @@ def semantic_equivalence(
     uncovered = (referenced_cells(a) | referenced_cells(b)) - set(names)
     if uncovered:
         raise ValueError(f"domain does not cover cells: {sorted(uncovered)}")
-    run_a, run_b = compile_formula(a), compile_formula(b)
-    for combo in itertools.product(*value_lists):
-        cells = dict(zip(names, combo))
-        if not values_equal(run_a(cells), run_b(cells)):
-            return False, Grid(cells)
+    run_a, run_b = _compile(a.root), _compile(b.root)
+    grids = itertools.product(*value_lists)
+    while block := list(itertools.islice(grids, EQUIVALENCE_BLOCK)):
+        columns = dict(zip(names, map(_column, map(list, zip(*block)))))
+        kind_a, va = run_a(columns, len(block))
+        kind_b, vb = run_b(columns, len(block))
+        # == alone is not agreement: True == 1.0, so the types must match too
+        if va == vb and (
+            (kind_a is not None and kind_a is kind_b)
+            or list(map(type, va)) == list(map(type, vb))
+        ):
+            continue
+        for combo, x, y in zip(block, va, vb):
+            if not values_equal(x, y):
+                return False, Grid(dict(zip(names, combo)))
     return True, None

@@ -138,3 +138,31 @@ def test_results_reject_an_unknown_approach(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"error: InputFile: {results} line 2: approach must be one of "
     )
+
+
+BOM = "\ufeff"
+
+
+def test_scan_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    text = "source_id,formula\nq1,=SUM(C5:D5)/2\n"
+    assert main(["scan", write(tmp_path, "plain.csv", text)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["scan", write(tmp_path, "bom.csv", BOM + text)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_fit_reads_points_with_a_byte_order_mark(tmp_path, capsys):
+    text = "complexity,accuracy_pct\n1,90\n2,70\n3,50\n"
+    assert main(["fit", "--points", write(tmp_path, "plain.csv", text)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["fit", "--points", write(tmp_path, "bom.csv", BOM + text)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("command", [["scan"], ["fit", "--points"]])
+def test_a_file_that_is_not_utf8_is_a_file_error(tmp_path, capsys, command):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"source_id,formula\nq1,=SUM(A1:A2)\xff\n")
+    assert main(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: InputFile: {path}: not UTF-8 text (invalid start byte)\n"

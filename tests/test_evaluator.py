@@ -18,6 +18,7 @@ from sheetsmith import (
     validate_examples,
     values_equal,
 )
+from sheetsmith.evaluator import EQUIVALENCE_BLOCK
 
 REFERENCE = (
     '=IF(MIN(C5:D5)<40,"Fail",IF(AVERAGE(C5:D5)>=70,"Dist",'
@@ -339,3 +340,143 @@ def test_semantic_equivalence_matches_a_grid_by_grid_loop():
         late_witnesses += expected[1] not in (None, first_grid)
     assert verdicts == {True, False}
     assert late_witnesses >= 5
+
+
+# ----- evaluating a block of grids at a time ---------------------------------
+
+
+def _same(x, y):
+    # exact agreement: type, value and, for an error, its message
+    return type(x) is type(y) and x == y
+
+
+def _batch(ast, grids):
+    report = validate_examples(ast, [(grid, 0) for grid in grids])
+    return [outcome.actual for outcome in report.outcomes]
+
+
+def _check_batch(text, rows):
+    ast, grids = parse(text), [Grid(cells) for cells in rows]
+    batch, one_by_one = _batch(ast, grids), [evaluate(ast, grid) for grid in grids]
+    assert all(map(_same, batch, one_by_one)), (text, batch, one_by_one)
+    return batch
+
+
+def test_grid_rejects_integers_too_large_for_a_float():
+    with pytest.raises(ValueError, match="finite"):
+        Grid({"A1": 10**400})
+    with pytest.raises(ValueError, match="finite"):
+        semantic_equivalence(parse("=A1"), parse("=A1"), {"A1": [1, -(10**400)]})
+
+
+# 64 x 128 grids make two blocks; grid i holds A1 = i // 128, B1 = i % 128
+@pytest.mark.parametrize("first", [0, EQUIVALENCE_BLOCK - 1, EQUIVALENCE_BLOCK])
+def test_semantic_equivalence_witness_across_blocks(first):
+    assert 64 * 128 == 2 * EQUIVALENCE_BLOCK
+    domain = {"A1": range(64), "B1": range(128)}
+    a, b = parse("=TRUE"), parse(f"=A1*128+B1<{first}")
+    expected = _equivalence_grid_by_grid(a, b, domain)
+    assert expected[1] == Grid({"A1": first // 128, "B1": first % 128})
+    assert semantic_equivalence(a, b, domain) == expected
+
+
+def test_semantic_equivalence_agrees_across_blocks():
+    domain = {"A1": range(64), "B1": range(128), "C1": [1, 2]}
+    same = semantic_equivalence(parse("=SUM(A1:C1)-A1"), parse("=C1+B1"), domain)
+    assert same == (True, None)
+
+
+def test_semantic_equivalence_tells_true_from_one():
+    # TRUE == 1.0 in Python, but not under values_equal
+    a, b = parse("=A1>=0"), parse("=1")
+    assert semantic_equivalence(a, b, {"A1": range(5)}) == (False, Grid({"A1": 0}))
+    # mixed columns: the grid A1=2 gives one TypeMismatch on both sides
+    a, b = parse('=IF(A1="x",TRUE,A1)'), parse('=IF(A1="x",1,A1)')
+    domain = {"A1": [2, "x"]}
+    assert semantic_equivalence(a, b, domain) == (False, Grid({"A1": "x"}))
+
+
+def test_semantic_equivalence_on_empty_domains():
+    assert semantic_equivalence(parse("=1"), parse("=1"), {}) == (True, None)
+    assert semantic_equivalence(parse("=1"), parse("=2"), {}) == (False, Grid({}))
+    assert semantic_equivalence(parse("=A1"), parse("=2"), {"A1": []}) == (True, None)
+
+
+MIXED = [
+    1, -2.5, 0, "a", "b", True, False,
+    EvalError("DivideByZero", "division by zero"),
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "=A1+B1", "=A1-B1*2", "=-A1", "=A1/B1", "=A1^B1", "=A1<B1", "=A1=B1",
+        "=A1<>B1", "=A1>=B1", "=NOT(A1)", "=IF(A1,B1,A1)", "=IF(A1,B1)",
+        "=AND(A1,B1)", "=OR(B1,A1,TRUE)", "=SUM(A1:B1)", "=MIN(A1,B1,1)",
+        "=MAX(A1:B1,-1)", "=AVERAGE(A1:B1,A1)", '=IF(A1<B1,"lo",IF(A1>B1,"hi"))',
+        "=A1:B1", "=A1+A1+B1+A1",
+    ],
+)
+def test_mixed_type_columns_match_grid_by_grid(text):
+    rows = [{"A1": a, "B1": b} for a in MIXED for b in MIXED]
+    _check_batch(text, rows)
+    domain = {"A1": MIXED, "B1": MIXED}
+    for other in ("=A1", "=B1", "=A1+0", "=1"):
+        a, b = parse(text), parse(other)
+        expected = _equivalence_grid_by_grid(a, b, domain)
+        assert semantic_equivalence(a, b, domain) == expected
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("=A1*B1", "'*' result out of range"),
+        ("=SUM(A1,B1)", "SUM result out of range"),
+        ("=AVERAGE(A1:B1)", "AVERAGE result out of range"),
+    ],
+)
+def test_overflow_in_one_row_only(text, message):
+    rows = [{"A1": 2, "B1": 3}, {"A1": 1e308, "B1": 10 if "*" in text else 1e308},
+            {"A1": -4, "B1": 0.5}]
+    first, overflow, last = _check_batch(text, rows)
+    assert isinstance(first, float) and isinstance(last, float)
+    assert overflow == EvalError("TypeMismatch", message)
+
+
+def test_and_or_error_order_across_mixed_rows():
+    rows = [
+        {"A1": True, "B1": False},
+        {"A1": "x"},
+        {"B1": "x"},
+        {"A1": 1, "B1": EvalError("DivideByZero", "division by zero")},
+        {"A1": False, "B1": 2},
+    ]
+    for name in ("AND", "OR"):
+        got = _check_batch(f"={name}(A1,B1)", rows)
+        assert got[0] is (name == "OR")
+        # the first error value in argument order wins over a type mismatch
+        assert got[1] == EvalError("MissingCell", "cell B1 is empty")
+        assert got[2] == EvalError("MissingCell", "cell A1 is empty")
+        assert got[3] == EvalError("DivideByZero", "division by zero")
+        assert got[4] == EvalError("TypeMismatch", f"{name} needs TRUE/FALSE arguments")
+
+
+def test_validate_examples_with_a_cell_absent_from_some_rows():
+    rows = [{"A1": 1, "B1": 2}, {"A1": 1}, {"B1": 3}, {"A1": 4, "B1": 5}]
+    assert _check_batch("=A1+B1", rows) == [
+        3.0,
+        EvalError("MissingCell", "cell B1 is empty"),
+        EvalError("MissingCell", "cell A1 is empty"),
+        9.0,
+    ]
+    assert _check_batch("=SUM(A1:B1)", rows)[1:3] == [
+        EvalError("MissingCell", "cell B1 is empty"),
+        EvalError("MissingCell", "cell A1 is empty"),
+    ]
+    report = validate_examples(
+        parse("=IF(A1>0,A1,B1)"),
+        [(Grid(row), 1) for row in rows],
+    )
+    assert [o.passed for o in report.outcomes] == [True, True, False, False]
+    assert report.outcomes[2].actual.kind == "MissingCell"

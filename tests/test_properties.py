@@ -130,6 +130,19 @@ def test_evaluate_agrees_with_the_oracle_on_long_flat_chains(chain, cells):
     assert _agree(mine, _oracle_chain(first, steps, cells))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(trees, st.lists(grids, min_size=2, max_size=8))
+def test_validate_examples_batch_equals_evaluate_row_by_row(root, rows):
+    # validate_examples evaluates all its rows as one block; each row alone
+    # must give the same value, type and error message
+    ast = FormulaAst(root)
+    examples = [(Grid(cells), 0.0) for cells in rows]
+    actual = [outcome.actual for outcome in validate_examples(ast, examples).outcomes]
+    for got, (grid, _) in zip(actual, examples):
+        want = evaluate(ast, grid)
+        assert type(got) is type(want) and got == want
+
+
 # ----- synthesis ------------------------------------------------------------
 
 
