@@ -132,11 +132,14 @@ def _search_budget() -> int:
     if raw is None:
         return DEFAULT_SEARCH_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
+        budget = -1
+    if budget < 0:
         raise UsageError(
-            f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
+            f"{BUDGET_ENV_VAR} must be a non-negative integer, got {raw!r}"
+        )
+    return budget
 
 
 def _cmd_synthesize(args) -> int:

@@ -26,11 +26,19 @@ first:
    predicate capturing no row at all leads nowhere; both are dropped before
    the walk starts.
 
+The last slot of a list is filled in one pass over the capture masks, not
+one placement at a time. A placement there ends the list when its capture
+is pure and leaves an empty or pure rest, so the label parts of the rows
+still alive decide which captures qualify: with one part any non-empty
+capture, with two a capture that is one part whole, with three or more
+none. The first qualifying index gives the placements tried, the same count
+and the same budget check as a walk that tries them one by one.
+
 The best pass rate reported on failure is a maximum over the states walked,
 and skipping a state walked before leaves it unchanged. It is worked out
-once, after a failed search, over the states that search visited: those in
-the failed set and the rows a full list left unclassified. A search that
-succeeds never computes it.
+once, after a failed search, from the failed states: each one, and for each
+failed last-slot state the rows that every pure capture there leaves
+unclassified. A search that succeeds never computes it.
 
 Predicates mean what the printed formula means: a family's value on a row
 comes from evaluator.aggregate. In _candidates a predicate's rows come from
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import compress
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ._record import record
@@ -181,6 +190,7 @@ def _check_examples(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
 
 
 Family = tuple[str, Optional[str]]  # (aggregate, attribute or None)
+Rules = list[tuple[Predicate, str]]
 
 
 def _thresholds(values: Sequence[float]) -> list[float]:
@@ -344,11 +354,14 @@ def synthesize(
     """Find the first decision list consistent with every example.
 
     The budget counts candidate placements actually tried during the search,
-    after the prunings above; exceeding it raises SearchBudgetExceeded. The
+    after the prunings above, a memo hit counting none; exceeding it raises
+    SearchBudgetExceeded, and a negative budget is a ValueError. The
     rendered text of a consistent list is parsed again and re-checked through
     the evaluator before being returned, so the training report always shows
     a full pass for the text users copy.
     """
+    if search_budget < 0:
+        raise ValueError(f"search_budget must be 0 or more, got {search_budget}")
     config = config or HypothesisConfig()
     names = _check_examples(examples)
     assignment = _cell_assignment(names, config.cell_assignment)
@@ -368,6 +381,7 @@ def synthesize(
     ):
         if mask and mask not in placements:
             placements[mask] = Predicate(kind, comparator, threshold, attribute)
+    masks = list(placements)
     # each row's label and the rows that share it
     row_labels = [(example.label, label_masks[example.label]) for example in examples]
 
@@ -376,23 +390,54 @@ def synthesize(
         label, same = row_labels[(rows & -rows).bit_length() - 1]
         return label if rows & same == rows else None
 
+    def over_budget() -> SearchBudgetExceededError:
+        return SearchBudgetExceededError(
+            f"synthesis stopped after {search_budget} candidate placements"
+        )
+
     explored = 0
     failed: set[tuple[int, int]] = set()
-    leftovers: set[int] = set()  # rows a full list left unclassified
 
-    def extend(
-        alive: int, slots: int
-    ) -> Optional[tuple[list[tuple[Predicate, str]], str]]:
+    def last_rule(alive: int) -> Optional[tuple[Rules, str]]:
+        """The one rule left for the rows in alive, and a default: the first
+        placement that ends the list, found in one pass over the captures."""
+        nonlocal explored
+        parts = [alive & rows for rows in label_masks.values() if alive & rows]
+        end = index = len(masks)
+        # with three parts or more every placement leaves a mixed rest
+        if len(parts) <= 2:
+            # the parts follow the captures, so a part no capture equals is
+            # found at end or after it, and the first part at end at most
+            captures = [alive & mask for mask in masks] + parts
+            if len(parts) == 1:  # any non-empty capture ends the list
+                index = next(compress(range(end), captures), end)
+            else:  # a capture that is one part whole
+                index = min(map(captures.index, parts))
+        tried = min(index + 1, end)
+        if explored + tried > search_budget:
+            raise over_budget()
+        explored += tried
+        if index == end:
+            return None
+        captured = alive & masks[index]
+        remaining = alive & ~captured
+        default = shared_label(remaining) if remaining else examples[0].label
+        return [(placements[masks[index]], shared_label(captured))], default
+
+    def extend(alive: int, slots: int) -> Optional[tuple[Rules, str]]:
         """Rules for the rows in alive, at most slots of them, and a default."""
         nonlocal explored
         if (alive, slots) in failed:  # pruning 3
             return None
+        if slots == 1:
+            found = last_rule(alive)
+            if found is None:
+                failed.add((alive, slots))
+            return found
         for mask, predicate in placements.items():
             explored += 1
             if explored > search_budget:
-                raise SearchBudgetExceededError(
-                    f"synthesis stopped after {search_budget} candidate placements"
-                )
+                raise over_budget()
             captured = alive & mask
             if captured == 0:
                 continue
@@ -400,12 +445,6 @@ def synthesize(
             if rule_label is None:
                 continue  # mixed capture: every completion would misclassify
             remaining = alive & ~captured
-            if slots == 1:
-                default = shared_label(remaining) if remaining else examples[0].label
-                if default is not None:
-                    return [(predicate, rule_label)], default
-                leftovers.add(remaining)
-                continue
             if remaining == 0:
                 continue  # deeper slots would capture nothing
             found = extend(remaining, slots - 1)
@@ -420,7 +459,16 @@ def synthesize(
         if found is not None:
             formula = _compile(*found, names, assignment)
             return _checked_result(formula, grids, explored)
-    # every state entered ends in failed, as no search below it succeeded
+    # Every state entered ends in failed, as no search below it succeeded.
+    # Each pure capture in a failed last-slot state left a mixed rest, which
+    # a full list of those rules leaves unclassified.
+    leftovers = {
+        alive & ~mask
+        for alive, slots in failed
+        if slots == 1
+        for mask in masks
+        if alive & mask and shared_label(alive & mask) is not None
+    }
     best_passes = max(
         count
         - alive.bit_count()

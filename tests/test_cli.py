@@ -167,6 +167,19 @@ def test_synthesize_budget_env_must_be_integer(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: Usage:")
 
 
+def test_synthesize_budget_env_must_not_be_negative(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "grades.csv", GRADES_CSV)
+    monkeypatch.setenv("SHEETSMITH_SEARCH_BUDGET", "-3")
+    assert main(["synthesize", "--examples", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: Usage: SHEETSMITH_SEARCH_BUDGET must be a non-negative "
+        "integer, got '-3'\n"
+    )
+    monkeypatch.setenv("SHEETSMITH_SEARCH_BUDGET", "0")
+    assert main(["synthesize", "--examples", path]) == 1
+    assert capsys.readouterr().err.startswith("error: SearchBudgetExceeded:")
+
+
 def test_synthesize_interactive_counter_example(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "ex.csv", "score,label\n35,Fail\n45,Pass\n")
     monkeypatch.setattr("sys.stdin", io.StringIO("85,Fail\n\n"))

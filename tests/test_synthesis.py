@@ -214,6 +214,20 @@ def test_search_budget_is_enforced():
         synthesize(rows(GRADES), search_budget=5)
 
 
+def test_search_budget_boundary_is_exact():
+    assert synthesize(rows(GRADES), search_budget=1751).candidates_explored == 1751
+    with pytest.raises(SearchBudgetExceededError, match="after 1750 candidate"):
+        synthesize(rows(GRADES), search_budget=1750)
+
+
+def test_negative_search_budget_rejected():
+    with pytest.raises(ValueError, match="search_budget must be 0 or more, got -3"):
+        synthesize(rows(GRADES), search_budget=-3)
+    # a zero budget is allowed, and a single label needs no placement
+    only = synthesize(rows([(1, 2, "Pass"), (3, 4, "Pass")]), search_budget=0)
+    assert only.candidates_explored == 0
+
+
 def test_minimal_depth_wins():
     # separable at depth 1, so no nested IF appears
     examples = rows([(10, 10, "Fail"), (20, 20, "Fail"), (90, 90, "Pass")])
@@ -350,6 +364,31 @@ _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge
 _AGGREGATES = {"MIN": min, "MAX": max, "AVERAGE": statistics.fmean, "SUM": sum}
 
 
+def _family_value(predicate, example):
+    if predicate.attribute is not None:
+        return example.attributes[predicate.attribute]
+    return _AGGREGATES[predicate.aggregate](list(example.attributes.values()))
+
+
+def _holds(examples, candidates):
+    """Each candidate's rows as a bit mask, row i being bit i."""
+    return [
+        sum(
+            1 << i for i, example in enumerate(examples)
+            if _OPS[c.comparator](_family_value(c, example), c.threshold)
+        )
+        for c in candidates
+    ]
+
+
+def _label_rows(examples):
+    """Each label's rows as a bit mask, in order of appearance."""
+    rows_of = {}
+    for i, example in enumerate(examples):
+        rows_of[example.label] = rows_of.get(example.label, 0) | 1 << i
+    return rows_of
+
+
 def reference_synthesize(examples, config):
     """Rendered text of the first list, or the exhaustion message.
 
@@ -358,22 +397,8 @@ def reference_synthesize(examples, config):
     Row sets are bit masks, row i being bit i.
     """
     candidates = enumerate_candidates(examples, config)
-
-    def value(predicate, example):
-        if predicate.attribute is not None:
-            return example.attributes[predicate.attribute]
-        return _AGGREGATES[predicate.aggregate](list(example.attributes.values()))
-
-    holds = [
-        sum(
-            1 << i for i, example in enumerate(examples)
-            if _OPS[c.comparator](value(c, example), c.threshold)
-        )
-        for c in candidates
-    ]
-    rows_of = {}
-    for i, example in enumerate(examples):
-        rows_of[example.label] = rows_of.get(example.label, 0) | 1 << i
+    holds = _holds(examples, candidates)
+    rows_of = _label_rows(examples)
     best = 0
 
     def note(alive):
@@ -512,3 +537,69 @@ def test_grading_search_is_pinned():
 def test_grading_search_takes_far_fewer_placements():
     # 33,189 placements before failed states were remembered
     assert synthesize(rows(GRADES)).candidates_explored < 33_189
+
+
+def counted_placements(examples, config):
+    """Placements a plain walk tries before its first list, or None if none fits.
+
+    This is the count the synthesize docstring defines: every distinct
+    non-empty capture, in candidate order, is placed at every slot of every
+    state (pruning 4); a state that failed before is a memo hit and counts no
+    placement (pruning 3). Each placement is counted one at a time.
+    """
+    holds = _holds(examples, enumerate_candidates(examples, config))
+    placements = [held for held in dict.fromkeys(holds) if held]
+    rows_of = _label_rows(examples)
+
+    def pure(subset):
+        return any(subset & ~rows == 0 for rows in rows_of.values())
+
+    tried = 0
+    failed = set()
+
+    def walk(alive, slots):
+        nonlocal tried
+        if (alive, slots) in failed:
+            return False
+        for held in placements:
+            tried += 1
+            captured = alive & held
+            if not captured or not pure(captured):
+                continue
+            rest = alive & ~captured
+            if slots == 1:
+                if pure(rest):
+                    return True
+            elif rest and walk(rest, slots - 1):
+                return True
+        failed.add((alive, slots))
+        return False
+
+    if len(rows_of) == 1:
+        return 0
+    for depth in range(1, config.max_decision_depth + 1):
+        if walk((1 << len(examples)) - 1, depth):
+            return tried
+    return None
+
+
+@pytest.mark.parametrize(
+    "make,seeds", [(random_example_set, 200), (every_comparator_set, 300)]
+)
+def test_candidates_explored_counts_each_placement(make, seeds):
+    solved = 0
+    for seed in range(seeds):
+        examples, config = make(random.Random(seed))
+        expected = counted_placements(examples, config)
+        if expected is None:
+            with pytest.raises(HypothesisSpaceExhaustedError):
+                synthesize(examples, config)
+            continue
+        solved += 1
+        assert synthesize(examples, config).candidates_explored == expected, seed
+        # the budget runs out exactly one placement short of the list
+        assert synthesize(examples, config, expected).candidates_explored == expected
+        if expected:
+            with pytest.raises(SearchBudgetExceededError):
+                synthesize(examples, config, expected - 1)
+    assert solved >= 50
