@@ -26,9 +26,9 @@ import os
 import sys
 from typing import Optional, TYPE_CHECKING
 
-from .csvio import (cell_text, columns, finite_float, open_output, POINTS_HEADER,
-                    read_complexities_csv, read_examples_csv, read_formulas_csv,
-                    read_points_csv, read_results_csv, write_csv)
+from .csvio import (ascii_int, cell_text, columns, finite_float, open_output,
+                    POINTS_HEADER, read_complexities_csv, read_examples_csv,
+                    read_formulas_csv, read_points_csv, read_results_csv, write_csv)
 from .errors import SheetsmithError, UsageError
 
 if TYPE_CHECKING:  # the commands import these when they run
@@ -36,6 +36,14 @@ if TYPE_CHECKING:  # the commands import these when they run
     from .metrics import MetricsReport
 
 BUDGET_ENV_VAR = "SHEETSMITH_SEARCH_BUDGET"
+
+
+def _option(name: str, text: str, read, what: str):
+    """read(text) by a csvio reader, so a number reads as in a CSV field."""
+    try:
+        return read(text)
+    except ValueError:
+        raise UsageError(f"{name} must be {what}, got {text!r}") from None
 
 
 def _report_columns() -> tuple[str, ...]:
@@ -132,7 +140,7 @@ def _search_budget() -> int:
     if raw is None:
         return DEFAULT_SEARCH_BUDGET
     try:
-        budget = int(raw)
+        budget = ascii_int(raw)
     except ValueError:
         budget = -1
     if budget < 0:
@@ -150,9 +158,9 @@ def _cmd_synthesize(args) -> int:
         # keep the library's own empty-input error and wording
         synthesize(examples)
     names = list(examples[0].attributes.keys())
-    depth = args.max_depth
-    if depth is None:
-        depth = HypothesisConfig.max_decision_depth
+    depth = HypothesisConfig.max_decision_depth
+    if args.max_depth is not None:
+        depth = _option("--max-depth", args.max_depth, ascii_int, "an integer")
     try:
         config = HypothesisConfig(max_decision_depth=depth)
     except ValueError as exc:
@@ -325,7 +333,9 @@ def _cmd_fit(args) -> int:
         fit_accuracy_curve,
     )
 
-    ceiling = DEFAULT_BASE_ERROR_CEILING if args.ceiling is None else args.ceiling
+    ceiling = DEFAULT_BASE_ERROR_CEILING
+    if args.ceiling is not None:
+        ceiling = _option("--ceiling", args.ceiling, finite_float, "a finite number")
     points = read_points_csv(args.points)
     fit = fit_accuracy_curve(points)
     usable_x = [x for x, y in points if y > 0]
@@ -375,8 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="build a formula from examples")
     p.add_argument("--examples", required=True, help="CSV of attributes + label")
-    # None takes the library's default; see _cmd_synthesize
-    p.add_argument("--max-depth", type=int, default=None)
+    # text, read in _cmd_synthesize; None takes the library's default
+    p.add_argument("--max-depth", default=None)
     p.add_argument(
         "--interactive",
         action="store_true",
@@ -398,8 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit accuracy = a*exp(b*complexity)")
     p.add_argument("--points", required=True)
-    # None takes the library's default; see _cmd_fit
-    p.add_argument("--ceiling", type=float, default=None)
+    # text, read in _cmd_fit; None takes the library's default
+    p.add_argument("--ceiling", default=None)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=_cmd_fit)
 

@@ -98,6 +98,11 @@ def finite_float(text: str) -> float:
     return value
 
 
+def ascii_int(text: str) -> int:
+    """int(text); '_' and non-ASCII text raise ValueError."""
+    return int(_ascii(text))
+
+
 def _float(path: str, line: int, column: str, text: str) -> float:
     try:
         return finite_float(text)
@@ -109,7 +114,7 @@ def _float(path: str, line: int, column: str, text: str) -> float:
 
 def _int(path: str, line: int, column: str, text: str) -> int:
     try:
-        return int(_ascii(text))
+        return ascii_int(text)
     except ValueError:
         raise InputFileError(
             f"{path} line {line}: {column} must be an integer, got {text!r}"

@@ -10,12 +10,13 @@ walks a tree once and turns each node into a function from the block's cell
 columns (one list per cell, one value per grid) to the node's column of
 results, so a node runs once per block, not once per grid. A column carries
 its kind: the one type all its values have, or None if they have several.
-Where a node's inputs all have a type it needs (numbers for + - * and the
-aggregates, numbers or text for comparisons, TRUE/FALSE for AND, OR, NOT and
-IF's condition), it maps a builtin over whole columns. Any other column, and
-any arithmetic result out of range, is evaluated value by value under the
-scalar rules, with the same error values. No node raises, so IF computes
-both branches and picks one per grid.
+Every operator and function but IF splits in one place, _split: if its
+arguments share a kind it needs (numbers for + - * and the aggregates,
+numbers or text for comparisons, TRUE/FALSE for AND, OR and NOT), it maps a
+builtin over whole columns. Otherwise, and for any arithmetic result out of
+range, its scalar rule runs on each grid, with the same error values. IF
+splits on its condition's kind alone; no node raises, so IF computes both
+branches and picks one per grid.
 
 This is the only evaluation path. compile_formula returns it as a function
 of one grid's cells, which evaluate uses; validate_examples evaluates all its
@@ -180,15 +181,21 @@ def _columns(rows: Sequence[Mapping[str, Value]]) -> dict:
     return columns
 
 
-def _arguments(args: list[ColumnFn], columns, n: int, kind: type):
-    """Whether every argument's column is of kind, and each one's values."""
-    evaluated = [arg(columns, n) for arg in args]
-    return all(k is kind for k, _ in evaluated), [values for _, values in evaluated]
+def _split(args: list[Column], n: int, fast, rule) -> Column:
+    """A node's column over n grids: fast(the kind args share or None, their
+    value lists) maps a builtin over whole columns, or returns None, and then
+    rule runs on each grid's values."""
+    kinds = {kind for kind, _ in args}
+    lists = [values for _, values in args]
+    column = fast(kinds.pop() if len(kinds) == 1 else None, lists)
+    if column is not None:
+        return column
+    rows = zip(*lists) if lists else itertools.repeat((), n)
+    return _column(list(itertools.starmap(rule, rows)))
 
 
-def _rows(value_lists: list, n: int):
-    """The values of each grid, one tuple per grid, from per-argument lists."""
-    return zip(*value_lists) if value_lists else itertools.repeat((), n)
+def _node(args: list[ColumnFn], fast, rule) -> ColumnFn:
+    return lambda columns, n: _split([arg(columns, n) for arg in args], n, fast, rule)
 
 
 def _compile(node: Node) -> ColumnFn:
@@ -203,9 +210,9 @@ def _compile(node: Node) -> ColumnFn:
             EvalError(TYPE_MISMATCH, "range used outside an aggregate function")
         )
     if isinstance(node, UnaryOp):
-        return _unary(
-            _compile(node.operand), float, operator.neg, "unary '-' needs a number"
-        )
+        return _typed([_compile(node.operand)], float,
+                      lambda lists: map(operator.neg, *lists), operator.neg,
+                      "unary '-' needs a number")
     if isinstance(node, BinaryOp):
         return _chain(node)
     if isinstance(node, FunctionCall):
@@ -215,8 +222,12 @@ def _compile(node: Node) -> ColumnFn:
         if node.name == "IF":
             return _branch(*args)
         if node.name == "NOT":
-            return _unary(*args, bool, operator.not_, "NOT needs TRUE or FALSE")
-        return _logical(node.name, args)
+            return _typed(args, bool, lambda lists: map(operator.not_, *lists),
+                          operator.not_, "NOT needs TRUE or FALSE")
+        reduce = all if node.name == "AND" else any
+        return _typed(args, bool, lambda lists: map(reduce, zip(*lists)),
+                      lambda *values: reduce(values),
+                      f"{node.name} needs TRUE/FALSE arguments")
     raise TypeError(f"not a formula node: {node!r}")
 
 
@@ -233,24 +244,24 @@ def _read(name: str) -> ColumnFn:
     return read
 
 
-def _unary(operand: ColumnFn, accepts: type, apply, message: str) -> ColumnFn:
-    def unary(columns, n):
-        kind, values = operand(columns, n)
-        if kind is accepts:
-            return kind, list(map(apply, values))
-        return _column(
-            [_unary_value(value, accepts, apply, message) for value in values]
-        )
+def _typed(args: list[ColumnFn], accepts: type, whole, apply, message: str) -> ColumnFn:
+    """Unary '-', NOT, AND or OR: whole(value lists) over columns of kind
+    accepts; else, per grid, the first error value, or a TypeMismatch unless
+    every value is of kind accepts, or apply(*values)."""
 
-    return unary
+    def fast(kind, lists):
+        return (kind, list(whole(lists))) if kind is accepts else None
 
+    def rule(*values):
+        for value in values:
+            if isinstance(value, EvalError):
+                return value
+        for value in values:
+            if not isinstance(value, accepts):
+                return EvalError(TYPE_MISMATCH, message)
+        return apply(*values)
 
-def _unary_value(value: Value, accepts: type, apply, message: str) -> Value:
-    if isinstance(value, accepts):
-        return apply(value)
-    if isinstance(value, EvalError):
-        return value
-    return EvalError(TYPE_MISMATCH, message)
+    return _node(args, fast, rule)
 
 
 def _chain(node: BinaryOp) -> ColumnFn:
@@ -261,12 +272,13 @@ def _chain(node: BinaryOp) -> ColumnFn:
         spine.append(node)
         node = node.left
     first = _compile(node)
-    steps = [(step.op, _compile(step.right)) for step in reversed(spine)]
+    steps = [(_combine(step.op), _step(step.op), _compile(step.right))
+             for step in reversed(spine)]
 
     def chain(columns, n):
         left = first(columns, n)
-        for op, right in steps:
-            left = _combine(op, left, right(columns, n))
+        for fast, rule, right in steps:
+            left = _split([left, right(columns, n)], n, fast, rule)
         return left
 
     return chain
@@ -276,31 +288,35 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _EQUALITY = {"=": operator.eq, "<>": operator.ne}
 
 
-def _combine(op: str, left: Column, right: Column) -> Column:
-    (kind, a), (right_kind, b) = left, right
-    if kind is right_kind:
+def _combine(op: str):
+    """op's fast function: its builtin over two columns of a kind it takes."""
+
+    def combine(kind, lists):
         if kind is float and op in _ARITHMETIC:
-            out = list(map(_ARITHMETIC[op], a, b))
+            out = list(map(_ARITHMETIC[op], *lists))
             # an overflow leaves the fast path: the scalar rule makes it an error
             if all(map(isfinite, out)):
                 return float, out
         elif op in ORDERING and kind in (float, str):
-            return bool, list(map(ORDERING[op], a, b))
+            return bool, list(map(ORDERING[op], *lists))
         elif op in _EQUALITY and kind in (float, str, bool):
-            return bool, list(map(_EQUALITY[op], a, b))
-    return _column([_step(op, x, y) for x, y in zip(a, b)])
+            return bool, list(map(_EQUALITY[op], *lists))
+        return None
+
+    return combine
 
 
-def _step(op: str, left: Value, right: Value) -> Value:
+def _step(op: str):
+    """The scalar rule of a binary operator, over one grid's two values."""
+    return lambda left, right: _binary(op, left, right)
+
+
+def _binary(op: str, left: Value, right: Value) -> Value:
     # left operands go first, and the first error value ends a chain
     if isinstance(left, EvalError):
         return left
     if isinstance(right, EvalError):
         return right
-    return _binary(op, left, right)
-
-
-def _binary(op: str, left: Value, right: Value) -> Value:
     if op in ("+", "-", "*", "/", "^"):
         if not (isinstance(left, float) and isinstance(right, float)):
             return EvalError(TYPE_MISMATCH, f"'{op}' needs numeric operands")
@@ -371,30 +387,6 @@ def _if_value(test: Value, then: Value, otherwise: Value) -> Value:
     return EvalError(TYPE_MISMATCH, "IF condition must be TRUE or FALSE")
 
 
-def _logical(name: str, args: list[ColumnFn]) -> ColumnFn:
-    reduce = all if name == "AND" else any
-
-    def logical(columns, n):
-        uniform, value_lists = _arguments(args, columns, n, bool)
-        rows = _rows(value_lists, n)
-        if uniform:
-            return bool, list(map(reduce, rows))
-        return _column([_logical_value(name, reduce, row) for row in rows])
-
-    return logical
-
-
-def _logical_value(name: str, reduce, values: tuple) -> Value:
-    # every argument is evaluated before any is type-checked
-    for value in values:
-        if isinstance(value, EvalError):
-            return value
-    for value in values:
-        if not isinstance(value, bool):
-            return EvalError(TYPE_MISMATCH, f"{name} needs TRUE/FALSE arguments")
-    return reduce(values)
-
-
 def _aggregate_call(node: FunctionCall) -> ColumnFn:
     # MIN / MAX / AVERAGE / SUM over flattened arguments; a range is one
     # argument per cell, read row-major and named for its error message
@@ -410,24 +402,18 @@ def _aggregate_call(node: FunctionCall) -> ColumnFn:
             args.append(_compile(arg))
             refs.append(None)
 
-    def call(columns, n):
-        uniform, value_lists = _arguments(args, columns, n, float)
-        if uniform and value_lists:
-            if pick is not None:
-                if len(value_lists) == 1:
-                    return float, value_lists[0]
-                return float, list(map(pick, *value_lists))
-            totals = list(map(sum, zip(*value_lists)))
-            if all(map(isfinite, totals)):
-                if name == "AVERAGE":
-                    count = len(value_lists)
-                    totals = [total / count for total in totals]
-                return float, totals
-        return _column(
-            [_aggregate_value(name, refs, row) for row in _rows(value_lists, n)]
-        )
+    def fast(kind, lists):
+        if kind is not float:
+            return None
+        if pick is not None:
+            return float, lists[0] if len(lists) == 1 else list(map(pick, *lists))
+        totals = list(map(sum, zip(*lists)))
+        if name == "AVERAGE":
+            totals = [total / len(lists) for total in totals]
+        # an overflow leaves the fast path: the scalar rule makes it an error
+        return (float, totals) if all(map(isfinite, totals)) else None
 
-    return call
+    return _node(args, fast, lambda *values: _aggregate_value(name, refs, values))
 
 
 def _aggregate_value(name: str, refs: list, values: tuple) -> Value:

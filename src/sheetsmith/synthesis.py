@@ -219,7 +219,11 @@ def _candidates(
         values = [aggregate(kind, row) for row in rows]
         if not any(isinstance(value, EvalError) for value in values):
             families[kind, None] = values
+    # a comparator captures the rows below (<) or up to (<=) a threshold, or
+    # the rest (> and >=): (index into the below/up-to pair, mask to flip by)
     full_mask = (1 << len(rows)) - 1
+    shapes = {"<": (0, 0), "<=": (1, 0), ">": (1, full_mask), ">=": (0, full_mask)}
+    picks = [(comparator, *shapes[comparator]) for comparator in config.comparators]
     for family, values in families.items():
         order = sorted(range(len(rows)), key=values.__getitem__)
         ordered = [values[i] for i in order]
@@ -227,16 +231,10 @@ def _candidates(
         for i in order:
             prefix.append(prefix[-1] | 1 << i)
         for threshold in _thresholds(values):
-            below = prefix[bisect_left(ordered, threshold)]
-            upto = prefix[bisect_right(ordered, threshold)]
-            captures = {
-                "<": below,
-                "<=": upto,
-                ">": full_mask & ~upto,
-                ">=": full_mask & ~below,
-            }
-            for comparator in config.comparators:
-                yield family, threshold, comparator, captures[comparator]
+            bounds = (prefix[bisect_left(ordered, threshold)],
+                      prefix[bisect_right(ordered, threshold)])
+            for comparator, bound, flip in picks:
+                yield family, threshold, comparator, bounds[bound] ^ flip
 
 
 def enumerate_candidates(

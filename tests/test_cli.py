@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from sheetsmith.cli import main
 
 REFERENCE = (
@@ -83,7 +85,8 @@ def test_scan_writes_a_file(tmp_path, capsys):
     src = write(tmp_path, "f.csv", "source_id,formula\nr1,=A1+A2\n")
     out = str(tmp_path / "report.csv")
     assert main(["scan", src, "--output", out]) == 0
-    text = open(out).read()
+    with open(out) as handle:
+        text = handle.read()
     assert text.splitlines()[1].startswith("r1,")
 
 
@@ -153,6 +156,15 @@ def test_synthesize_max_depth_zero_is_a_usage_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("depth", ["٣", "1_0", "three", "2.0"])
+def test_synthesize_max_depth_must_be_an_ascii_integer(tmp_path, capsys, depth):
+    path = write(tmp_path, "grades.csv", GRADES_CSV)
+    assert main(["synthesize", "--examples", path, "--max-depth", depth]) == 2
+    assert capsys.readouterr().err == (
+        f"error: Usage: --max-depth must be an integer, got {depth!r}\n"
+    )
+
+
 def test_synthesize_budget_env(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "grades.csv", GRADES_CSV)
     monkeypatch.setenv("SHEETSMITH_SEARCH_BUDGET", "5")
@@ -165,6 +177,19 @@ def test_synthesize_budget_env_must_be_integer(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SHEETSMITH_SEARCH_BUDGET", "lots")
     assert main(["synthesize", "--examples", path]) == 2
     assert capsys.readouterr().err.startswith("error: Usage:")
+
+
+@pytest.mark.parametrize("budget", ["١٠", "1_0", "10.0"])
+def test_synthesize_budget_env_must_be_an_ascii_integer(
+    tmp_path, capsys, monkeypatch, budget
+):
+    path = write(tmp_path, "grades.csv", GRADES_CSV)
+    monkeypatch.setenv("SHEETSMITH_SEARCH_BUDGET", budget)
+    assert main(["synthesize", "--examples", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: Usage: SHEETSMITH_SEARCH_BUDGET must be a non-negative "
+        f"integer, got {budget!r}\n"
+    )
 
 
 def test_synthesize_budget_env_must_not_be_negative(tmp_path, capsys, monkeypatch):
@@ -327,6 +352,20 @@ def test_fit_note_names_the_ceiling_in_use(tmp_path, capsys):
     assert "exceeds the 96.5% base-error ceiling" in capsys.readouterr().out
     assert main(["fit", "--points", path, "--ceiling", "99"]) == 0
     assert "note:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ceiling", ["nan", "inf", "-inf", "1e400", "٩٥", "9_5"])
+def test_fit_ceiling_must_be_a_finite_ascii_number(tmp_path, capsys, ceiling):
+    path = write(
+        tmp_path, "pts.csv",
+        "complexity,accuracy_pct\n0.5,97.0\n1.0,96.0\n2.0,94.0\n",
+    )
+    assert main(["fit", "--points", path, f"--ceiling={ceiling}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: Usage: --ceiling must be a finite number, got {ceiling!r}\n"
+    )
 
 
 def test_synthesize_default_depth_is_the_library_default(capsys):

@@ -10,6 +10,7 @@ from sheetsmith import (
     EvalError,
     evaluate,
     FormulaAst,
+    FunctionCall,
     Grid,
     parse,
     referenced_cells,
@@ -460,6 +461,27 @@ def test_and_or_error_order_across_mixed_rows():
         assert got[2] == EvalError("MissingCell", "cell A1 is empty")
         assert got[3] == EvalError("DivideByZero", "division by zero")
         assert got[4] == EvalError("TypeMismatch", f"{name} needs TRUE/FALSE arguments")
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [
+        ("AND", True),
+        ("OR", False),
+        *((name, EvalError("EmptyAggregate", f"{name} of zero values"))
+          for name in ("MIN", "MAX", "SUM", "AVERAGE")),
+    ],
+)
+def test_zero_argument_calls_match_the_oracle_on_every_grid(name, expected):
+    from test_acceptance import _agree
+
+    # the parser's arity check rejects these calls, so build them directly
+    ast = FormulaAst(FunctionCall(name, ()))
+    rows = [{"A1": 1}, {"A1": "x"}, {}, {"A1": True, "B1": 2}]
+    got = _batch(ast, [Grid(row) for row in rows])
+    assert len(got) == len(rows)
+    assert all(_same(value, expected) for value in got), got
+    assert all(_agree(value, oracle_eval(ast, row)) for value, row in zip(got, rows))
 
 
 def test_validate_examples_with_a_cell_absent_from_some_rows():
