@@ -28,7 +28,8 @@ from typing import Optional, TYPE_CHECKING
 
 from .csvio import (ascii_int, cell_text, columns, finite_float, open_output,
                     POINTS_HEADER, read_complexities_csv, read_examples_csv,
-                    read_formulas_csv, read_points_csv, read_results_csv, write_csv)
+                    read_formulas_csv, read_points_csv, read_results_csv,
+                    read_value, write_csv)
 from .errors import SheetsmithError, UsageError
 
 if TYPE_CHECKING:  # the commands import these when they run
@@ -38,12 +39,9 @@ if TYPE_CHECKING:  # the commands import these when they run
 BUDGET_ENV_VAR = "SHEETSMITH_SEARCH_BUDGET"
 
 
-def _option(name: str, text: str, read, what: str):
-    """read(text) by a csvio reader, so a number reads as in a CSV field."""
-    try:
-        return read(text)
-    except ValueError:
-        raise UsageError(f"{name} must be {what}, got {text!r}") from None
+def _option(name: str, read, what: str):
+    """An argparse type= function: read as a CSV field reads, or a UsageError."""
+    return lambda text: read_value(read, text, name, what, UsageError)
 
 
 def _report_columns() -> tuple[str, ...]:
@@ -133,39 +131,37 @@ def _cmd_scan(args) -> int:
 # ----- synthesize ------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    """ascii_int(text); a negative number raises ValueError too."""
+    if (value := ascii_int(text)) < 0:
+        raise ValueError(f"negative: {text!r}")
+    return value
+
+
 def _search_budget() -> int:
     from .synthesis import DEFAULT_SEARCH_BUDGET
 
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEARCH_BUDGET
-    try:
-        budget = ascii_int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise UsageError(
-            f"{BUDGET_ENV_VAR} must be a non-negative integer, got {raw!r}"
-        )
-    return budget
+    raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_SEARCH_BUDGET))
+    what = "a non-negative integer"
+    return read_value(_non_negative_int, raw, BUDGET_ENV_VAR, what, UsageError)
 
 
 def _cmd_synthesize(args) -> int:
     from .synthesis import HypothesisConfig, LabeledExample, synthesize
 
-    examples = read_examples_csv(args.examples)
-    if not examples:
-        # keep the library's own empty-input error and wording
-        synthesize(examples)
-    names = list(examples[0].attributes.keys())
-    depth = HypothesisConfig.max_decision_depth
-    if args.max_depth is not None:
-        depth = _option("--max-depth", args.max_depth, ascii_int, "an integer")
+    depth = args.max_depth
+    if depth is None:  # the library's default
+        depth = HypothesisConfig.max_decision_depth
     try:
         config = HypothesisConfig(max_decision_depth=depth)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     budget = _search_budget()
+    examples = read_examples_csv(args.examples)
+    if not examples:
+        # keep the library's own empty-input error and wording
+        synthesize(examples)
+    names = list(examples[0].attributes.keys())
     while True:
         result = synthesize(examples, config, search_budget=budget)
         report = result.training_report
@@ -333,9 +329,7 @@ def _cmd_fit(args) -> int:
         fit_accuracy_curve,
     )
 
-    ceiling = DEFAULT_BASE_ERROR_CEILING
-    if args.ceiling is not None:
-        ceiling = _option("--ceiling", args.ceiling, finite_float, "a finite number")
+    ceiling = DEFAULT_BASE_ERROR_CEILING if args.ceiling is None else args.ceiling
     points = read_points_csv(args.points)
     fit = fit_accuracy_curve(points)
     usable_x = [x for x, y in points if y > 0]
@@ -385,8 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="build a formula from examples")
     p.add_argument("--examples", required=True, help="CSV of attributes + label")
-    # text, read in _cmd_synthesize; None takes the library's default
-    p.add_argument("--max-depth", default=None)
+    p.add_argument("--max-depth", type=_option("--max-depth", ascii_int, "an integer"))
     p.add_argument(
         "--interactive",
         action="store_true",
@@ -408,8 +401,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit accuracy = a*exp(b*complexity)")
     p.add_argument("--points", required=True)
-    # text, read in _cmd_fit; None takes the library's default
-    p.add_argument("--ceiling", default=None)
+    p.add_argument(
+        "--ceiling", type=_option("--ceiling", finite_float, "a finite number")
+    )
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=_cmd_fit)
 
@@ -417,13 +411,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse reports a type= function's ValueError, TypeError or
+        # ArgumentTypeError itself; an option's UsageError passes it to here
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.handler(args)
     except SheetsmithError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_status

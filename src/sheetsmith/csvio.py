@@ -4,6 +4,9 @@ All files are comma-separated UTF-8 with a header row and '.' as the decimal
 mark; readers accept a leading byte-order mark and skip the stamp line
 write_csv may put first. Readers raise InputFileError naming the file line a
 bad row starts on, or only the file when it is not UTF-8.
+
+read_value gives every bad number from outside, in a field, an option or the
+environment, its one shape: "<where> must be <what>, got <text>".
 """
 
 from __future__ import annotations
@@ -103,22 +106,13 @@ def ascii_int(text: str) -> int:
     return int(_ascii(text))
 
 
-def _float(path: str, line: int, column: str, text: str) -> float:
+def read_value(read, text: str, where: str, what: str, error=InputFileError):
+    """read(text) by a reader such as finite_float; a ValueError from it
+    becomes error("<where> must be <what>, got <text>")."""
     try:
-        return finite_float(text)
+        return read(text)
     except ValueError:
-        raise InputFileError(
-            f"{path} line {line}: {column} must be a number, got {text!r}"
-        ) from None
-
-
-def _int(path: str, line: int, column: str, text: str) -> int:
-    try:
-        return ascii_int(text)
-    except ValueError:
-        raise InputFileError(
-            f"{path} line {line}: {column} must be an integer, got {text!r}"
-        ) from None
+        raise error(f"{where} must be {what}, got {text!r}") from None
 
 
 def _table(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -153,10 +147,14 @@ def read_examples_csv(path: str) -> list[LabeledExample]:
             "and end with 'label'"
         )
     attributes = header[:-1]
+    for index, name in enumerate(attributes):
+        if name in attributes[:index]:
+            raise InputFileError(f"{path}: attribute {name!r} is named more than once")
     examples = []
     for line, row in _data(path, header, rows):
+        at = f"{path} line {line}: "
         values = {
-            name: _float(path, line, name, text)
+            name: read_value(finite_float, text, at + name, "a number")
             for name, text in zip(attributes, row)
         }
         examples.append(LabeledExample(values, row[-1]))
@@ -167,29 +165,22 @@ def read_results_csv(path: str) -> list[ConfidenceRecord]:
     """Per-question experiment records; attempted is 0 or 1."""
     from .confidence import ConfidenceRecord
 
+    header = columns(ConfidenceRecord)
     records = []
-    for line, row in _table(path, columns(ConfidenceRecord)):
-        participant, question, approach, attempted, errors, conf, diff = row
-        if attempted not in ("0", "1"):
-            raise InputFileError(
-                f"{path} line {line}: attempted must be 0 or 1, got {attempted!r}"
-            )
+    for line, row in _table(path, header):
+        at = f"{path} line {line}: "
+        # a check only: ("0", "1").index raises ValueError on any other text
+        read_value(("0", "1").index, row[3], at + "attempted", "0 or 1")
+        counts = [
+            read_value(ascii_int, text, at + name, "an integer")
+            for name, text in zip(header[4:], row[4:])
+        ]
         try:
             # RangeError (rating off the 1..5 scale) is left alone here: it is
             # a domain finding, not a file-shape problem
-            records.append(
-                ConfidenceRecord(
-                    participant_id=participant,
-                    question_id=question,
-                    approach=approach,
-                    attempted=attempted == "1",
-                    error_count=_int(path, line, "error_count", errors),
-                    confidence=_int(path, line, "confidence", conf),
-                    difficulty=_int(path, line, "difficulty", diff),
-                )
-            )
+            records.append(ConfidenceRecord(*row[:3], row[3] == "1", *counts))
         except ValueError as exc:
-            raise InputFileError(f"{path} line {line}: {exc}") from None
+            raise InputFileError(at + str(exc)) from None
     return records
 
 
@@ -199,7 +190,9 @@ def read_complexities_csv(path: str) -> dict[str, float]:
     for line, (question, complexity) in _table(path, ("question_id", "complexity")):
         if question in out:
             raise InputFileError(f"{path} line {line}: duplicate question {question!r}")
-        out[question] = _float(path, line, "complexity", complexity)
+        out[question] = read_value(
+            finite_float, complexity, f"{path} line {line}: complexity", "a number"
+        )
     return out
 
 
@@ -209,7 +202,10 @@ POINTS_HEADER = ("complexity", "accuracy_pct")
 def read_points_csv(path: str) -> list[tuple[float, float]]:
     """complexity,accuracy_pct pairs for curve fitting."""
     return [
-        tuple(_float(path, line, name, text) for name, text in zip(POINTS_HEADER, row))
+        tuple(
+            read_value(finite_float, text, f"{path} line {line}: {name}", "a number")
+            for name, text in zip(POINTS_HEADER, row)
+        )
         for line, row in _table(path, POINTS_HEADER)
     ]
 

@@ -19,7 +19,7 @@ class InputFileError(SheetsmithError):
 
 
 class UsageError(SheetsmithError):
-    """Bad invocation outside argparse's reach, e.g. a broken env override."""
+    """A bad option or environment value, e.g. --max-depth x or --max-depth 0."""
 
     code = "Usage"
     exit_status = 2

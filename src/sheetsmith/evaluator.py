@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import partial
 from math import isfinite
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -117,12 +118,8 @@ class Grid:
         self._cells = dict(zip(_canonical_names(cells), map(_norm, cells.values())))
 
     def lookup(self, ref: str) -> Value:
-        if ref in self._cells:
-            return self._cells[ref]
-        canonical = canonical_ref(ref)
-        if canonical in self._cells:
-            return self._cells[canonical]
-        return _missing(canonical)
+        name = canonical_ref(ref)
+        return self._cells[name] if name in self._cells else _missing(name)
 
     def cells(self) -> dict[str, Value]:
         return dict(self._cells)
@@ -272,7 +269,7 @@ def _chain(node: BinaryOp) -> ColumnFn:
         spine.append(node)
         node = node.left
     first = _compile(node)
-    steps = [(_combine(step.op), _step(step.op), _compile(step.right))
+    steps = [(_combine(step.op), partial(_binary, step.op), _compile(step.right))
              for step in reversed(spine)]
 
     def chain(columns, n):
@@ -284,7 +281,8 @@ def _chain(node: BinaryOp) -> ColumnFn:
     return chain
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": operator.pow}
 _EQUALITY = {"=": operator.eq, "<>": operator.ne}
 
 
@@ -292,7 +290,7 @@ def _combine(op: str):
     """op's fast function: its builtin over two columns of a kind it takes."""
 
     def combine(kind, lists):
-        if kind is float and op in _ARITHMETIC:
+        if kind is float and op in ("+", "-", "*"):  # '/' and '^' can raise
             out = list(map(_ARITHMETIC[op], *lists))
             # an overflow leaves the fast path: the scalar rule makes it an error
             if all(map(isfinite, out)):
@@ -306,39 +304,25 @@ def _combine(op: str):
     return combine
 
 
-def _step(op: str):
-    """The scalar rule of a binary operator, over one grid's two values."""
-    return lambda left, right: _binary(op, left, right)
-
-
 def _binary(op: str, left: Value, right: Value) -> Value:
     # left operands go first, and the first error value ends a chain
     if isinstance(left, EvalError):
         return left
     if isinstance(right, EvalError):
         return right
-    if op in ("+", "-", "*", "/", "^"):
+    if op in _ARITHMETIC:
         if not (isinstance(left, float) and isinstance(right, float)):
             return EvalError(TYPE_MISMATCH, f"'{op}' needs numeric operands")
-        if op == "+":
-            result = left + right
-        elif op == "-":
-            result = left - right
-        elif op == "*":
-            result = left * right
-        elif op == "/":
-            if right == 0:
+        try:
+            result = _ARITHMETIC[op](left, right)
+        except ZeroDivisionError:
+            if op == "/":
                 return EvalError(DIVIDE_BY_ZERO, "division by zero")
-            result = left / right
-        else:
-            try:
-                result = left ** right
-            except ZeroDivisionError:
-                return EvalError(DIVIDE_BY_ZERO, "zero raised to a negative power")
-            except OverflowError:
-                return EvalError(TYPE_MISMATCH, "power result out of range")
-            if isinstance(result, complex):
-                return EvalError(TYPE_MISMATCH, "fractional power of a negative number")
+            return EvalError(DIVIDE_BY_ZERO, "zero raised to a negative power")
+        except OverflowError:  # only '^' raises it; the others give inf
+            return EvalError(TYPE_MISMATCH, "power result out of range")
+        if isinstance(result, complex):
+            return EvalError(TYPE_MISMATCH, "fractional power of a negative number")
         # grids hold finite numbers only, so a non-finite result is an
         # overflow: an error value, never a number
         if not isfinite(result):
@@ -444,8 +428,8 @@ def aggregate(name: str, numbers: Sequence[float]) -> Value:
     return total if name == "SUM" else total / len(numbers)
 
 
-def values_equal(a: Value, b: Value, tolerance: float = NUMERIC_TOLERANCE) -> bool:
-    """Output comparison: numbers within tolerance, text exact, errors by kind."""
+def values_equal(a: Value, b: Value) -> bool:
+    """Output comparison: numbers within 1e-9, text exact, errors by kind."""
     if isinstance(a, EvalError) or isinstance(b, EvalError):
         return (
             isinstance(a, EvalError)
@@ -455,7 +439,7 @@ def values_equal(a: Value, b: Value, tolerance: float = NUMERIC_TOLERANCE) -> bo
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a == b
     if isinstance(a, float) and isinstance(b, float):
-        return abs(a - b) <= tolerance
+        return abs(a - b) <= NUMERIC_TOLERANCE
     if isinstance(a, str) and isinstance(b, str):
         return a == b
     return False
@@ -516,7 +500,6 @@ def semantic_equivalence(
     a: FormulaAst,
     b: FormulaAst,
     domain: Mapping[str, Sequence[Value]],
-    max_grids: int = DEFAULT_GRID_CAP,
 ) -> tuple[bool, Optional[Grid]]:
     """Compare two formulas on every grid of a finite domain.
 
@@ -531,9 +514,9 @@ def semantic_equivalence(
     total = 1
     for values in value_lists:
         total *= len(values)
-    if total > max_grids:
+    if total > DEFAULT_GRID_CAP:
         raise DomainTooLargeError(
-            f"domain enumerates {total} grids, cap is {max_grids}"
+            f"domain enumerates {total} grids, cap is {DEFAULT_GRID_CAP}"
         )
     value_lists = [[_norm(value) for value in values] for values in value_lists]
     uncovered = (referenced_cells(a) | referenced_cells(b)) - set(names)

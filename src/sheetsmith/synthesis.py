@@ -26,13 +26,22 @@ first:
    predicate capturing no row at all leads nowhere; both are dropped before
    the walk starts.
 
+The walk never enters a state whose rows all share one label. The first
+state holds every example, and synthesize returns a one-label set at once.
+Say the walk entered one at depth d, after the rules P. With that label as
+the default P fits every example, so the walk at depth len(P) < d, which
+runs first, ends at P's last rule in its last slot unless an earlier list
+ends it. A failed state cannot block P there: it has no completion, and
+P's states have one. So depth d is never reached, every state holds two
+labels or more, and no rule captures all of its rows.
+
 The last slot of a list is filled in one pass over the capture masks, not
 one placement at a time. A placement there ends the list when its capture
-is pure and leaves an empty or pure rest, so the label parts of the rows
-still alive decide which captures qualify: with one part any non-empty
-capture, with two a capture that is one part whole, with three or more
-none. The first qualifying index gives the placements tried, the same count
-and the same budget check as a walk that tries them one by one.
+is pure and leaves a pure rest, so the label parts of the rows still alive
+decide which captures qualify: with two parts a capture that is one part
+whole, with three or more none. The first qualifying index gives the
+placements tried, the same count and the same budget check as a walk that
+tries them one by one.
 
 The best pass rate reported on failure is a maximum over the states walked,
 and skipping a state walked before leaves it unchanged. It is worked out
@@ -54,7 +63,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import compress
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ._record import record
@@ -402,15 +410,14 @@ def synthesize(
         nonlocal explored
         parts = [alive & rows for rows in label_masks.values() if alive & rows]
         end = index = len(masks)
-        # with three parts or more every placement leaves a mixed rest
-        if len(parts) <= 2:
-            # the parts follow the captures, so a part no capture equals is
-            # found at end or after it, and the first part at end at most
+        # alive has two parts or more (see the module docstring); with three
+        # or more every placement leaves a mixed rest
+        if len(parts) == 2:
+            # a capture that is one part whole; the parts follow the captures,
+            # so a part no capture equals is found at end or after it, and the
+            # first part at end at most
             captures = [alive & mask for mask in masks] + parts
-            if len(parts) == 1:  # any non-empty capture ends the list
-                index = next(compress(range(end), captures), end)
-            else:  # a capture that is one part whole
-                index = min(map(captures.index, parts))
+            index = min(map(captures.index, parts))
         tried = min(index + 1, end)
         if explored + tried > search_budget:
             raise over_budget()
@@ -418,9 +425,8 @@ def synthesize(
         if index == end:
             return None
         captured = alive & masks[index]
-        remaining = alive & ~captured
-        default = shared_label(remaining) if remaining else examples[0].label
-        return [(placements[masks[index]], shared_label(captured))], default
+        rule = (placements[masks[index]], shared_label(captured))
+        return [rule], shared_label(alive & ~captured)
 
     def extend(alive: int, slots: int) -> Optional[tuple[Rules, str]]:
         """Rules for the rows in alive, at most slots of them, and a default."""
@@ -442,10 +448,7 @@ def synthesize(
             rule_label = shared_label(captured)
             if rule_label is None:
                 continue  # mixed capture: every completion would misclassify
-            remaining = alive & ~captured
-            if remaining == 0:
-                continue  # deeper slots would capture nothing
-            found = extend(remaining, slots - 1)
+            found = extend(alive & ~captured, slots - 1)
             if found is not None:
                 found[0].insert(0, (predicate, rule_label))
                 return found

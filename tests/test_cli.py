@@ -537,3 +537,28 @@ def test_scan_records_number_out_of_range_and_keeps_other_rows(tmp_path, capsys)
     assert (ok["n1"], ok["n2"], ok["complexity"], ok["parse_error"]) == (1, 2, 0.5, None)
     assert huge["complexity"] is None
     assert huge["parse_error"] == "SyntaxError: number out of range (position 1)"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["synthesize", "--max-depth", "x", "--examples"],
+         "--max-depth must be an integer, got 'x'"),
+        (["synthesize", "--max-depth", "0", "--examples"],
+         "max_decision_depth must be 1 or more, got 0"),
+        (["fit", "--ceiling", "nan", "--points"],
+         "--ceiling must be a finite number, got 'nan'"),
+    ],
+)
+def test_options_are_read_before_any_file(tmp_path, capsys, args, message):
+    assert main(args + [str(tmp_path / "missing.csv")]) == 2
+    assert capsys.readouterr() == ("", f"error: Usage: {message}\n")
+
+
+def test_the_budget_variable_is_read_before_the_examples(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SHEETSMITH_SEARCH_BUDGET", "lots")
+    assert main(["synthesize", "--examples", str(tmp_path / "missing.csv")]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: Usage: SHEETSMITH_SEARCH_BUDGET must be a non-negative "
+        "integer, got 'lots'\n"
+    ))

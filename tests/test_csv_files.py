@@ -166,3 +166,23 @@ def test_a_file_that_is_not_utf8_is_a_file_error(tmp_path, capsys, command):
     assert main(command + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: InputFile: {path}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_an_attribute_named_twice_is_a_file_error(tmp_path):
+    # a dict over the header would keep one 'exam' column and drop the other
+    path = write(tmp_path, "ex.csv", "exam,exam,label\n30,80,Fail\n")
+    with pytest.raises(InputFileError) as caught:
+        csvio.read_examples_csv(path)
+    assert str(caught.value) == f"{path}: attribute 'exam' is named more than once"
+
+
+@pytest.mark.parametrize("command", ["synthesize", "validate"])
+def test_examples_naming_an_attribute_twice_exit_two(tmp_path, capsys, command):
+    path = write(tmp_path, "ex.csv", "exam,coursework,exam,label\n30,50,80,Fail\n")
+    args = [command, "--examples", path]
+    if command == "validate":
+        args += ["--formula", '=IF(C5<40,"Fail","Pass")']
+    assert main(args) == 2
+    assert capsys.readouterr() == (
+        "", f"error: InputFile: {path}: attribute 'exam' is named more than once\n"
+    )

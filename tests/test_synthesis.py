@@ -603,3 +603,21 @@ def test_candidates_explored_counts_each_placement(make, seeds):
             with pytest.raises(SearchBudgetExceededError):
                 synthesize(examples, config, expected - 1)
     assert solved >= 50
+
+
+def test_every_budget_short_of_the_list_stops_at_its_own_count():
+    # four labels need depth 3, so some budgets run out while an earlier slot
+    # is filled (in extend) and others in a last-slot pass (in last_rule)
+    examples = rows([(10, 10, "Fail"), (50, 50, "Pass"), (70, 70, "Merit"),
+                     (90, 90, "Dist")])
+    needed = synthesize(examples).candidates_explored
+    sites = set()
+    for budget in range(needed):
+        with pytest.raises(SearchBudgetExceededError) as info:
+            synthesize(examples, search_budget=budget)
+        assert str(info.value) == (
+            f"synthesis stopped after {budget} candidate placements"
+        )
+        sites.add(info.traceback[-1].name)
+    assert sites == {"extend", "last_rule"}
+    assert synthesize(examples, search_budget=needed).candidates_explored == needed
