@@ -9,7 +9,7 @@ Formulas are evaluated a block of grids at a time. The column compiler
 walks a tree once and turns each node into a function from the block's cell
 columns (one list per cell, one value per grid) to the node's column of
 results, so a node runs once per block, not once per grid. A column carries
-its kind: the one type all its values have, or None if they have several.
+its kind: the one type all its values have, or None if not known to share one.
 Every operator and function but IF splits in one place, _split: if its
 arguments share a kind it needs (numbers for + - * and the aggregates,
 numbers or text for comparisons, TRUE/FALSE for AND, OR and NOT), it maps a
@@ -20,9 +20,11 @@ branches and picks one per grid.
 
 This is the only evaluation path. compile_formula returns it as a function
 of one grid's cells, which evaluate uses; validate_examples evaluates all its
-examples as one block; semantic_equivalence checks every domain value up
-front, evaluates both formulas on EQUIVALENCE_BLOCK grids at a time, and
-builds a Grid only for the witness it returns. The parser rejects non-finite
+examples as one block; semantic_equivalence checks the grid cap and every
+domain value up front, builds each block's cell columns straight from the
+value lists, compares the two result columns in bulk (values_equal runs only
+where they differ in value or type), and builds a Grid only for the witness
+it returns. The parser rejects non-finite
 literals and Grid holds finite numbers only, so every number a compiled
 formula reads is finite.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import partial
-from math import isfinite
+from math import isfinite, prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ._record import record
@@ -143,7 +145,7 @@ def evaluate(ast: FormulaAst, grid: Grid) -> Value:
 Compiled = Callable[[Mapping[str, Value]], Value]
 
 # A column is a block's values with their kind: the one type every value has,
-# or None when they have several. Fast paths read only the kind.
+# or None if not known to share one. Fast paths fire only on an exact kind.
 Column = tuple[Optional[type], list]
 ColumnFn = Callable[[Mapping[str, Column], int], Column]
 
@@ -506,35 +508,49 @@ def semantic_equivalence(
     ``domain`` maps cell references to candidate values; the grids enumerated
     are the full cartesian product, first cell varying slowest. Returns
     (True, None) when outputs match everywhere under values_equal, else
-    (False, first differing grid). Every domain value is checked as a grid
-    value before any grid is enumerated.
+    (False, first differing grid). The grid count is checked against
+    DEFAULT_GRID_CAP before any sized value list is copied, and every domain
+    value is checked as a grid value before any grid is enumerated.
     """
     names = _canonical_names(domain.keys())
-    value_lists = [list(values) for values in domain.values()]
-    total = 1
-    for values in value_lists:
-        total *= len(values)
+    value_lists = [values if hasattr(values, "__len__") else list(values)
+                   for values in domain.values()]
+    total = prod(map(len, value_lists))
     if total > DEFAULT_GRID_CAP:
         raise DomainTooLargeError(
             f"domain enumerates {total} grids, cap is {DEFAULT_GRID_CAP}"
         )
-    value_lists = [[_norm(value) for value in values] for values in value_lists]
+    cells = [_column([_norm(value) for value in values]) for values in value_lists]
     uncovered = (referenced_cells(a) | referenced_cells(b)) - set(names)
     if uncovered:
         raise ValueError(f"domain does not cover cells: {sorted(uncovered)}")
     run_a, run_b = _compile(a.root), _compile(b.root)
-    grids = itertools.product(*value_lists)
-    while block := list(itertools.islice(grids, EQUIVALENCE_BLOCK)):
-        columns = dict(zip(names, map(_column, map(list, zip(*block)))))
-        kind_a, va = run_a(columns, len(block))
-        kind_b, vb = run_b(columns, len(block))
+    # a cell's column, in enumeration order, is each of its values repeated
+    # once per grid of the later cells, cycled; its kind is its whole list's
+    streams, stride = [], 1
+    for kind, values in reversed(cells):
+        stream = itertools.cycle(values)
+        if stride > 1:
+            runs = map(itertools.repeat, stream, itertools.repeat(stride))
+            stream = itertools.chain.from_iterable(runs)
+        streams.insert(0, (kind, stream))
+        stride *= len(values)
+    for start in range(0, total, EQUIVALENCE_BLOCK):
+        n = min(EQUIVALENCE_BLOCK, total - start)
+        columns = {name: (kind, list(itertools.islice(stream, n)))
+                   for name, (kind, stream) in zip(names, streams)}
+        kind_a, va = run_a(columns, n)
+        kind_b, vb = run_b(columns, n)
         # == alone is not agreement: True == 1.0, so the types must match too
         if va == vb and (
             (kind_a is not None and kind_a is kind_b)
             or list(map(type, va)) == list(map(type, vb))
         ):
             continue
-        for combo, x, y in zip(block, va, vb):
-            if not values_equal(x, y):
-                return False, Grid(dict(zip(names, combo)))
+        suspects = map(operator.or_, map(operator.ne, va, vb),
+                       map(operator.is_not, map(type, va), map(type, vb)))
+        for i in itertools.compress(range(n), suspects):
+            if not values_equal(va[i], vb[i]):
+                witness = {name: values[i] for name, (_, values) in columns.items()}
+                return False, Grid(witness)
     return True, None

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -401,6 +402,78 @@ def test_semantic_equivalence_on_empty_domains():
     assert semantic_equivalence(parse("=1"), parse("=1"), {}) == (True, None)
     assert semantic_equivalence(parse("=1"), parse("=2"), {}) == (False, Grid({}))
     assert semantic_equivalence(parse("=A1"), parse("=2"), {"A1": []}) == (True, None)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_domain_cap_is_checked_before_any_value_list_is_copied():
+    domain = {"A1": range(3_000_000), "B1": range(3_000_000)}
+
+    def call():
+        with pytest.raises(DomainTooLargeError, match="9000000000000 grids"):
+            semantic_equivalence(parse("=A1"), parse("=B1"), domain)
+
+    assert _traced_peak(call) < 1_000_000
+    # the cap error comes ahead of a bad value's
+    with pytest.raises(DomainTooLargeError):
+        semantic_equivalence(parse("=A1"), parse("=B1"),
+                             {"A1": [float("nan")] * 2000, "B1": range(1000)})
+    # a collection without a length is still read
+    same = semantic_equivalence(parse("=A1"), parse("=A1+0"), {"A1": iter([1, 2])})
+    assert same == (True, None)
+
+
+def test_semantic_equivalence_witness_where_a_middle_run_crosses_blocks():
+    # 5 x 9 x 100 grids; grid 4096 opens the second block inside the run of
+    # B1 = 4 (grids 4000-4099), and the first difference is grid 4098
+    domain = {"A1": range(5), "B1": range(9), "C1": range(100)}
+    a, b = parse("=TRUE"), parse("=A1*900+B1*100+C1<>4098")
+    expected = _equivalence_grid_by_grid(a, b, domain)
+    assert expected[1] == Grid({"A1": 4, "B1": 4, "C1": 98})
+    assert semantic_equivalence(a, b, domain) == expected
+
+
+def test_semantic_equivalence_agrees_within_tolerance():
+    a, b = parse("=A1*0.1*3"), parse("=A1*0.3")
+    assert any(ev("=A1*0.1*3", {"A1": x}) != ev("=A1*0.3", {"A1": x}) for x in range(50))
+    assert semantic_equivalence(a, b, {"A1": range(50)}) == (True, None)
+
+
+def test_semantic_equivalence_errors_of_one_kind_agree_whatever_the_message():
+    a, b = parse("=1/(A1-A1)"), parse("=0^(A1-A1-1)")
+    x, y = ev("=1/(A1-A1)", {"A1": 3}), ev("=0^(A1-A1-1)", {"A1": 3})
+    assert x.kind == y.kind == "DivideByZero" and x.message != y.message
+    assert semantic_equivalence(a, b, {"A1": range(5)}) == (True, None)
+
+
+# A1's values have two types; with 4,096 values of B1 each block holds one
+# A1 value, with 3,000 the first block holds both
+@pytest.mark.parametrize("size", [3000, EQUIVALENCE_BLOCK])
+def test_semantic_equivalence_mixed_slowest_cell(size):
+    domain = {"A1": [1, "x"], "B1": range(size)}
+    for a, b in [("=A1+B1", "=B1+A1"), ('=A1<"x"', '=OR(A1<"x",B1=2000)')]:
+        a, b = parse(a), parse(b)
+        expected = _equivalence_grid_by_grid(a, b, domain)
+        assert semantic_equivalence(a, b, domain) == expected
+    assert expected[1] == Grid({"A1": "x", "B1": 2000})
+
+
+def test_semantic_equivalence_memory_stays_bounded_by_the_block():
+    # 300,000 grids in 74 blocks; only one block's columns are alive at a time
+    domain = {"A1": range(600), "B1": range(500)}
+    a, b = parse("=A1+B1"), parse("=B1+A1")
+    result = []
+    peak = _traced_peak(lambda: result.append(semantic_equivalence(a, b, domain)))
+    assert result == [(True, None)]
+    assert peak < 4_000_000
 
 
 MIXED = [
