@@ -21,12 +21,13 @@ def record(body: type) -> type:
     """
     fields = tuple(body.__annotations__)
     defined = vars(body)
-    # a generated __init__ binds keywords and defaults natively, and builds a
-    # record faster than a loop over *args would
-    scope = {"_set": object.__setattr__}
+    # a generated __init__ binds keywords and defaults natively, and writes
+    # each field straight into the instance dict, past the frozen __setattr__
+    scope = {}
     exec(
         f"def __init__(self, {', '.join(fields)}):\n"
-        + "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+        "    __dict__ = self.__dict__\n"
+        + "".join(f"    __dict__[{name!r}] = {name}\n" for name in fields)
         + ("    self.__post_init__()\n" if "__post_init__" in defined else ""),
         scope,
     )

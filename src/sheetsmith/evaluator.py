@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from functools import partial
 from math import isfinite, prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -515,7 +516,14 @@ def semantic_equivalence(
     names = _canonical_names(domain.keys())
     value_lists = [values if hasattr(values, "__len__") else list(values)
                    for values in domain.values()]
-    total = prod(map(len, value_lists))
+    try:
+        total = prod(map(len, value_lists))
+    except OverflowError:
+        # len() of a range longer than sys.maxsize
+        raise DomainTooLargeError(
+            f"domain has a cell of more than {sys.maxsize} values, "
+            f"cap is {DEFAULT_GRID_CAP} grids"
+        ) from None
     if total > DEFAULT_GRID_CAP:
         raise DomainTooLargeError(
             f"domain enumerates {total} grids, cap is {DEFAULT_GRID_CAP}"

@@ -24,13 +24,14 @@ import math
 from ._record import record
 from .errors import DegenerateFormulaError
 from .formulas import (
+    BinaryOp,
     CellRef,
-    children,
     FormulaAst,
     FunctionCall,
     Node,
     RangeRef,
     token_text,
+    UnaryOp,
 )
 
 MILLER_LIMIT = 9
@@ -66,11 +67,18 @@ def _collect(root: Node, operators: list[str], operands: list[str]) -> None:
     stack = [root]
     while stack:
         node = stack.pop()
-        inner = children(node)
-        if inner:
-            operators.append(node.name if isinstance(node, FunctionCall) else node.op)
-            stack.extend(inner)
-        elif isinstance(node, (CellRef, RangeRef)):
+        kind = type(node)
+        if kind is BinaryOp:
+            operators.append(node.op)
+            stack += node.left, node.right
+        elif kind is FunctionCall:
+            # a call with no arguments still counts its name
+            operators.append(node.name)
+            stack += node.args
+        elif kind is UnaryOp:
+            operators.append(node.op)
+            stack.append(node.operand)
+        elif kind is CellRef or kind is RangeRef:
             operands.append(node.canonical())
         else:
             operands.append(token_text(node))

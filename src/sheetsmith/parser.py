@@ -16,10 +16,17 @@ nested deeper than MAX_NESTING levels (Excel's cap) is a syntax error, and
 so is a number literal too large for a float. Input is case-insensitive;
 positions in errors index the original string.
 
-The tokenizer is one ``findall`` of an ungrouped pattern. Every character
-belongs to exactly one match, so a token's position is the sum of the
-lengths before it; its kind comes from its text (operators and punctuation)
-or its first character.
+The tokenizer is one ``findall`` of a pattern that skips the whitespace
+before a token and captures the token in its one group; it runs over the
+source less its trailing whitespace, which holds no token. The parser reads
+the list of token texts, which ends in ``""`` for the end of the formula,
+and tells what a token is from its text only where it reads it. Positions
+are worked out only when a parse fails: the source is scanned again with
+``finditer``, and the end of the formula sits at ``len(source)``. That scan
+also looks for a character that no token of the grammar holds (a lone '"'
+or '$', a non-ASCII digit or letter, '#', ...), and the first one found is
+the error reported, whatever else failed. The parser accepts no such
+character, so a formula that parses holds none.
 
 Leaves are shared. A number or text literal is built once per distinct
 token text by a bounded cache, and a cell by ``formulas.cell_ref``, which is
@@ -35,7 +42,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import accumulate
 from math import isfinite
 
 from .errors import ArityError, FormulaSyntaxError, UnknownFunctionError
@@ -58,67 +64,24 @@ from .formulas import (
 
 MAX_NESTING = 64
 
-# punctuation and one-character operators, CELL, NAME, NUMBER, STRING,
-# comparisons, whitespace, and any other single character; the tables below
-# classify each text. Only CELL before NAME and '.' last decide a match: the
-# other alternatives start with different characters.
+# whitespace, then one token: punctuation and one-character operators, CELL,
+# NAME, NUMBER, STRING, comparisons, or any other single character. Only
+# CELL before NAME and '\S' last decide a match: the other alternatives
+# start with different characters.
 _TOKEN_RE = re.compile(
-    rf'[(),:+\-*/^=]|{CELL_PATTERN}|[A-Za-z]+|[0-9]+(?:\.[0-9]+)?|"(?:[^"]|"")*"'
-    r"|<[=>]?|>=?|\s+|."
+    rf'\s*([(),:+\-*/^=]|{CELL_PATTERN}|[A-Za-z]+|[0-9]+(?:\.[0-9]+)?|"(?:[^"]|"")*"'
+    r"|<[=>]?|>=?|\S)"
 )
 
-# token kinds by whole text: operators, punctuation, and the one-character
-# tokens, which are common; a lone '"' or '$' could not start its token
-_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-_KIND_OF_TEXT = {
-    **dict.fromkeys(_LETTERS, "NAME"),
-    **dict.fromkeys("0123456789", "NUMBER"),
-    **dict.fromkeys(" \t\n\r\f\v", "WS"),
-    **dict.fromkeys(BINARY_PRECEDENCE, "OP"),
-    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON",
-    '"': "BAD", "$": "BAD",
-}
-
-
-def _kind_of_first(text: str) -> str:
-    """The kind of a token that is not in _KIND_OF_TEXT, from its first character."""
-    first = text[0]
-    if first == '"':
-        return "STRING"
-    if first == "$":
-        return "CELL"
-    if first in _LETTERS:
-        # a cell ends in its row's digits, a name in a letter
-        return "NAME" if text[-1].isalpha() else "CELL"
-    if "0" <= first <= "9":
-        return "NUMBER"
-    # \s matches Unicode whitespace too; any other character is a token alone
-    return "WS" if first.isspace() else "BAD"
-
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
+# a cell's text starts with a letter or '$' and ends in its row's digits
+_CELL_START = _LETTERS | {"$"}
+# the one-character texts a token of the grammar can have; any other one,
+# such as a lone '"' or '$', is an unexpected character
+_ONE_CHARACTER_TOKENS = _LETTERS | _DIGITS | frozenset("(),:+-*/^=<>")
 
 _BOOLEANS = {"TRUE": BooleanLiteral(True), "FALSE": BooleanLiteral(False)}
-
-# (kind, text, position); kind is NUMBER, STRING, CELL, NAME, OP, LPAREN,
-# RPAREN, COMMA, COLON or EOF
-_Token = tuple[str, str, int]
-
-
-def _tokenize(source: str) -> list[_Token]:
-    texts = _TOKEN_RE.findall(source)
-    kinds = [_KIND_OF_TEXT.get(text) or _kind_of_first(text) for text in texts]
-    # every character is in exactly one match, so positions are running lengths
-    positions = list(accumulate(map(len, texts), initial=0))
-    if "BAD" in kinds:
-        index = kinds.index("BAD")
-        text, pos = texts[index], positions[index]
-        if text == '"':
-            raise FormulaSyntaxError("unterminated text literal", pos)
-        raise FormulaSyntaxError(f"unexpected character {text!r}", pos)
-    tokens = list(zip(kinds, texts, positions))
-    if "WS" in kinds:
-        tokens = [token for token in tokens if token[0] != "WS"]
-    tokens.append(("EOF", "", positions[-1]))
-    return tokens
 
 
 @lru_cache(maxsize=LEAF_CACHE_SIZE)
@@ -134,46 +97,95 @@ def _literal(text: str) -> Node:
 
 def parse(source: str) -> FormulaAst:
     """Parse formula text (leading '=' optional) into a FormulaAst."""
-    if not source or not source.strip():
+    # the pattern would backtrack over a whitespace tail from every position
+    # in it, so the tail, which holds no token, goes first
+    tokens = _TOKEN_RE.findall(source.rstrip())
+    if not tokens:
         raise FormulaSyntaxError("empty formula", 0)
-    parser = _Parser(_tokenize(source))
-    if parser.tokens[0][:2] == ("OP", "="):
+    tokens.append("")
+    parser = _Parser(tokens)
+    if tokens[0] == "=":
         parser.index = 1
-    root = parser.binary()
-    kind, text, pos = parser.tokens[parser.index]
-    if kind != "EOF":
-        raise FormulaSyntaxError(f"expected end of formula, found {text!r}", pos)
+    try:
+        root = parser.binary()
+        end = parser.index
+        if tokens[end]:
+            raise _Failure(
+                FormulaSyntaxError, f"expected end of formula, found {tokens[end]!r}", end
+            )
+    except _Failure as failure:
+        raise _error(source, *failure.args) from None
     return FormulaAst(root)
 
 
-def _found(token: _Token) -> str:
-    return repr(token[1]) if token[0] != "EOF" else "end of formula"
+class _Failure(Exception):
+    """A failed parse, before its position is known.
+
+    Its args are the public error's class, its message (the name, for an
+    UnknownFunctionError) and the index of the token it is at, which is None
+    for an ArityError: that error has no position.
+    """
+
+
+def _error(source: str, error: type, detail: str, index: int | None) -> Exception:
+    """The error a failed parse of ``source`` reports.
+
+    That is the first unexpected character in the source, if there is one,
+    and otherwise ``error`` at the position of token ``index``.
+    """
+    positions = []
+    for match in _TOKEN_RE.finditer(source.rstrip()):
+        text, position = match[1], match.start(1)
+        if len(text) == 1 and text not in _ONE_CHARACTER_TOKENS:
+            if text == '"':
+                return FormulaSyntaxError("unterminated text literal", position)
+            return FormulaSyntaxError(f"unexpected character {text!r}", position)
+        positions.append(position)
+    if index is None:
+        return error(detail)
+    positions.append(len(source))
+    return error(detail, positions[index])
+
+
+def _is_cell(text: str) -> bool:
+    """Whether a token's text is a cell's, as a range's second corner must be."""
+    return text[:1] in _CELL_START and text[-1:] in _DIGITS
+
+
+def _found(text: str) -> str:
+    return repr(text) if text else "end of formula"
 
 
 class _Parser:
-    """Recursive descent over a token list that ends in EOF.
+    """Recursive descent over a list of token texts that ends in "" (EOF).
 
     The parser never moves past EOF: ``unary`` consumes its token before
-    looking at it but raises on EOF, and every other step consumes only a
-    token whose kind it has checked, which is never EOF.
+    looking at it but fails on EOF, and every other step consumes only a
+    token whose text it has checked, which is never EOF. Every error is a
+    _Failure at a token's index.
     """
 
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.index = 0
         self.depth = 0
 
-    def expect(self, kind: str, what: str) -> None:
-        token = self.tokens[self.index]
-        if token[0] != kind:
-            raise FormulaSyntaxError(f"expected {what}, found {_found(token)}", token[2])
-        self.index += 1
+    def expect(self, text: str, what: str) -> None:
+        index = self.index
+        found = self.tokens[index]
+        if found != text:
+            raise _Failure(
+                FormulaSyntaxError, f"expected {what}, found {_found(found)}", index
+            )
+        self.index = index + 1
 
-    def enter(self, pos: int) -> None:
+    def enter(self, index: int) -> None:
         """Open one nesting level, within MAX_NESTING; the caller closes it."""
         if self.depth == MAX_NESTING:
-            raise FormulaSyntaxError(
-                f"formula nests deeper than {MAX_NESTING} levels", pos
+            raise _Failure(
+                FormulaSyntaxError,
+                f"formula nests deeper than {MAX_NESTING} levels",
+                index,
             )
         self.depth += 1
 
@@ -182,7 +194,7 @@ class _Parser:
         node = self.unary()
         tokens = self.tokens
         while True:
-            op = tokens[self.index][1]
+            op = tokens[self.index]
             # no other token's text is an operator: text literals keep their
             # quotes, and EOF's text is empty
             precedence = BINARY_PRECEDENCE.get(op, 0)
@@ -192,66 +204,83 @@ class _Parser:
             node = BinaryOp(op, node, self.binary(precedence))
 
     def unary(self) -> Node:
-        token = self.tokens[self.index]
-        kind, text, pos = token
-        self.index += 1
-        if kind == "CELL":
-            # only a row can be wrong in text of a cell's shape; pos follows
-            # the corner being read
-            try:
-                node = cell_ref(text)
-                if self.tokens[self.index][0] == "COLON":
-                    self.index += 1
-                    _, text, pos = self.tokens[self.index]
-                    self.expect("CELL", "a cell reference after ':'")
-                    node = make_range(node, cell_ref(text))
-                return node
-            except ValueError:
-                raise FormulaSyntaxError("cell row must be at least 1", pos) from None
-        if kind == "NUMBER" or kind == "STRING":
+        index = self.index
+        text = self.tokens[index]
+        self.index = index + 1
+        first = text[:1]
+        if first in _LETTERS:
+            # a name ends in a letter, a cell in its row's digits
+            if text[-1] in _LETTERS:
+                return self.name(text.upper(), index)
+            return self.cell(text, index)
+        # a lone '"' or '$' is an unexpected character, not a text or a cell
+        if first in _DIGITS or (first == '"' and text != '"'):
             try:
                 return _literal(text)
             except ValueError:
-                raise FormulaSyntaxError("number out of range", pos) from None
-        if kind == "NAME":
-            return self.name(text.upper(), pos)
-        if kind == "LPAREN" or text == "-":
-            self.enter(pos)
-            if kind == "LPAREN":
+                raise _Failure(FormulaSyntaxError, "number out of range", index) from None
+        if first == "$" and text != "$":
+            return self.cell(text, index)
+        if text == "(" or text == "-":
+            self.enter(index)
+            if text == "(":
                 node = self.binary()
-                self.expect("RPAREN", "')'")
+                self.expect(")", "')'")
             else:
                 node = UnaryOp(self.unary())
             self.depth -= 1
             return node
-        raise FormulaSyntaxError(
-            f"expected a number, text, cell, function, or '(', found {_found(token)}",
-            pos,
+        raise _Failure(
+            FormulaSyntaxError,
+            f"expected a number, text, cell, function, or '(', found {_found(text)}",
+            index,
         )
 
-    def name(self, name: str, pos: int) -> Node:
-        """A function call or a boolean, after its NAME token."""
-        kind, _, next_pos = self.tokens[self.index]
-        if kind != "LPAREN":
+    def cell(self, text: str, index: int) -> Node:
+        """A cell, or a range after its first corner's token at ``index``."""
+        # only a row can be wrong in text of a cell's shape; index follows
+        # the corner being read
+        try:
+            node = cell_ref(text)
+            if self.tokens[self.index] == ":":
+                index = self.index + 1
+                text = self.tokens[index]
+                if not _is_cell(text):
+                    raise _Failure(
+                        FormulaSyntaxError,
+                        f"expected a cell reference after ':', found {_found(text)}",
+                        index,
+                    )
+                self.index = index + 1
+                node = make_range(node, cell_ref(text))
+            return node
+        except ValueError:
+            raise _Failure(FormulaSyntaxError, "cell row must be at least 1", index) from None
+
+    def name(self, name: str, index: int) -> Node:
+        """A function call or a boolean, after its NAME token at ``index``."""
+        if self.tokens[self.index] != "(":
             if name in _BOOLEANS:
                 return _BOOLEANS[name]
             if name in SUPPORTED_FUNCTIONS:
-                raise FormulaSyntaxError(
-                    f"expected '(' after function name {name}", next_pos
+                raise _Failure(
+                    FormulaSyntaxError,
+                    f"expected '(' after function name {name}",
+                    self.index,
                 )
-            raise UnknownFunctionError(name, pos)
+            raise _Failure(UnknownFunctionError, name, index)
         if name not in SUPPORTED_FUNCTIONS:
-            raise UnknownFunctionError(name, pos)
+            raise _Failure(UnknownFunctionError, name, index)
         self.index += 1
-        self.enter(pos)
+        self.enter(index)
         args: list[Node] = []
-        if self.tokens[self.index][0] != "RPAREN":
+        if self.tokens[self.index] != ")":
             args.append(self.binary())
-            while self.tokens[self.index][0] == "COMMA":
+            while self.tokens[self.index] == ",":
                 self.index += 1
                 args.append(self.binary())
         self.depth -= 1
-        self.expect("RPAREN", "')' or ','")
+        self.expect(")", "')' or ','")
         low, high = SUPPORTED_FUNCTIONS[name]
         if len(args) < low or (high is not None and len(args) > high):
             if high == low:
@@ -260,7 +289,7 @@ class _Parser:
                 wanted = f"at least {low}"
             else:
                 wanted = f"between {low} and {high}"
-            raise ArityError(
-                f"{name} takes {wanted} argument(s), got {len(args)}"
+            raise _Failure(
+                ArityError, f"{name} takes {wanted} argument(s), got {len(args)}", None
             )
         return FunctionCall(name, tuple(args))

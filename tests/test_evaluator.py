@@ -431,6 +431,18 @@ def test_domain_cap_is_checked_before_any_value_list_is_copied():
     assert same == (True, None)
 
 
+def test_a_range_too_long_for_len_is_over_the_cap():
+    # len() of such a range overflows; the cap error still comes before any
+    # value list is copied
+    domain = {"A1": range(3_000_000), "B1": range(10**20)}
+
+    def call():
+        with pytest.raises(DomainTooLargeError, match="cap is 1000000 grids"):
+            semantic_equivalence(parse("=A1"), parse("=B1"), domain)
+
+    assert _traced_peak(call) < 1_000_000
+
+
 def test_semantic_equivalence_witness_where_a_middle_run_crosses_blocks():
     # 5 x 9 x 100 grids; grid 4096 opens the second block inside the run of
     # B1 = 4 (grids 4000-4099), and the first difference is grid 4098

@@ -131,3 +131,15 @@ def test_report_is_consistent_with_parts():
     concepts, over = miller_concepts(parse(REFERENCE))
     assert report.miller_concepts == concepts
     assert report.miller_flag == over
+
+
+def test_a_call_with_no_arguments_counts_its_name_as_an_operator():
+    # the parser never builds one, but a hand-built tree may hold one
+    from sheetsmith import BinaryOp, FormulaAst, FunctionCall, NumberLiteral
+
+    call = FunctionCall("AND", ())
+    with pytest.raises(DegenerateFormulaError):
+        metrics_report(FormulaAst(call))
+    plus_one = FormulaAst(BinaryOp("+", call, NumberLiteral(1.0)))
+    assert halstead_counts(plus_one) == HalsteadCounts(2, 1, 2, 1)
+    assert metrics_report(plus_one).miller_concepts == 3

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -297,3 +298,63 @@ def test_number_too_large_for_a_float_is_a_syntax_error():
     assert info.value.position == 4
     # the largest literal a float holds still parses
     assert parse("=" + "9" * 308).root == NumberLiteral(float("9" * 308))
+
+
+# Positions and the unexpected-character check are worked out only once a
+# parse has failed; these messages and positions are the ones the parser
+# gave when it classified every token up front.
+@pytest.mark.parametrize("text, message", [
+    ("=IF(1)#", "unexpected character '#' (position 6)"),
+    ("=COUNT(A1)+é", "unexpected character 'é' (position 11)"),
+    ("=" + "(" * 65 + "1" + ")" * 65 + "#", "unexpected character '#' (position 132)"),
+    ("=A0+1#", "unexpected character '#' (position 5)"),
+    ("=" + "9" * 400 + '+"abc', "unterminated text literal (position 402)"),
+    ("=" + "9" * 400 + "+A٣", "unexpected character '٣' (position 403)"),
+], ids=["arity", "unknown-function", "nesting", "row-0", "number-range", "digit"])
+def test_an_unexpected_character_wins_over_an_earlier_error(text, message):
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse(text)
+    assert type(info.value) is FormulaSyntaxError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("=A1\t+\xa0#", FormulaSyntaxError, "unexpected character '#' (position 6)"),
+    ("=　SUM(A1,)", FormulaSyntaxError,
+     "expected a number, text, cell, function, or '(', found ')' (position 9)"),
+    ("=\xa0　COUNT(A1)", UnknownFunctionError, "unknown function COUNT (position 3)"),
+    ("=A1\xa0:\t7", FormulaSyntaxError,
+     "expected a cell reference after ':', found '7' (position 6)"),
+    ("=\t1　\xa02", FormulaSyntaxError, "expected end of formula, found '2' (position 5)"),
+], ids=["tab-nbsp", "ideographic", "unknown-function", "range-corner", "end"])
+def test_positions_count_tabs_and_unicode_spaces(text, error, message):
+    with pytest.raises(error) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "=A1+  ", "=A1+\n", "=SUM(A1　\n", "=(A1\t\t", "=A1:\xa0", "=SUM(A1\r\n",
+])
+def test_end_of_formula_is_at_the_length_of_the_source(text):
+    with pytest.raises(FormulaSyntaxError, match="found end of formula") as info:
+        parse(text)
+    assert info.value.position == len(text)
+
+
+def test_arity_error_after_trailing_whitespace_has_no_position():
+    with pytest.raises(ArityError) as info:
+        parse("=NOT(1,2)\t ")
+    assert str(info.value) == "NOT takes exactly 1 argument(s), got 2"
+
+
+def test_trailing_whitespace_is_read_in_linear_time():
+    # a pattern that skips the whitespace before a token backtracks over a
+    # whitespace tail from every position in it, which takes seconds here;
+    # the parser strips the tail first
+    start = time.perf_counter()
+    assert render(parse("=A1" + " " * 50_000)) == "=A1"
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse("=A1+" + "\t" * 50_000)
+    assert info.value.position == 50_004
+    assert time.perf_counter() - start < 2

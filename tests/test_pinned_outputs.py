@@ -1,18 +1,22 @@
-"""Byte-for-byte pins of the command line's outputs on the bundled data.
+"""Byte-for-byte pins of the command line's outputs on the bundled data and
+on a seeded sheet of formulas for scan.
 
 Each pin is the sha256 of the exact bytes a command writes, so a refactor
 that keeps behaviour keeps every digest, and any change to a number's
 digits, a column or a line ending shows up here.
 """
 
+import csv
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
 import sheetsmith
 from sheetsmith.cli import main
 from test_cli import fixture, REFERENCE
+from test_pinned_parses import PIECES
 
 CONFIDENCE = {
     "accuracy_vs_complexity_edm.csv":
@@ -38,6 +42,8 @@ FIT_JSON = {
 
 SYNTHESIZE_STDOUT = "0af9c51e685da4a4c92776b851fdd24e567ed816ef3de966b0615955a41e831a"
 VALIDATE_STDOUT = "dc3c0d6849936f936f4777fd4da8d2557462dbb223f7ccb52c1cde16e2db106c"
+
+SCAN_REPORT = "05a3426dae5f76f0047a6d1213783f964fe99bf23e1f8827751fcefeeab0cd3e"
 
 
 def sha256(data: bytes) -> str:
@@ -97,3 +103,61 @@ def test_importing_the_cli_leaves_statistics_unloaded():
         check=True,
     ).stdout
     assert out == "[]\n"
+
+
+SPACES = ["", "", "", "", " ", "\t", "\xa0"]
+
+
+def _cell(rng):
+    marks = rng.choice(["", "", "", "$"]), rng.choice(["", "", "", "$"])
+    return f"{marks[0]}{rng.choice('CDEcde')}{marks[1]}{rng.randint(2, 40)}"
+
+
+def _marks(rng):
+    pick = rng.random()
+    if pick < 0.5:
+        name = rng.choice(["MIN", "max", "Average", "SUM"])
+        return [name, "(", _cell(rng), ":", _cell(rng), ")"]
+    if pick < 0.7:
+        return [_cell(rng)]
+    weight = rng.choice(["0.25", "0.4", "0.5"])
+    return [_cell(rng), "*", weight, "+", _cell(rng), "*", "0.6"]
+
+
+def _test(rng):
+    tokens = _marks(rng) + [rng.choice(["<", "<=", ">", ">=", "=", "<>"]),
+                            str(rng.randint(0, 20) * 5)]
+    if rng.random() < 0.3:
+        other = _marks(rng) + [">=", str(rng.randint(0, 100))]
+        return [rng.choice(["AND", "or"]), "("] + tokens + [","] + other + [")"]
+    return tokens
+
+
+def _grading_formula(rng):
+    """IFs nested 1 to 4 deep over tests of marks, in any case and spacing."""
+    outcomes = ['"Fail"', '"Pass"', '"say ""hi"""', "TRUE", "0", "-5", "2.5"]
+    tokens = [rng.choice(outcomes)]
+    for _ in range(rng.randint(1, 4)):
+        tokens = ["if", "("] + _test(rng) + [",", rng.choice(outcomes), ","] + tokens + [")"]
+    return "=" + "".join(rng.choice(SPACES) + token for token in tokens)
+
+
+def _scan_sheet(path):
+    """2,000 rows; every tenth has a piece of the parse corpus put in it."""
+    rng = random.Random(20081019)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("source_id", "formula"))
+        for index in range(2000):
+            text = _grading_formula(rng) + rng.choice(SPACES)
+            if index % 10 == 0:
+                cut = rng.randint(1, len(text))
+                text = text[:cut] + rng.choice(PIECES) + text[cut:]
+            writer.writerow((f"q{index}", text))
+
+
+def test_scan_report_of_a_seeded_sheet_is_pinned(tmp_path):
+    sheet, report = tmp_path / "sheet.csv", tmp_path / "report.csv"
+    _scan_sheet(sheet)
+    assert main(["scan", str(sheet), "-o", str(report)]) == 0
+    assert sha256(report.read_bytes()) == SCAN_REPORT
