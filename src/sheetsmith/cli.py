@@ -322,6 +322,14 @@ def _cmd_confidence(args) -> int:
 # ----- fit -------------------------------------------------------------
 
 
+def _ceiling(text: str) -> float:
+    """A --ceiling value: an accuracy percentage above 0 and at most 100."""
+    value = read_value(finite_float, text, "--ceiling", "a finite number", UsageError)
+    if not 0 < value <= 100:
+        raise UsageError(f"--ceiling must be above 0 and at most 100, got {text!r}")
+    return value
+
+
 def _cmd_fit(args) -> int:
     from .confidence import (
         DEFAULT_BASE_ERROR_CEILING,
@@ -401,9 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit accuracy = a*exp(b*complexity)")
     p.add_argument("--points", required=True)
-    p.add_argument(
-        "--ceiling", type=_option("--ceiling", finite_float, "a finite number")
-    )
+    p.add_argument("--ceiling", type=_ceiling)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=_cmd_fit)
 
@@ -411,6 +417,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse reads a value such as -1e3 after an option as an option of its
+    # own, unless it is joined on: --ceiling -1e3 reads as --ceiling=-1e3
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--ceiling" in argv[:-1]:
+        at = argv.index("--ceiling")
+        argv[at:at + 2] = [f"--ceiling={argv[at + 1]}"]
     try:
         # argparse reports a type= function's ValueError, TypeError or
         # ArgumentTypeError itself; an option's UsageError passes it to here

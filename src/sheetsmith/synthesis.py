@@ -9,10 +9,8 @@ audited with the metrics module like any hand-written one.
 
 Search is deterministic and returns the first consistent list in a fixed
 total order: depth 1 upward, and within a depth a depth-first walk that tries
-candidates at every slot in the order of _candidates, the one generator of
-candidates and their captured rows, which enumerate_candidates also reads.
-Four prunings keep the walk short, and none changes which list is reached
-first:
+candidates at every slot in the order enumerate_candidates lists them. Four
+prunings keep the walk short, and none changes which list is reached first:
 
 1. A rule's label is forced by the examples it captures, so a rule whose
    capture would mix labels is pruned.
@@ -23,8 +21,8 @@ first:
    and is not walked twice.
 4. Each capture is placed once. A predicate capturing exactly the rows of an
    earlier one leads to the same states, which have already failed, and a
-   predicate capturing no row at all leads nowhere; both are dropped before
-   the walk starts.
+   predicate capturing no row at all leads nowhere; neither is placed. A
+   family whose cuts hold the same rows as an earlier family's is skipped.
 
 The walk never enters a state whose rows all share one label. The first
 state holds every example, and synthesize returns a one-label set at once.
@@ -50,10 +48,13 @@ failed last-slot state the rows that every pure capture there leaves
 unclassified. A search that succeeds never computes it.
 
 Predicates mean what the printed formula means: a family's value on a row
-comes from evaluator.aggregate. In _candidates a predicate's rows come from
-one sort of the family's rows by value: bisecting the sorted values at a
-threshold gives the rows below it and the rows up to it, and each
-comparator's rows are one of those sets or its complement, as
+comes from evaluator.aggregate. A family's tie groups, the rows of each
+distinct value in ascending order, give its thresholds: each group's value,
+with the groups before it below it and its own too up to it, and between
+two groups their midpoint, with the groups before it below and up to it.
+A midpoint that rounds onto an end, as (1.0 + 1.0000000000000002) / 2 does,
+cuts as that end; one that overflows to inf or -inf has every row or none.
+Each comparator's rows are one of those sets or its complement, as
 formulas.ORDERING would pick them. A family whose aggregate is an error on
 some row (a SUM or AVERAGE past the largest float) is left out, as a rule
 testing it returns that error on any such row it reaches.
@@ -62,8 +63,9 @@ testing it returns that error on any such row it reaches.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from typing import Iterator, Mapping, Optional, Sequence
+from itertools import accumulate
+from operator import or_
+from typing import Mapping, Optional, Sequence
 
 from ._record import record
 from .errors import (
@@ -198,51 +200,73 @@ def _check_examples(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
 
 
 Family = tuple[str, Optional[str]]  # (aggregate, attribute or None)
-Rules = list[tuple[Predicate, str]]
+Rules = list[tuple[int, str]]  # (the capture of a placement, its label)
 
 
-def _thresholds(values: Sequence[float]) -> list[float]:
-    """Sorted distinct values interleaved with midpoints of adjacent pairs."""
-    distinct = sorted(set(values))
-    out = distinct[:1]
-    for low, high in zip(distinct, distinct[1:]):
-        out += [(low + high) / 2, high]
-    return out
-
-
-def _candidates(
+def _cuts(
     examples: Sequence[LabeledExample],
     names: Sequence[str],
     config: HypothesisConfig,
-) -> Iterator[tuple[Family, float, str, int]]:
-    """Every candidate as (family, threshold, comparator, captured rows), in
-    search order; the captured rows are a bit mask, row i being bit i."""
+) -> dict[Family, tuple[list[float], list[tuple[int, int]]]]:
+    """Each family's thresholds ascending, and the rows below and up to each
+    as bit masks, row i being bit i, read off the family's tie groups."""
     rows = [[float(v) for v in ex.attributes.values()] for ex in examples]
-    families: dict[Family, list[float]] = {}
+    columns: dict[Family, list[float]] = {}
     for kind in config.aggregates:
         if kind == SINGLE_ATTRIBUTE:
             for i, attribute in enumerate(names):
-                families[kind, attribute] = [row[i] for row in rows]
+                columns[kind, attribute] = [row[i] for row in rows]
             continue
         values = [aggregate(kind, row) for row in rows]
         if not any(isinstance(value, EvalError) for value in values):
-            families[kind, None] = values
+            columns[kind, None] = values
+    cuts = {}
+    for family, values in columns.items():
+        ties: dict[float, int] = {}  # the rows of each value; -0.0 is 0.0
+        for i, value in enumerate(values):
+            ties[value] = ties.get(value, 0) | 1 << i
+        distinct = sorted(ties)
+        # prefix[k]: the rows of the k smallest values
+        prefix = [*accumulate(map(ties.get, distinct), or_, initial=0)]
+        thresholds, bounds = distinct[:1], [(0, prefix[1])]
+        for k in range(1, len(distinct)):
+            low, high = distinct[k - 1], distinct[k]
+            mid = (low + high) / 2
+            if math.isinf(mid):  # low + high overflowed
+                bounds.append((0, 0) if mid < 0 else (prefix[-1],) * 2)
+            else:  # a midpoint rounded onto an end cuts as that end
+                bounds.append((prefix[k - (mid == low)], prefix[k + (mid == high)]))
+            thresholds += [mid, high]
+            bounds.append((prefix[k], prefix[k + 1]))
+        cuts[family] = thresholds, bounds
+    return cuts
+
+
+def _placements(
+    examples: Sequence[LabeledExample],
+    names: Sequence[str],
+    config: HypothesisConfig,
+) -> dict[int, tuple]:
+    """Each non-empty capture, in search order, and the Predicate fields of
+    the first candidate that captures it (pruning 4)."""
     # a comparator captures the rows below (<) or up to (<=) a threshold, or
     # the rest (> and >=): (index into the below/up-to pair, mask to flip by)
-    full_mask = (1 << len(rows)) - 1
+    full_mask = (1 << len(examples)) - 1
     shapes = {"<": (0, 0), "<=": (1, 0), ">": (1, full_mask), ">=": (0, full_mask)}
     picks = [(comparator, *shapes[comparator]) for comparator in config.comparators]
-    for family, values in families.items():
-        order = sorted(range(len(rows)), key=values.__getitem__)
-        ordered = [values[i] for i in order]
-        prefix = [0]  # prefix[k]: the rows of the k smallest values
-        for i in order:
-            prefix.append(prefix[-1] | 1 << i)
-        for threshold in _thresholds(values):
-            bounds = (prefix[bisect_left(ordered, threshold)],
-                      prefix[bisect_right(ordered, threshold)])
+    placements: dict[int, tuple] = {}
+    seen = set()  # a family that cuts as an earlier one captures nothing new
+    cuts = _cuts(examples, names, config)
+    for (kind, attribute), (thresholds, bounds) in cuts.items():
+        if (key := tuple(bounds)) in seen:
+            continue
+        seen.add(key)
+        for threshold, pair in zip(thresholds, bounds):
             for comparator, bound, flip in picks:
-                yield family, threshold, comparator, bounds[bound] ^ flip
+                mask = pair[bound] ^ flip
+                if mask and mask not in placements:
+                    placements[mask] = kind, comparator, threshold, attribute
+    return placements
 
 
 def enumerate_candidates(
@@ -260,9 +284,9 @@ def enumerate_candidates(
     names = _check_examples(examples)
     return [
         Predicate(kind, comparator, threshold, attribute)
-        for (kind, attribute), threshold, comparator, _ in _candidates(
-            examples, names, config
-        )
+        for (kind, attribute), (thresholds, _) in _cuts(examples, names, config).items()
+        for threshold in thresholds
+        for comparator in config.comparators
     ]
 
 
@@ -379,14 +403,7 @@ def synthesize(
         return _checked_result(FormulaAst(TextLiteral(examples[0].label)), grids, 0)
 
     count = len(examples)
-    full_mask = (1 << count) - 1
-    # pruning 4: the first predicate of each non-empty capture, in order
-    placements: dict[int, Predicate] = {}
-    for (kind, attribute), threshold, comparator, mask in _candidates(
-        examples, names, config
-    ):
-        if mask and mask not in placements:
-            placements[mask] = Predicate(kind, comparator, threshold, attribute)
+    placements = _placements(examples, names, config)
     masks = list(placements)
     # each row's label and the rows that share it
     row_labels = [(example.label, label_masks[example.label]) for example in examples]
@@ -425,8 +442,7 @@ def synthesize(
         if index == end:
             return None
         captured = alive & masks[index]
-        rule = (placements[masks[index]], shared_label(captured))
-        return [rule], shared_label(alive & ~captured)
+        return [(masks[index], shared_label(captured))], shared_label(alive & ~captured)
 
     def extend(alive: int, slots: int) -> Optional[tuple[Rules, str]]:
         """Rules for the rows in alive, at most slots of them, and a default."""
@@ -438,7 +454,7 @@ def synthesize(
             if found is None:
                 failed.add((alive, slots))
             return found
-        for mask, predicate in placements.items():
+        for mask in masks:
             explored += 1
             if explored > search_budget:
                 raise over_budget()
@@ -450,15 +466,16 @@ def synthesize(
                 continue  # mixed capture: every completion would misclassify
             found = extend(alive & ~captured, slots - 1)
             if found is not None:
-                found[0].insert(0, (predicate, rule_label))
+                found[0].insert(0, (mask, rule_label))
                 return found
         failed.add((alive, slots))
         return None
 
     for depth in range(1, config.max_decision_depth + 1):
-        found = extend(full_mask, depth)
+        found = extend((1 << count) - 1, depth)
         if found is not None:
-            formula = _compile(*found, names, assignment)
+            rules = [(Predicate(*placements[mask]), label) for mask, label in found[0]]
+            formula = _compile(rules, found[1], names, assignment)
             return _checked_result(formula, grids, explored)
     # Every state entered ends in failed, as no search below it succeeded.
     # Each pure capture in a failed last-slot state left a mixed rest, which

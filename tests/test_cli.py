@@ -368,6 +368,38 @@ def test_fit_ceiling_must_be_a_finite_ascii_number(tmp_path, capsys, ceiling):
     )
 
 
+@pytest.mark.parametrize("ceiling", ["-1e3", "-5", "0", "-0", "150", "100.0001"])
+@pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+def test_fit_ceiling_must_be_above_0_and_at_most_100(tmp_path, capsys, ceiling, joined):
+    path = write(
+        tmp_path, "pts.csv",
+        "complexity,accuracy_pct\n0.5,97.0\n1.0,96.0\n2.0,94.0\n",
+    )
+    option = [f"--ceiling={ceiling}"] if joined else ["--ceiling", ceiling]
+    assert main(["fit", "--points", path, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: Usage: --ceiling must be above 0 and at most 100, got {ceiling!r}\n"
+    )
+
+
+@pytest.mark.parametrize("option", [["--ceiling", "100"], ["--ceiling=100"]])
+def test_fit_ceiling_of_100_is_accepted(tmp_path, capsys, option):
+    path = write(
+        tmp_path, "pts.csv",
+        "complexity,accuracy_pct\n0.5,97.0\n1.0,96.0\n2.0,94.0\n",
+    )
+    assert main(["fit", "--points", path, *option]) == 0
+    assert "ceiling_exceeded: false" in capsys.readouterr().out
+
+
+def test_fit_ceiling_with_no_value_is_argparses_error(tmp_path, capsys):
+    path = write(tmp_path, "pts.csv", "complexity,accuracy_pct\n1,90\n2,70\n")
+    assert main(["fit", "--points", path, "--ceiling"]) == 2
+    assert "--ceiling: expected one argument" in capsys.readouterr().err
+
+
 def test_synthesize_default_depth_is_the_library_default(capsys):
     from sheetsmith import HypothesisConfig
 

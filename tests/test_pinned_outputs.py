@@ -14,9 +14,16 @@ import subprocess
 import sys
 
 import sheetsmith
+from sheetsmith import (
+    enumerate_candidates,
+    HypothesisSpaceExhaustedError,
+    SearchBudgetExceededError,
+    synthesize,
+)
 from sheetsmith.cli import main
 from test_cli import fixture, REFERENCE
 from test_pinned_parses import PIECES
+from test_synthesis import every_comparator_set, random_example_set
 
 CONFIDENCE = {
     "accuracy_vs_complexity_edm.csv":
@@ -44,6 +51,14 @@ SYNTHESIZE_STDOUT = "0af9c51e685da4a4c92776b851fdd24e567ed816ef3de966b0615955a41
 VALIDATE_STDOUT = "dc3c0d6849936f936f4777fd4da8d2557462dbb223f7ccb52c1cde16e2db106c"
 
 SCAN_REPORT = "05a3426dae5f76f0047a6d1213783f964fe99bf23e1f8827751fcefeeab0cd3e"
+
+# synthesize's output on the seeded example sets at each budget, and
+# enumerate_candidates on the same sets
+SEARCHES = {
+    10**7: "02fc55070068d3813571e47e2c98089b4a95c73ebd0f1452ac566271bf010968",
+    50: "b03e538d3e9d5756b6e520920218d52053703cee9737b19b00414169b73131bc",
+}
+CANDIDATES = "43b381e036503e62c8fbf3697d5003b6804ab5e74e58d7c896f911d35bbff600"
 
 
 def sha256(data: bytes) -> str:
@@ -161,3 +176,32 @@ def test_scan_report_of_a_seeded_sheet_is_pinned(tmp_path):
     _scan_sheet(sheet)
     assert main(["scan", str(sheet), "-o", str(report)]) == 0
     assert sha256(report.read_bytes()) == SCAN_REPORT
+
+
+def _example_sets():
+    """The 1,000 seeded sets test_synthesis checks placements on."""
+    for make, seeds in ((random_example_set, 400), (every_comparator_set, 600)):
+        for seed in range(seeds):
+            yield make(random.Random(seed))
+
+
+def test_search_on_seeded_sets_is_pinned():
+    lines = {budget: [] for budget in SEARCHES}
+    candidates = []
+    for examples, config in _example_sets():
+        for budget, out in lines.items():
+            try:
+                result = synthesize(examples, config, budget)
+            except (HypothesisSpaceExhaustedError, SearchBudgetExceededError) as exc:
+                out.append(f"{exc.code}: {exc}")
+            else:
+                out.append(f"{result.rendered} {result.candidates_explored}")
+        candidates.append(" ".join(
+            f"{p.aggregate}:{p.attribute}{p.comparator}{p.threshold!r}"
+            for p in enumerate_candidates(examples, config)
+        ))
+    digests = {
+        budget: sha256("\n".join(out).encode()) for budget, out in lines.items()
+    }
+    assert digests == SEARCHES
+    assert sha256("\n".join(candidates).encode()) == CANDIDATES

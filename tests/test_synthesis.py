@@ -4,10 +4,12 @@ Everything here is deterministic: the search order is pinned, so so is the
 first consistent formula it returns.
 """
 
+import itertools
 import math
 import operator
 import random
 import statistics
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -28,8 +30,14 @@ from sheetsmith import (
     synthesize,
     validate_examples,
 )
+from sheetsmith.evaluator import aggregate, EvalError
 from sheetsmith.formulas import ORDERING, render
-from sheetsmith.synthesis import _compile, default_cell_assignment
+from sheetsmith.synthesis import (
+    _compile,
+    _placements,
+    default_cell_assignment,
+    DEFAULT_AGGREGATES,
+)
 
 GRADES = [
     (20, 30, "Fail"), (39, 80, "Fail"), (80, 39, "Fail"),
@@ -621,3 +629,140 @@ def test_every_budget_short_of_the_list_stops_at_its_own_count():
         sites.add(info.traceback[-1].name)
     assert sites == {"extend", "last_rule"}
     assert synthesize(examples, search_budget=needed).candidates_explored == needed
+
+
+# ----- captures from tie groups against a generator of every candidate ------
+
+
+def _bisected_candidates(examples, names, config):
+    """Every candidate as (family, threshold, comparator, captured rows), in
+    search order, each threshold's rows found by bisecting the sorted
+    values: a reference that shares no code with the tie groups."""
+    rows = [[float(v) for v in ex.attributes.values()] for ex in examples]
+    families = {}
+    for kind in config.aggregates:
+        if kind == "ATTRIBUTE":
+            for i, attribute in enumerate(names):
+                families[kind, attribute] = [row[i] for row in rows]
+            continue
+        values = [aggregate(kind, row) for row in rows]
+        if not any(isinstance(value, EvalError) for value in values):
+            families[kind, None] = values
+    full_mask = (1 << len(rows)) - 1
+    shapes = {"<": (0, 0), "<=": (1, 0), ">": (1, full_mask), ">=": (0, full_mask)}
+    picks = [(comparator, *shapes[comparator]) for comparator in config.comparators]
+    for family, values in families.items():
+        order = sorted(range(len(rows)), key=values.__getitem__)
+        ordered = [values[i] for i in order]
+        prefix = [0]
+        for i in order:
+            prefix.append(prefix[-1] | 1 << i)
+        distinct = sorted(set(values))
+        thresholds = distinct[:1]
+        for low, high in zip(distinct, distinct[1:]):
+            thresholds += [(low + high) / 2, high]
+        for threshold in thresholds:
+            bounds = (prefix[bisect_left(ordered, threshold)],
+                      prefix[bisect_right(ordered, threshold)])
+            for comparator, bound, flip in picks:
+                yield family, threshold, comparator, bounds[bound] ^ flip
+
+
+def assert_placed_as_every_candidate_would_be(examples, config):
+    """The search's placements are the first candidate of each non-empty
+    capture, in order; enumerate_candidates lists every candidate. Floats
+    compare by repr, so -0.0 and 0.0 differ."""
+    names = tuple(examples[0].attributes)
+    candidates = list(_bisected_candidates(examples, names, config))
+    first = {}
+    for family, threshold, comparator, mask in candidates:
+        if mask and mask not in first:
+            first[mask] = family, threshold, comparator
+    placed = _placements(examples, names, config)
+    assert [
+        (mask, (kind, attribute), repr(threshold), comparator)
+        for mask, (kind, comparator, threshold, attribute) in placed.items()
+    ] == [
+        (mask, family, repr(threshold), comparator)
+        for mask, (family, threshold, comparator) in first.items()
+    ]
+    assert [repr(p) for p in enumerate_candidates(examples, config)] == [
+        repr(Predicate(kind, comparator, threshold, attribute))
+        for (kind, attribute), threshold, comparator, _ in candidates
+    ]
+
+
+@pytest.mark.parametrize(
+    "make,seeds", [(random_example_set, 400), (every_comparator_set, 600)]
+)
+def test_placements_are_the_first_candidate_of_each_capture(make, seeds):
+    for seed in range(seeds):
+        assert_placed_as_every_candidate_would_be(*make(random.Random(seed)))
+
+
+def column(*values, labels="ab"):
+    return [
+        LabeledExample({"x": value}, labels[i % len(labels)])
+        for i, value in enumerate(values)
+    ]
+
+
+def pairs(*rows):
+    return [
+        LabeledExample({"a": a, "b": b}, "xy"[i % 2]) for i, (a, b) in enumerate(rows)
+    ]
+
+
+ABOVE_ONE = math.nextafter(1.0, 2)  # (1.0 + ABOVE_ONE) / 2 == 1.0
+BELOW_ONE = math.nextafter(1.0, 0)  # (BELOW_ONE + 1.0) / 2 == 1.0
+TINY = 5e-324  # (0.0 + TINY) / 2 == 0.0
+
+HAND_SETS = {
+    "midpoint-rounds-down": column(1.0, ABOVE_ONE, 3.0, 3.5),
+    "midpoint-rounds-up": column(BELOW_ONE, 1.0, 3.0, 1.0),
+    "subnormal-midpoints": column(TINY, 0.0, 2 * TINY, -TINY),
+    "minus-zero-first": column(-0.0, 0.0, 1.0, -1.0, 0.0, labels="aabb"),
+    "zero-first": column(0.0, -0.0, 1.0, -1.0, -0.0, labels="aabb"),
+    "one-attribute": column(3.0, 1.0, 2.0, 5.0, labels="aab"),
+    # SUM and AVERAGE are errors on the first row, so they are left out
+    "sum-overflows": pairs((1e308, 1e308), (1.0, 1.0), (2.0, 0.0)),
+    # MIN and MAX put the rows in one order, but only MAX's midpoint
+    # overflows, to inf, so its < captures every row
+    "midpoint-overflows": pairs((1.0, 1e308), (2.0, 1.7e308)),
+    "midpoint-overflows-negative": pairs((-1e308, -1.0), (-1.7e308, -2.0)),
+}
+
+
+@pytest.mark.parametrize("examples", HAND_SETS.values(), ids=HAND_SETS)
+@pytest.mark.parametrize(
+    "aggregates",
+    [DEFAULT_AGGREGATES, DEFAULT_AGGREGATES[::-1]],
+    ids=["as-is", "reversed"],
+)
+def test_hand_sets_place_as_every_candidate_would(examples, aggregates):
+    orders = itertools.permutations(ORDERING)
+    singles = ((c,) for c in ORDERING)
+    for comparators in itertools.chain(orders, singles, [("<", ">=")]):
+        config = HypothesisConfig(aggregates=aggregates, comparators=comparators)
+        assert_placed_as_every_candidate_would_be(examples, config)
+
+
+def test_hand_sets_hold_what_they_are_named_for():
+    assert (1.0 + ABOVE_ONE) / 2 == 1.0 and (BELOW_ONE + 1.0) / 2 == 1.0
+    assert (0.0 + TINY) / 2 == 0.0
+    assert (1e308 + 1.7e308) / 2 == math.inf
+    # -0.0 and 0.0 are one group, whose threshold is the first row's zero
+    for name, zero in (("minus-zero-first", "-0.0"), ("zero-first", "0.0")):
+        thresholds = {
+            repr(p.threshold) for p in enumerate_candidates(HAND_SETS[name])
+            if p.aggregate == "MIN"
+        }
+        assert {"-0.0", "0.0"} & thresholds == {zero}
+    # with one attribute every aggregate after the first adds no capture
+    names = ("x",)
+    placed = _placements(HAND_SETS["one-attribute"], names, HypothesisConfig())
+    assert {fields[0] for fields in placed.values()} == {"MIN"}
+    # the overflowing MAX adds the capture of every row under <
+    config = HypothesisConfig(comparators=("<",))
+    placed = _placements(HAND_SETS["midpoint-overflows"], ("a", "b"), config)
+    assert placed[0b11] == ("MAX", "<", math.inf, None)
