@@ -12,11 +12,19 @@ results, so a node runs once per block, not once per grid. A column carries
 its kind: the one type all its values have, or None if not known to share one.
 Every operator and function but IF splits in one place, _split: if its
 arguments share a kind it needs (numbers for + - * and the aggregates,
-numbers or text for comparisons, TRUE/FALSE for AND, OR and NOT), it maps a
-builtin over whole columns. Otherwise, and for any arithmetic result out of
-range, its scalar rule runs on each grid, with the same error values. IF
-splits on its condition's kind alone; no node raises, so IF computes both
-branches and picks one per grid.
+numbers or text for comparisons, TRUE/FALSE for AND, OR and NOT), it works
+on whole columns. Most nodes map a builtin over them. MIN and MAX fold the
+argument columns pairwise, keeping the later value only where it is
+strictly smaller (larger), so a tie keeps the first, as min and max do: MIN
+of 0 and -0 is 0. AND and OR fold them with & and |. SUM and AVERAGE map
+sum over each grid's arguments, as the scalar rule does, and not a fold of
+'+': sum starts from 0, and from Python 3.12 it rounds a total once. One
+sum of a result column checks + - * and SUM/AVERAGE for overflow: if it is
+not finite the node runs its scalar rule instead, so a column of finite
+values whose sum overflows costs time, never a wrong value. Without a
+shared kind, too, the node's scalar rule runs on each grid, with the same
+error values. IF splits on its condition's kind alone; no node raises, so
+IF computes both branches and picks one per grid.
 
 This is the only evaluation path. compile_formula returns it as a function
 of one grid's cells, which evaluate uses; validate_examples evaluates all its
@@ -34,7 +42,7 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from functools import partial
+from functools import partial, reduce
 from math import isfinite, prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -224,9 +232,9 @@ def _compile(node: Node) -> ColumnFn:
         if node.name == "NOT":
             return _typed(args, bool, lambda lists: map(operator.not_, *lists),
                           operator.not_, "NOT needs TRUE or FALSE")
-        reduce = all if node.name == "AND" else any
-        return _typed(args, bool, lambda lists: map(reduce, zip(*lists)),
-                      lambda *values: reduce(values),
+        test, fold = (all, operator.and_) if node.name == "AND" else (any, operator.or_)
+        return _typed(args, bool, lambda lists: reduce(partial(map, fold), lists),
+                      lambda *values: test(values),
                       f"{node.name} needs TRUE/FALSE arguments")
     raise TypeError(f"not a formula node: {node!r}")
 
@@ -296,7 +304,7 @@ def _combine(op: str):
         if kind is float and op in ("+", "-", "*"):  # '/' and '^' can raise
             out = list(map(_ARITHMETIC[op], *lists))
             # an overflow leaves the fast path: the scalar rule makes it an error
-            if all(map(isfinite, out)):
+            if isfinite(sum(out)):
                 return float, out
         elif op in ORDERING and kind in (float, str):
             return bool, list(map(ORDERING[op], *lists))
@@ -374,11 +382,19 @@ def _if_value(test: Value, then: Value, otherwise: Value) -> Value:
     return EvalError(TYPE_MISMATCH, "IF condition must be TRUE or FALSE")
 
 
+# MIN and MAX of two columns: strict compares, so a tie keeps the earlier
+# value, as min and max do
+_PICKS = {
+    "MIN": lambda xs, ys: [y if y < x else x for x, y in zip(xs, ys)],
+    "MAX": lambda xs, ys: [y if y > x else x for x, y in zip(xs, ys)],
+}
+
+
 def _aggregate_call(node: FunctionCall) -> ColumnFn:
     # MIN / MAX / AVERAGE / SUM over flattened arguments; a range is one
     # argument per cell, read row-major and named for its error message
     name = node.name
-    pick = {"MIN": min, "MAX": max}.get(name)
+    pick = _PICKS.get(name)
     args, refs = [], []
     for arg in node.args:
         if isinstance(arg, RangeRef):
@@ -393,12 +409,14 @@ def _aggregate_call(node: FunctionCall) -> ColumnFn:
         if kind is not float:
             return None
         if pick is not None:
-            return float, lists[0] if len(lists) == 1 else list(map(pick, *lists))
+            return float, reduce(pick, lists)
+        # sum, not a fold of '+', as in the scalar rule: sum starts from 0,
+        # so SUM(-0) is 0, and from Python 3.12 it rounds a total once
         totals = list(map(sum, zip(*lists)))
         if name == "AVERAGE":
             totals = [total / len(lists) for total in totals]
         # an overflow leaves the fast path: the scalar rule makes it an error
-        return (float, totals) if all(map(isfinite, totals)) else None
+        return (float, totals) if isfinite(sum(totals)) else None
 
     return _node(args, fast, lambda *values: _aggregate_value(name, refs, values))
 

@@ -116,16 +116,27 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 
 @record
 class LabeledExample:
-    """One training row: attribute name -> numeric value, plus its label."""
+    """One training row: attribute name -> numeric value, plus its label.
+
+    A value must be a finite int or float. A bool is not one: a grid keeps
+    it as TRUE/FALSE, which no threshold test reads as a number.
+    """
 
     attributes: dict[str, float]
     label: str
 
     def __post_init__(self) -> None:
         for name, value in self.attributes.items():
-            if not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                shown = repr(value)
+            else:
+                try:
+                    shown = None if math.isfinite(value) else repr(value)
+                except OverflowError:  # in words: repr of a huge int can raise
+                    shown = "an integer too large for a float"
+            if shown is not None:
                 raise ValueError(
-                    f"attribute {name!r} must be a finite number, got {value!r}"
+                    f"attribute {name!r} must be a finite number, got {shown}"
                 )
 
 

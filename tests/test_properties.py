@@ -39,7 +39,11 @@ RANGES = [
     RangeRef(CellRef("B", 1), CellRef("C", 1)),
 ]
 
-numbers = st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 10.0, 1e300])
+# -0.0, the smallest subnormal and values near the largest float reach the
+# column kernels' tie and overflow rules
+numbers = st.sampled_from(
+    [-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 10.0, 1e300, -0.0, 5e-324, 1.7e308, -1.7e308]
+)
 texts = st.sampled_from(["a", "hi"])
 cell_refs = st.sampled_from(CELLS).map(lambda name: CellRef(name[0], 1))
 leaves = st.one_of(
@@ -134,13 +138,15 @@ def test_evaluate_agrees_with_the_oracle_on_long_flat_chains(chain, cells):
 @given(trees, st.lists(grids, min_size=2, max_size=8))
 def test_validate_examples_batch_equals_evaluate_row_by_row(root, rows):
     # validate_examples evaluates all its rows as one block; each row alone
-    # must give the same value, type and error message
+    # must give the same value, type and error message, and agree with the
+    # oracle
     ast = FormulaAst(root)
     examples = [(Grid(cells), 0.0) for cells in rows]
     actual = [outcome.actual for outcome in validate_examples(ast, examples).outcomes]
-    for got, (grid, _) in zip(actual, examples):
+    for got, (grid, _), cells in zip(actual, examples, rows):
         want = evaluate(ast, grid)
         assert type(got) is type(want) and got == want
+        assert _agree(got, oracle_eval(ast, cells))
 
 
 # ----- synthesis ------------------------------------------------------------

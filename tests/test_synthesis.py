@@ -276,6 +276,34 @@ def test_non_finite_attribute_values_rejected():
             LabeledExample({"a": bad}, "x")
 
 
+@pytest.mark.parametrize(
+    "bad,shown",
+    [
+        (True, "True"),
+        (False, "False"),
+        (10**400, "an integer too large for a float"),
+        (-(10**5000), "an integer too large for a float"),
+        ("40", "'40'"),
+        (None, "None"),
+    ],
+    ids=["true", "false", "huge-int", "huge-negative-int", "text", "none"],
+)
+def test_attribute_values_that_are_not_numbers_rejected(bad, shown):
+    with pytest.raises(ValueError) as info:
+        LabeledExample({"x": bad}, "a")
+    assert str(info.value) == f"attribute 'x' must be a finite number, got {shown}"
+
+
+def test_bool_attributes_no_longer_reach_the_search():
+    # a grid keeps a bool as TRUE/FALSE, so the checked formula failed
+    with pytest.raises(ValueError, match="attribute 'x' must be a finite number"):
+        synthesize([LabeledExample({"x": True}, "a"),
+                    LabeledExample({"x": False}, "b")])
+    # ints are numbers of the formula language
+    result = synthesize([LabeledExample({"x": 1}, "a"), LabeledExample({"x": 2}, "b")])
+    assert result.rendered == '=IF(MIN(C5)<1.5,"a","b")'
+
+
 COMPARATORS = "'<', '<=', '>', '>='"
 
 
