@@ -16,25 +16,27 @@ numbers or text for comparisons, TRUE/FALSE for AND, OR and NOT), it works
 on whole columns. Most nodes map a builtin over them. MIN and MAX fold the
 argument columns pairwise, keeping the later value only where it is
 strictly smaller (larger), so a tie keeps the first, as min and max do: MIN
-of 0 and -0 is 0. AND and OR fold them with & and |. SUM and AVERAGE map
-sum over each grid's arguments, as the scalar rule does, and not a fold of
-'+': sum starts from 0, and from Python 3.12 it rounds a total once. One
-sum of a result column checks + - * and SUM/AVERAGE for overflow: if it is
-not finite the node runs its scalar rule instead, so a column of finite
-values whose sum overflows costs time, never a wrong value. Without a
-shared kind, too, the node's scalar rule runs on each grid, with the same
-error values. IF splits on its condition's kind alone; no node raises, so
-IF computes both branches and picks one per grid.
+of 0 and -0 is 0. AND and OR fold them with & and |. SUM and AVERAGE fold
+'+' over the columns from 0.0, as the scalar rule adds left to right from
+0.0: SUM(-0) is 0, and a total is the same on every Python, where the
+built-in sum rounds a total once from 3.12. These four folds, with the
+scalar rule where their overflow check fails, are aggregate_columns, which
+synthesis uses too. One sum of a result column checks + - * and SUM/AVERAGE
+for overflow: if it is not finite the node runs its scalar rule instead, so
+a column of finite values whose sum overflows costs time, never a wrong
+value. Without a shared kind, too, the node's scalar rule runs on each
+grid, with the same error values. IF splits on its condition's kind alone;
+no node raises, so IF computes both branches and picks one per grid.
 
 This is the only evaluation path. compile_formula returns it as a function
 of one grid's cells, which evaluate uses; validate_examples evaluates all its
-examples as one block; semantic_equivalence checks the grid cap and every
-domain value up front, builds each block's cell columns straight from the
-value lists, compares the two result columns in bulk (values_equal runs only
-where they differ in value or type), and builds a Grid only for the witness
-it returns. The parser rejects non-finite
-literals and Grid holds finite numbers only, so every number a compiled
-formula reads is finite.
+examples as one block, through _validate, which synthesis calls on the
+examples' own float columns; semantic_equivalence checks the grid cap and
+every domain value up front, builds each block's cell columns straight from
+the value lists, compares the two result columns in bulk (values_equal runs
+only where they differ in value or type), and builds a Grid only for the
+witness it returns. The parser rejects non-finite literals and Grid holds
+finite numbers only, so every number a compiled formula reads is finite.
 """
 
 from __future__ import annotations
@@ -390,11 +392,34 @@ _PICKS = {
 }
 
 
+def aggregate_columns(name: str, lists: Sequence[list[float]]) -> Column:
+    """MIN, MAX, SUM or AVERAGE of one or more columns of floats, as a
+    column: per grid what aggregate returns for that grid's values.
+
+    MIN and MAX fold the columns pairwise with _PICKS. SUM and AVERAGE add
+    them left to right from 0.0, one column at a time, as aggregate does, so
+    SUM(-0) is 0 and a total is the same on every Python. One sum of the
+    result column checks SUM and AVERAGE for overflow; where it is not
+    finite, which a column of finite totals can cause too, aggregate runs on
+    each grid instead, and a grid whose total overflows holds its error value.
+    """
+    pick = _PICKS.get(name)
+    if pick is not None:
+        return float, reduce(pick, lists)
+    totals = [0.0] * len(lists[0])
+    for values in lists:
+        totals = list(map(operator.add, totals, values))
+    if name == "AVERAGE":
+        totals = [total / len(lists) for total in totals]
+    if isfinite(sum(totals)):
+        return float, totals
+    return _column([aggregate(name, row) for row in zip(*lists)])
+
+
 def _aggregate_call(node: FunctionCall) -> ColumnFn:
     # MIN / MAX / AVERAGE / SUM over flattened arguments; a range is one
     # argument per cell, read row-major and named for its error message
     name = node.name
-    pick = _PICKS.get(name)
     args, refs = [], []
     for arg in node.args:
         if isinstance(arg, RangeRef):
@@ -406,17 +431,7 @@ def _aggregate_call(node: FunctionCall) -> ColumnFn:
             refs.append(None)
 
     def fast(kind, lists):
-        if kind is not float:
-            return None
-        if pick is not None:
-            return float, reduce(pick, lists)
-        # sum, not a fold of '+', as in the scalar rule: sum starts from 0,
-        # so SUM(-0) is 0, and from Python 3.12 it rounds a total once
-        totals = list(map(sum, zip(*lists)))
-        if name == "AVERAGE":
-            totals = [total / len(lists) for total in totals]
-        # an overflow leaves the fast path: the scalar rule makes it an error
-        return (float, totals) if isfinite(sum(totals)) else None
+        return aggregate_columns(name, lists) if kind is float else None
 
     return _node(args, fast, lambda *values: _aggregate_value(name, refs, values))
 
@@ -443,7 +458,8 @@ def aggregate(name: str, numbers: Sequence[float]) -> Value:
         return min(numbers)
     if name == "MAX":
         return max(numbers)
-    total = float(sum(numbers))
+    # left to right from 0.0, as aggregate_columns adds: one total on every Python
+    total = reduce(operator.add, numbers, 0.0)
     if not isfinite(total):
         return EvalError(TYPE_MISMATCH, f"{name} result out of range")
     return total if name == "SUM" else total / len(numbers)
@@ -492,14 +508,21 @@ def validate_examples(
     if not examples:
         raise EmptyExampleSetError("no examples to validate against")
     expected = [_norm(value) for _, value in examples]
-    rows = [grid._cells for grid, _ in examples]
-    _, actual = _compile(ast.root)(_columns(rows), len(rows))
+    return _validate(ast, _columns([grid._cells for grid, _ in examples]), expected)
+
+
+def _validate(
+    ast: FormulaAst, columns: Mapping[str, Column], expected: Sequence[Value]
+) -> ValidationReport:
+    """validate_examples on a block given as its cell columns, one value per
+    example, and the expected grid values."""
+    _, actual = _compile(ast.root)(columns, len(expected))
     outcomes = tuple(
         ExampleOutcome(index, want, got, values_equal(got, want))
         for index, (want, got) in enumerate(zip(expected, actual))
     )
     passes = sum(outcome.passed for outcome in outcomes)
-    return ValidationReport(outcomes, passes, len(examples))
+    return ValidationReport(outcomes, passes, len(expected))
 
 
 def referenced_cells(ast: FormulaAst) -> set[str]:

@@ -47,8 +47,11 @@ once, after a failed search, from the failed states: each one, and for each
 failed last-slot state the rows that every pure capture there leaves
 unclassified. A search that succeeds never computes it.
 
-Predicates mean what the printed formula means: a family's value on a row
-comes from evaluator.aggregate. A family's tie groups, the rows of each
+Predicates mean what the printed formula means: each attribute's values
+are read into a column of floats, and a family's values come from the
+evaluator's column kernel, evaluator.aggregate_columns, over those columns,
+which falls back to evaluator.aggregate on each row where its overflow
+check fails. A family's tie groups, the rows of each
 distinct value in ascending order, give its thresholds: each group's value,
 with the groups before it below it and its own too up to it, and between
 two groups their midpoint, with the groups before it below and up to it.
@@ -75,12 +78,12 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .evaluator import (
-    aggregate,
+    _validate,
+    aggregate_columns,
     canonical_ref,
-    EvalError,
+    Column,
     Grid,
     ValidationReport,
-    validate_examples,
 )
 from .formulas import (
     AGGREGATE_FUNCTIONS,
@@ -214,25 +217,32 @@ Family = tuple[str, Optional[str]]  # (aggregate, attribute or None)
 Rules = list[tuple[int, str]]  # (the capture of a placement, its label)
 
 
+def _float_columns(
+    examples: Sequence[LabeledExample], names: Sequence[str]
+) -> dict[str, list[float]]:
+    """Each attribute's values as floats, in example order."""
+    rows = zip(*(example.attributes.values() for example in examples))
+    return {name: [*map(float, values)] for name, values in zip(names, rows)}
+
+
 def _cuts(
-    examples: Sequence[LabeledExample],
-    names: Sequence[str],
-    config: HypothesisConfig,
+    columns: Mapping[str, list[float]], config: HypothesisConfig
 ) -> dict[Family, tuple[list[float], list[tuple[int, int]]]]:
     """Each family's thresholds ascending, and the rows below and up to each
     as bit masks, row i being bit i, read off the family's tie groups."""
-    rows = [[float(v) for v in ex.attributes.values()] for ex in examples]
-    columns: dict[Family, list[float]] = {}
+    lists = list(columns.values())
+    families: dict[Family, list[float]] = {}
     for kind in config.aggregates:
         if kind == SINGLE_ATTRIBUTE:
-            for i, attribute in enumerate(names):
-                columns[kind, attribute] = [row[i] for row in rows]
-            continue
-        values = [aggregate(kind, row) for row in rows]
-        if not any(isinstance(value, EvalError) for value in values):
-            columns[kind, None] = values
+            for attribute, values in columns.items():
+                families[kind, attribute] = values
+        elif lists:  # with no attribute every aggregate is an error
+            # a column of another kind holds an error value, such as an overflow
+            value_kind, values = aggregate_columns(kind, lists)
+            if value_kind is float:
+                families[kind, None] = values
     cuts = {}
-    for family, values in columns.items():
+    for family, values in families.items():
         ties: dict[float, int] = {}  # the rows of each value; -0.0 is 0.0
         for i, value in enumerate(values):
             ties[value] = ties.get(value, 0) | 1 << i
@@ -267,7 +277,7 @@ def _placements(
     picks = [(comparator, *shapes[comparator]) for comparator in config.comparators]
     placements: dict[int, tuple] = {}
     seen = set()  # a family that cuts as an earlier one captures nothing new
-    cuts = _cuts(examples, names, config)
+    cuts = _cuts(_float_columns(examples, names), config)
     for (kind, attribute), (thresholds, bounds) in cuts.items():
         if (key := tuple(bounds)) in seen:
             continue
@@ -292,10 +302,10 @@ def enumerate_candidates(
     some row has no candidates.
     """
     config = config or HypothesisConfig()
-    names = _check_examples(examples)
+    cuts = _cuts(_float_columns(examples, _check_examples(examples)), config)
     return [
         Predicate(kind, comparator, threshold, attribute)
-        for (kind, attribute), (thresholds, _) in _cuts(examples, names, config).items()
+        for (kind, attribute), (thresholds, _) in cuts.items()
         for threshold in thresholds
         for comparator in config.comparators
     ]
@@ -372,17 +382,9 @@ def example_grids(
     assignment: Optional[Mapping[str, str]] = None,
 ) -> list[tuple[Grid, str]]:
     """(grid, expected label) pairs for validating against the examples."""
-    return _grids(examples, _cell_assignment(_attribute_names(examples), assignment))
-
-
-def _grids(
-    examples: Sequence[LabeledExample], assignment: Mapping[str, str]
-) -> list[tuple[Grid, str]]:
+    cells = _cell_assignment(_attribute_names(examples), assignment)
     return [
-        (
-            Grid({assignment[name]: value for name, value in ex.attributes.items()}),
-            ex.label,
-        )
+        (Grid({cells[name]: value for name, value in ex.attributes.items()}), ex.label)
         for ex in examples
     ]
 
@@ -398,20 +400,26 @@ def synthesize(
     after the prunings above, a memo hit counting none; exceeding it raises
     SearchBudgetExceeded, and a negative budget is a ValueError. The
     rendered text of a consistent list is parsed again and re-checked through
-    the evaluator before being returned, so the training report always shows
-    a full pass for the text users copy.
+    the evaluator, on the examples' float columns, before being returned, so
+    the training report always shows a full pass for the text users copy: it
+    equals validate_examples of that text on example_grids.
     """
     if search_budget < 0:
         raise ValueError(f"search_budget must be 0 or more, got {search_budget}")
     config = config or HypothesisConfig()
     names = _check_examples(examples)
     assignment = _cell_assignment(names, config.cell_assignment)
-    grids = _grids(examples, assignment)
+    # the examples as the block the final check evaluates
+    block = {
+        assignment[name]: (float, values)
+        for name, values in _float_columns(examples, names).items()
+    }
+    labels = [example.label for example in examples]
     label_masks: dict[str, int] = {}  # label -> its rows, in order of appearance
     for i, example in enumerate(examples):
         label_masks[example.label] = label_masks.get(example.label, 0) | 1 << i
     if len(label_masks) == 1:
-        return _checked_result(FormulaAst(TextLiteral(examples[0].label)), grids, 0)
+        return _checked_result(FormulaAst(TextLiteral(labels[0])), block, labels, 0)
 
     count = len(examples)
     placements = _placements(examples, names, config)
@@ -487,7 +495,7 @@ def synthesize(
         if found is not None:
             rules = [(Predicate(*placements[mask]), label) for mask, label in found[0]]
             formula = _compile(rules, found[1], names, assignment)
-            return _checked_result(formula, grids, explored)
+            return _checked_result(formula, block, labels, explored)
     # Every state entered ends in failed, as no search below it succeeded.
     # Each pure capture in a failed last-slot state left a mixed rest, which
     # a full list of those rules leaves unclassified.
@@ -513,11 +521,11 @@ def synthesize(
 
 
 def _checked_result(
-    formula: FormulaAst, grids: list[tuple[Grid, str]], explored: int
+    formula: FormulaAst, block: Mapping[str, Column], labels: list[str], explored: int
 ) -> SynthesisResult:
     # validate the text a user copies, not the tree it was printed from
     rendered = render(formula)
-    report = validate_examples(parse(rendered), grids)
+    report = _validate(parse(rendered), block, labels)
     if not report.all_passed:
         raise AssertionError("synthesized formula failed its own training set")
     return SynthesisResult(

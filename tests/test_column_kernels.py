@@ -10,10 +10,18 @@ with a fixed example budget, so every run tests the same inputs.
 
 import itertools
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracle import Err, oracle_eval
-from sheetsmith import EvalError, Grid, parse, semantic_equivalence, validate_examples
+from sheetsmith import (
+    evaluate,
+    EvalError,
+    Grid,
+    parse,
+    semantic_equivalence,
+    validate_examples,
+)
 from sheetsmith import evaluator
 from sheetsmith.evaluator import _norm, values_equal
 
@@ -24,10 +32,9 @@ BIG = 1.7976931348623157e308  # the largest float
 # whether the first of equal arguments wins
 TIES = [-0.0, 0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308]
 # Floats of magnitude 2**1023 or more are multiples of 2**971, so any sum of
-# them is exact until it passes the largest float, and then it is inf: the
-# oracle's left-to-right total equals Python's sum on every version, which
-# from 3.12 rounds a total of mixed magnitudes once, as a compensated sum.
-# Both start from zero, so a SUM of -0.0 alone is 0.0.
+# them is exact until it passes the largest float, and then it is inf. The
+# package and the oracle both add left to right from zero, so a SUM of -0.0
+# alone is 0.0; ROUNDING below holds totals that are not exact.
 HUGE = [0.0, -0.0, 1e308, -1e308, 1.7e308, -1.7e308, 9e307, -9e307, BIG, -BIG]
 NUMBERS = st.one_of(
     st.sampled_from(HUGE + TIES), st.floats(allow_nan=False, allow_infinity=False)
@@ -103,6 +110,43 @@ def test_arithmetic_overflow_check_matches_the_oracle(ops, rows):
 @example("SUM", "A1", [{cell: 1e308 for cell in CELLS}] * 2)
 def test_sum_average_overflow_check_matches_the_oracle(name, args, rows):
     assert_block_matches_the_oracle(f"={name}({args})", rows)
+
+
+# Totals that round: added left to right from 0.0, as the oracle adds, the
+# first is 0.0 and the second the largest float; a compensated sum, as
+# Python's sum is from 3.12, makes them 1.0 and an overflow
+ROUNDING = [
+    ({"A1": 1e16, "B1": 1.0, "C1": -1e16}, 0.0),
+    ({"A1": BIG, "B1": 9e291, "C1": 9e291}, BIG),
+]
+
+
+@pytest.mark.parametrize("name", ["SUM", "AVERAGE"])
+def test_sum_average_total_left_to_right_on_every_python(name, monkeypatch):
+    ast = parse(f"={name}(A1:C1)")
+    for row, total in ROUNDING:
+        want = oracle_eval(ast, row)
+        assert want == (total if name == "SUM" else total / 3)
+        assert exactly(evaluator.aggregate(name, list(row.values())), want)
+        assert exactly(evaluate(ast, Grid(row)), want)
+    # as one all-number block, through the column kernel alone
+    monkeypatch.setattr(evaluator, "_aggregate_value", None)
+    block = [row for row, _ in ROUNDING] + [{"A1": -0.0, "B1": 2.5, "C1": 3.0}]
+    assert_block_matches_the_oracle(f"={name}(A1:C1)", block)
+
+
+@pytest.mark.parametrize("name", ["SUM", "AVERAGE"])
+def test_sum_average_over_a_long_range(name, monkeypatch):
+    # one argument per cell: the fold adds 100,000 columns one at a time
+    values = [(i % 997) * 1.25 - 498.5 for i in range(100_000)]
+    grid = Grid({f"A{row}": value for row, value in enumerate(values, 1)})
+    ast = parse(f"={name}(A1:A100000)")
+    want = evaluator.aggregate(name, values)
+    assert exactly(evaluate(ast, grid), want)
+    monkeypatch.setattr(evaluator, "_aggregate_value", None)  # the kernel alone
+    report = validate_examples(ast, [(grid, want)] * 3)
+    assert report.all_passed
+    assert all(exactly(outcome.actual, want) for outcome in report.outcomes)
 
 
 # ----- semantic_equivalence against a first-difference loop on the oracle ----

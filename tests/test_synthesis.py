@@ -30,7 +30,8 @@ from sheetsmith import (
     synthesize,
     validate_examples,
 )
-from sheetsmith.evaluator import aggregate, EvalError
+from sheetsmith import evaluator, synthesis
+from sheetsmith.evaluator import aggregate, aggregate_columns, EvalError
 from sheetsmith.formulas import ORDERING, render
 from sheetsmith.synthesis import (
     _compile,
@@ -392,6 +393,81 @@ def test_families_that_overflow_on_a_row_are_left_out():
     assert report.all_passed, result.rendered
     with pytest.raises(HypothesisSpaceExhaustedError):
         synthesize(examples, HypothesisConfig(aggregates=("SUM",)))
+
+
+def test_a_family_the_kernel_declines_is_read_row_by_row(monkeypatch):
+    # each row's SUM is finite, but the column's check-sum passes the largest
+    # float, so the column kernel declines and each row's aggregate decides
+    examples = column(6e307, 1e308, 7e307, labels="aba")
+    read = []
+
+    def each_row(name, numbers):
+        read.append(tuple(numbers))
+        return aggregate(name, numbers)
+
+    monkeypatch.setattr(evaluator, "aggregate", each_row)
+    sums = aggregate_columns("SUM", [[6e307, 1e308, 7e307]])
+    assert sums == (float, [6e307, 1e308, 7e307])
+    assert read == [(6e307,), (1e308,), (7e307,)]
+    sums = [p.threshold for p in enumerate_candidates(examples)
+            if p.aggregate == "SUM" and p.comparator == "<"]
+    assert sums == [6e307, (6e307 + 7e307) / 2, 7e307, (7e307 + 1e308) / 2, 1e308]
+    result = synthesize(examples, HypothesisConfig(aggregates=("SUM",)))
+    assert result.rendered == f'=IF(SUM(C5)<85{"0" * 306},"a","b")'
+    assert result.training_report.all_passed
+
+
+def test_example_sets_with_no_attributes():
+    # no column to aggregate: no family, not a kernel call on no columns
+    assert enumerate_candidates([LabeledExample({}, "a")] * 2) == []
+    result = synthesize([LabeledExample({}, "a")] * 2)
+    assert result.rendered == '="a"' and result.candidates_explored == 0
+    assert result.training_report.passes == result.training_report.total == 2
+    with pytest.raises(InconsistentExamplesError):
+        synthesize([LabeledExample({}, "a"), LabeledExample({}, "b")])
+
+
+def test_self_check_fires_on_the_text_users_copy(monkeypatch):
+    # the printed list with 54.75 made 54.25: (54, 55) averages 54.5, Merit
+    wrong = (
+        '=IF(MIN(C5:D5)<39.5,"Fail",IF(AVERAGE(C5:D5)<54.25,"Pass",'
+        'IF(AVERAGE(C5:D5)<69.75,"Merit","Dist")))'
+    )
+    assert validate_examples(parse(wrong), example_grids(rows(GRADES))).passes == 11
+    monkeypatch.setattr(synthesis, "render", lambda formula: wrong)
+    with pytest.raises(
+        AssertionError, match="^synthesized formula failed its own training set$"
+    ):
+        synthesize(rows(GRADES))
+
+
+def test_column_check_equals_the_public_path():
+    ints = [
+        LabeledExample({"exam": e, "coursework": c}, label) for e, c, label in GRADES
+    ]
+    cases = [random_example_set(random.Random(seed)) for seed in range(60)] + [
+        (ints, HypothesisConfig()),
+        (ints[:3], HypothesisConfig()),  # one label
+        (column(1, 2, 3, labels="a"), HypothesisConfig()),
+        (ints, HypothesisConfig(cell_assignment={"exam": "$c$5", "coursework": "d$5"})),
+        (ints, HypothesisConfig(cell_assignment={"exam": "$c$5", "coursework": "a1"})),
+    ]
+    solved = 0
+    for examples, config in cases:
+        try:
+            result = synthesize(examples, config)
+        except HypothesisSpaceExhaustedError:
+            continue
+        solved += 1
+        grids = example_grids(examples, config.cell_assignment)
+        public = validate_examples(parse(result.rendered), grids)
+        assert result.training_report == public, result.rendered
+        assert result.training_report.all_passed
+    assert solved >= 30
+    # "$c$5" lands on C5: with "d$5" beside it the grading list prints as usual
+    placed = synthesize(ints, cases[-2][1]).rendered
+    assert placed == synthesize(rows(GRADES)).rendered
+    assert "MIN(C5,A1)" in synthesize(ints, cases[-1][1]).rendered
 
 
 # ----- the search against a plain depth-first reference -------------------
