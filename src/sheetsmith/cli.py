@@ -16,12 +16,12 @@ to a generation-time comment line, which every reader skips.
 
 Each command imports the layers it uses when it runs, so a process loads only
 those: ``fit`` never loads the parser, and ``analyze`` never loads synthesis.
+Likewise ``json`` is imported only where JSON is printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional, TYPE_CHECKING
@@ -92,6 +92,8 @@ def _cmd_analyze(args) -> int:
     elif args.format == "csv":
         write_csv("-", header, [row.values()])
     else:
+        import json
+
         print(json.dumps(row, indent=2))
     return 0
 
@@ -113,6 +115,8 @@ def _cmd_scan(args) -> int:
             report, error = None, f"{exc.code}: {exc}"
         rows.append(_report_row(header, source_id, text, report, error))
     if args.format == "json":
+        import json
+
         with open_output(args.output) as stream:
             stream.write(json.dumps(rows, indent=2) + "\n")
     else:
@@ -344,6 +348,8 @@ def _cmd_fit(args) -> int:
     ceiling_exceeded = exceeds_base_error_ceiling(fit, min(usable_x), ceiling)
     payload = {**vars(fit), "ceiling_exceeded": ceiling_exceeded}
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         write_csv("-", list(payload), [list(payload.values())])

@@ -43,7 +43,11 @@ def open_output(path: str) -> Iterator[TextIO]:
 
 
 def cell_text(value) -> str:
-    """Deterministic CSV cell: lowercase booleans, repr floats, '' for None."""
+    """Deterministic CSV cell: lowercase booleans, repr floats, '' for None.
+
+    The table printers use it; write_csv gets the same text from the csv
+    module, which writes None, floats, ints and strings this way itself.
+    """
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -54,7 +58,11 @@ def cell_text(value) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows, stamp: bool = False) -> None:
-    """Write a table to path ('-' = stdout), after a stamp line if asked."""
+    """Write a table to path ('-' = stdout), after a stamp line if asked.
+
+    Each cell's text is cell_text's: the csv module writes None as '', floats
+    by repr and ints and strings by str, so only booleans are mapped here.
+    """
     with open_output(path) as stream:
         if stamp:
             now = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -62,7 +70,10 @@ def write_csv(path: str, header: Sequence[str], rows, stamp: bool = False) -> No
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([cell_text(cell) for cell in row])
+            writer.writerow(
+                ["true" if cell is True else "false" if cell is False else cell
+                 for cell in row]
+            )
 
 
 def _rows(path: str) -> Iterator[tuple[int, list[str]]]:

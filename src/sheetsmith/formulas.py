@@ -148,16 +148,16 @@ def make_range(a: CellRef, b: CellRef) -> RangeRef:
     Columns are ordered by index and rows by number, independently; absolute
     markers travel with the component they marked, and a tie moves none.
     """
-    cols = [(column_index(a.column), a.column, a.column_absolute),
-            (column_index(b.column), b.column, b.column_absolute)]
-    rows = [(a.row, a.row_absolute), (b.row, b.row_absolute)]
-    if cols[0][0] <= cols[1][0] and rows[0][0] <= rows[1][0]:
+    columns_in_order = column_index(a.column) <= column_index(b.column)
+    rows_in_order = a.row <= b.row
+    if columns_in_order and rows_in_order:
         return RangeRef(a, b)
-    cols.sort(key=operator.itemgetter(0))
-    rows.sort(key=operator.itemgetter(0))
-    start = CellRef(cols[0][1], rows[0][0], cols[0][2], rows[0][1])
-    end = CellRef(cols[1][1], rows[1][0], cols[1][2], rows[1][1])
-    return RangeRef(start, end)
+    left, right = (a, b) if columns_in_order else (b, a)
+    top, bottom = (a, b) if rows_in_order else (b, a)
+    return RangeRef(
+        CellRef(left.column, top.row, left.column_absolute, top.row_absolute),
+        CellRef(right.column, bottom.row, right.column_absolute, bottom.row_absolute),
+    )
 
 
 def cells_in_range(ref: RangeRef) -> list[str]:

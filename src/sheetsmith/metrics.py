@@ -29,6 +29,8 @@ from .formulas import (
     FormulaAst,
     FunctionCall,
     Node,
+    number_text,
+    NumberLiteral,
     RangeRef,
     token_text,
     UnaryOp,
@@ -78,6 +80,8 @@ def _collect(root: Node, operators: list[str], operands: list[str]) -> None:
         elif kind is UnaryOp:
             operators.append(node.op)
             stack.append(node.operand)
+        elif kind is NumberLiteral:
+            operands.append(number_text(node.value))
         elif kind is CellRef or kind is RangeRef:
             operands.append(node.canonical())
         else:

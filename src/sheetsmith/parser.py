@@ -16,17 +16,18 @@ nested deeper than MAX_NESTING levels (Excel's cap) is a syntax error, and
 so is a number literal too large for a float. Input is case-insensitive;
 positions in errors index the original string.
 
-The tokenizer is one ``findall`` of a pattern that skips the whitespace
-before a token and captures the token in its one group; it runs over the
-source less its trailing whitespace, which holds no token. The parser reads
-the list of token texts, which ends in ``""`` for the end of the formula,
-and tells what a token is from its text only where it reads it. Positions
-are worked out only when a parse fails: the source is scanned again with
-``finditer``, and the end of the formula sits at ``len(source)``. That scan
-also looks for a character that no token of the grammar holds (a lone '"'
-or '$', a non-ASCII digit or letter, '#', ...), and the first one found is
-the error reported, whatever else failed. The parser accepts no such
-character, so a formula that parses holds none.
+The tokenizer is one ``findall`` of a pattern with no group and no
+whitespace part: no alternative starts with a whitespace character, so the
+search steps over a whitespace run, leading, inner or trailing, one
+character at a time, in linear time, and the source needs no ``rstrip``.
+The parser reads the list of token texts, which ends in ``""`` for the end
+of the formula, and tells what a token is from its text only where it reads
+it. Positions are worked out only when a parse fails: the source is scanned
+again with ``finditer``, and the end of the formula sits at
+``len(source)``. That scan also looks for a character that no token of the
+grammar holds (a lone '"' or '$', a non-ASCII digit or letter, '#', ...),
+and the first one found is the error reported, whatever else failed. The
+parser accepts no such character, so a formula that parses holds none.
 
 Leaves are shared. A number or text literal is built once per distinct
 token text by a bounded cache, and a cell by ``formulas.cell_ref``, which is
@@ -64,13 +65,13 @@ from .formulas import (
 
 MAX_NESTING = 64
 
-# whitespace, then one token: punctuation and one-character operators, CELL,
-# NAME, NUMBER, STRING, comparisons, or any other single character. Only
+# one token: punctuation and one-character operators, CELL, NAME, NUMBER,
+# STRING, comparisons, or any other single character but whitespace. Only
 # CELL before NAME and '\S' last decide a match: the other alternatives
-# start with different characters.
+# start with different characters, none of them whitespace.
 _TOKEN_RE = re.compile(
-    rf'\s*([(),:+\-*/^=]|{CELL_PATTERN}|[A-Za-z]+|[0-9]+(?:\.[0-9]+)?|"(?:[^"]|"")*"'
-    r"|<[=>]?|>=?|\S)"
+    rf'[(),:+\-*/^=]|{CELL_PATTERN}|[A-Za-z]+|[0-9]+(?:\.[0-9]+)?|"(?:[^"]|"")*"'
+    r"|<[=>]?|>=?|\S"
 )
 
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
@@ -97,9 +98,7 @@ def _literal(text: str) -> Node:
 
 def parse(source: str) -> FormulaAst:
     """Parse formula text (leading '=' optional) into a FormulaAst."""
-    # the pattern would backtrack over a whitespace tail from every position
-    # in it, so the tail, which holds no token, goes first
-    tokens = _TOKEN_RE.findall(source.rstrip())
+    tokens = _TOKEN_RE.findall(source)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 0)
     tokens.append("")
@@ -134,8 +133,8 @@ def _error(source: str, error: type, detail: str, index: int | None) -> Exceptio
     and otherwise ``error`` at the position of token ``index``.
     """
     positions = []
-    for match in _TOKEN_RE.finditer(source.rstrip()):
-        text, position = match[1], match.start(1)
+    for match in _TOKEN_RE.finditer(source):
+        text, position = match[0], match.start()
         if len(text) == 1 and text not in _ONE_CHARACTER_TOKENS:
             if text == '"':
                 return FormulaSyntaxError("unterminated text literal", position)
@@ -164,6 +163,8 @@ class _Parser:
     token whose text it has checked, which is never EOF. Every error is a
     _Failure at a token's index.
     """
+
+    __slots__ = ("tokens", "index", "depth")
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens

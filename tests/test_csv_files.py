@@ -1,7 +1,10 @@
 """CSV files end to end: what the CLI writes reads back, and errors name file lines."""
 
+import csv
 import importlib.resources
+import io
 import json
+import sys
 
 import pytest
 
@@ -92,6 +95,27 @@ def test_written_tables_read_back(tmp_path):
     path = str(tmp_path / "p.csv")
     csvio.write_csv(path, csvio.POINTS_HEADER, [[1.5, 90], [2, 70.25]], stamp=True)
     assert csvio.read_points_csv(path) == [(1.5, 90.0), (2.0, 70.25)]
+
+
+# cells whose text is easy to get wrong: None and empty text, text that needs
+# quotes, ints past 64 bits, 1 and 1.0 beside True, and floats whose repr
+# needs an exponent or names no number
+CELLS = [None, "", "a,b", 'say "hi"', "two\nlines", " pad ", True, False, 1, 1.0,
+         0, -1, 2**63, 2**70, -2**70, 0.0, -0.0, 0.1, 5e-324, 1e16, 1e-7,
+         sys.float_info.max, float("nan"), float("inf"), float("-inf")]
+
+
+def test_write_csv_writes_each_cell_as_cell_text_does(tmp_path):
+    rows = [CELLS, CELLS[::-1], dict(enumerate(CELLS)).values(),
+            [None], [""], [True], [0.5]]
+    path = tmp_path / "t.csv"
+    csvio.write_csv(str(path), ["h"], rows)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["h"])
+    for row in rows:
+        writer.writerow([csvio.cell_text(cell) for cell in row])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_scan_json_to_a_file_matches_stdout(tmp_path, capsys):

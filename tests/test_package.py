@@ -7,7 +7,6 @@ the checks below run every command in a fresh interpreter and list the
 """
 
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -20,18 +19,24 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(sheetsmith.__file__)))
 DATA = os.path.join(SRC, "sheetsmith", "data")
 
 
-def _loaded_layers(code: str) -> set:
-    """The sheetsmith.* modules a fresh interpreter holds after running code."""
-    probe = (
-        f"import json, sys\n{code}\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('sheetsmith.')]))"
-    )
+def _loaded_modules(code: str) -> set:
+    """The modules a fresh interpreter holds after running code.
+
+    The probe imports nothing itself, so it can tell whether code loaded json.
+    """
+    probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    return {name.split(".", 1)[1] for name in json.loads(out.splitlines()[-1])}
+    return set(out.splitlines()[-1].split())
+
+
+def _loaded_layers(code: str) -> set:
+    """The sheetsmith.* modules a fresh interpreter holds after running code."""
+    return {name.split(".", 1)[1] for name in _loaded_modules(code)
+            if name.startswith("sheetsmith.")}
 
 
 def test_every_public_name_resolves_from_its_home_module():
@@ -110,3 +115,20 @@ def test_synthesis_commands_load_no_study_analytics():
         loaded = _loaded_layers(_command(*command))
         assert "synthesis" in loaded
         assert "confidence" not in loaded
+
+
+def test_only_commands_that_print_json_load_json(tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text("complexity,accuracy_pct\n1,90\n2,70\n3,50\n")
+    grades = os.path.join(DATA, "grading_examples.csv")
+    commands = [
+        ("validate", "--formula", "=MIN(C5:D5)", "--examples", grades),
+        ("synthesize", "--examples", grades),
+        ("confidence", "--results", os.path.join(DATA, "experiment_results.csv"),
+         "--complexities", os.path.join(DATA, "question_complexities.csv"),
+         "--out-dir", str(tmp_path)),
+        ("fit", "--points", str(points), "--format", "table"),
+    ]
+    for command in commands:
+        assert "json" not in _loaded_modules(_command(*command)), command[0]
+    assert "json" in _loaded_modules(_command("analyze", "=A1", "--format", "json"))

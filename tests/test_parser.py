@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -19,7 +20,9 @@ from sheetsmith import (
     UnaryOp,
     UnknownFunctionError,
 )
-from sheetsmith.formulas import children
+from sheetsmith import parser
+from sheetsmith.formulas import CELL_PATTERN, children
+from test_pinned_parses import corpus
 
 # Canonical corpus: each entry survives parse -> render byte-for-byte.
 CANONICAL = [
@@ -351,10 +354,78 @@ def test_arity_error_after_trailing_whitespace_has_no_position():
 def test_trailing_whitespace_is_read_in_linear_time():
     # a pattern that skips the whitespace before a token backtracks over a
     # whitespace tail from every position in it, which takes seconds here;
-    # the parser strips the tail first
+    # the parser's pattern has no whitespace part
     start = time.perf_counter()
     assert render(parse("=A1" + " " * 50_000)) == "=A1"
     with pytest.raises(FormulaSyntaxError) as info:
         parse("=A1+" + "\t" * 50_000)
     assert info.value.position == 50_004
     assert time.perf_counter() - start < 2
+
+
+def test_inner_whitespace_is_read_in_linear_time():
+    start = time.perf_counter()
+    assert render(parse("=A1+" + " " * 50_000 + "B1")) == "=A1+B1"
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse("=SUM(A1," + "\t" * 50_000 + ")")
+    assert info.value.position == 50_008
+    assert time.perf_counter() - start < 2
+
+
+# The tokenizer's earlier rule: a pattern that skips the whitespace before a
+# token and captures the token, run over the source less its trailing
+# whitespace. The tokenizer must give the same texts at the same positions.
+_SPACED_TOKEN_RE = re.compile(
+    rf'\s*([(),:+\-*/^=]|{CELL_PATTERN}|[A-Za-z]+|[0-9]+(?:\.[0-9]+)?|"(?:[^"]|"")*"'
+    r"|<[=>]?|>=?|\S)"
+)
+
+
+def _spaced_tokens(source):
+    return [(m[1], m.start(1)) for m in _SPACED_TOKEN_RE.finditer(source.rstrip())]
+
+
+def _spaced_error_position(source, tokens, index):
+    """Where the earlier rule put an error at token ``index`` of ``tokens``."""
+    for text, position in tokens:
+        if len(text) == 1 and text not in parser._ONE_CHARACTER_TOKENS:
+            return position
+    return ([position for _, position in tokens] + [len(source)])[index]
+
+
+WHITESPACE = [" ", "\t", "\n", "\r\n", "\xa0", "\u2003", "\u3000", "\x0b\x0c", "\x1c"]
+
+
+def _whitespace_heavy(texts):
+    """The texts with whitespace runs of every kind put in at random places,
+    and long runs of whitespace around and inside formulas."""
+    rng = random.Random(24)
+    spaced = [
+        " " * 10_000 + "=A1+1",
+        "=A1" + " " * 50_000,
+        "=A1+" + " " * 50_000 + "B1",
+        "=SUM(A1:B2" + "\u3000" * 50_000,
+        "\t=\tSUM(\tA1\t,\nB2\n)\n",
+        "=A1\xa0+\u2003B1\u3000",
+        '=" a\t""\u3000 "&\xa0A1 #',
+        "", " ", "\t\n\xa0\u2003\u3000",
+    ]
+    for text in texts:
+        for _ in range(3):
+            at = rng.randint(0, len(text))
+            run = "".join(rng.choice(WHITESPACE) for _ in range(rng.randint(1, 4)))
+            text = text[:at] + run + text[at:]
+        spaced.append(text)
+    return spaced
+
+
+def test_tokenizer_keeps_the_texts_and_positions_of_the_earlier_rule():
+    texts = corpus()
+    for source in texts + _whitespace_heavy(CANONICAL + texts[::50]):
+        tokens = _spaced_tokens(source)
+        assert parser._TOKEN_RE.findall(source) == [text for text, _ in tokens]
+        found = [(m[0], m.start()) for m in parser._TOKEN_RE.finditer(source)]
+        assert found == tokens
+        for index in {len(tokens) // 2, len(tokens)}:
+            error = parser._error(source, FormulaSyntaxError, "x", index)
+            assert error.position == _spaced_error_position(source, tokens, index)

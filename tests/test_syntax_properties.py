@@ -1,11 +1,12 @@
 """Generated inputs for the formula syntax: parse and render undo each other,
-metrics_report keeps its invariants, and the parser and canonical_ref read
-cell text alike.
+metrics_report keeps its invariants, the parser and canonical_ref read cell
+text alike, and make_range orders corners as sorting their parts does.
 
 Hypothesis runs derandomized with a fixed example budget, so every run tests
 the same inputs.
 """
 
+import operator
 import sys
 
 import pytest
@@ -30,7 +31,7 @@ from sheetsmith import (
     UnaryOp,
 )
 from sheetsmith.evaluator import canonical_ref
-from sheetsmith.formulas import BINARY_PRECEDENCE, make_range
+from sheetsmith.formulas import BINARY_PRECEDENCE, cell_ref, column_index, make_range
 
 # tiny, huge, whole and fractional magnitudes; a negative value is a literal
 # that renders as '-x' and parses back as unary minus
@@ -175,3 +176,42 @@ def test_parse_and_canonical_ref_read_cell_text_alike(spelling, pad):
         return
     assert parse("=" + text).root == cell
     assert canonical_ref(pad + text + pad) == cell.canonical()
+
+
+def _sorted_range(a, b):
+    """make_range's earlier rule: sort the column and the row parts apart."""
+    cols = [(column_index(a.column), a.column, a.column_absolute),
+            (column_index(b.column), b.column, b.column_absolute)]
+    rows = [(a.row, a.row_absolute), (b.row, b.row_absolute)]
+    if cols[0][0] <= cols[1][0] and rows[0][0] <= rows[1][0]:
+        return RangeRef(a, b)
+    cols.sort(key=operator.itemgetter(0))
+    rows.sort(key=operator.itemgetter(0))
+    start = CellRef(cols[0][1], rows[0][0], cols[0][2], rows[0][1])
+    end = CellRef(cols[1][1], rows[1][0], cols[1][2], rows[1][1])
+    return RangeRef(start, end)
+
+
+# hand-built corners: lower- and mixed-case columns too, which the parser
+# never makes, and few enough columns and rows that ties are common
+corners = st.builds(
+    CellRef,
+    st.one_of(st.text("ABZabz", min_size=1, max_size=3), columns),
+    st.one_of(st.integers(min_value=1, max_value=3),
+              st.integers(min_value=1, max_value=1_048_576)),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(corners, corners)
+def test_make_range_orders_corners_as_the_sorting_rule_does(a, b):
+    assert make_range(a, b) == _sorted_range(a, b)
+
+
+@pytest.mark.parametrize("text", ["Z1:AA1", "AA1:Z1", "C5:C5", "$E$5:c3", "B$2:$A1"])
+def test_make_range_of_parsed_corners_matches_the_sorting_rule(text):
+    a, b = (cell_ref(corner) for corner in text.split(":"))
+    assert make_range(a, b) == _sorted_range(a, b)
+    assert parse("=" + text).root == _sorted_range(a, b)
