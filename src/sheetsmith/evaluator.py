@@ -16,7 +16,8 @@ numbers or text for comparisons, TRUE/FALSE for AND, OR and NOT), it works
 on whole columns. Most nodes map a builtin over them. MIN and MAX fold the
 argument columns pairwise, keeping the later value only where it is
 strictly smaller (larger), so a tie keeps the first, as min and max do: MIN
-of 0 and -0 is 0. AND and OR fold them with & and |. SUM and AVERAGE fold
+of 0 and -0 is 0. AND and OR fold them with & and |, one eager pass per
+argument, so many arguments never nest deep. SUM and AVERAGE fold
 '+' over the columns from 0.0, as the scalar rule adds left to right from
 0.0: SUM(-0) is 0, and a total is the same on every Python, where the
 built-in sum rounds a total once from 3.12. These four folds, with the
@@ -26,7 +27,9 @@ for overflow: if it is not finite the node runs its scalar rule instead, so
 a column of finite values whose sum overflows costs time, never a wrong
 value. Without a shared kind, too, the node's scalar rule runs on each
 grid, with the same error values. IF splits on its condition's kind alone;
-no node raises, so IF computes both branches and picks one per grid.
+no node raises, so IF computes both branches and picks one per grid. An IF
+whose two branches are literals (a two-argument IF's else is FALSE) builds
+no branch columns: one pass over a TRUE/FALSE condition picks either value.
 
 This is the only evaluation path. compile_formula returns it as a function
 of one grid's cells, which evaluate uses; validate_examples evaluates all its
@@ -34,8 +37,9 @@ examples as one block, through _validate, which synthesis calls on the
 examples' own float columns; semantic_equivalence checks the grid cap and
 every domain value up front, builds each block's cell columns straight from
 the value lists, compares the two result columns in bulk (values_equal runs
-only where they differ in value or type), and builds a Grid only for the
-witness it returns. The parser rejects non-finite literals and Grid holds
+only where they differ in value or type; when both columns have one kind,
+one != pass finds those grids), and builds a Grid only for the witness it
+returns. The parser rejects non-finite literals and Grid holds
 finite numbers only, so every number a compiled formula reads is finite.
 """
 
@@ -208,11 +212,16 @@ def _node(args: list[ColumnFn], fast, rule) -> ColumnFn:
     return lambda columns, n: _split([arg(columns, n) for arg in args], n, fast, rule)
 
 
+_LITERALS = (NumberLiteral, TextLiteral, BooleanLiteral)
+
+
+def _literal(node: Node) -> Value:
+    return float(node.value) if isinstance(node, NumberLiteral) else node.value
+
+
 def _compile(node: Node) -> ColumnFn:
-    if isinstance(node, NumberLiteral):
-        return _repeat(float(node.value))
-    if isinstance(node, (TextLiteral, BooleanLiteral)):
-        return _repeat(node.value)
+    if isinstance(node, _LITERALS):
+        return _repeat(_literal(node))
     if isinstance(node, CellRef):
         return _read(node.canonical())
     if isinstance(node, RangeRef):
@@ -221,21 +230,21 @@ def _compile(node: Node) -> ColumnFn:
         )
     if isinstance(node, UnaryOp):
         return _typed([_compile(node.operand)], float,
-                      lambda lists: map(operator.neg, *lists), operator.neg,
+                      lambda lists: list(map(operator.neg, *lists)), operator.neg,
                       "unary '-' needs a number")
     if isinstance(node, BinaryOp):
         return _chain(node)
     if isinstance(node, FunctionCall):
         if node.name in AGGREGATE_FUNCTIONS:
             return _aggregate_call(node)
-        args = [_compile(arg) for arg in node.args]
         if node.name == "IF":
-            return _branch(*args)
+            return _if(*node.args)
+        args = [_compile(arg) for arg in node.args]
         if node.name == "NOT":
-            return _typed(args, bool, lambda lists: map(operator.not_, *lists),
+            return _typed(args, bool, lambda lists: list(map(operator.not_, *lists)),
                           operator.not_, "NOT needs TRUE or FALSE")
         test, fold = (all, operator.and_) if node.name == "AND" else (any, operator.or_)
-        return _typed(args, bool, lambda lists: reduce(partial(map, fold), lists),
+        return _typed(args, bool, partial(_fold, fold),
                       lambda *values: test(values),
                       f"{node.name} needs TRUE/FALSE arguments")
     raise TypeError(f"not a formula node: {node!r}")
@@ -244,6 +253,15 @@ def _compile(node: Node) -> ColumnFn:
 def _repeat(value: Value) -> ColumnFn:
     kind = type(value)
     return lambda columns, n: (kind, [value] * n)
+
+
+def _fold(fold, lists: Sequence[list]) -> list:
+    """fold(out, values) over value lists left to right, one eager pass per
+    list: lazy maps chained one per list would nest that deep on the C stack."""
+    out = lists[0]
+    for values in lists[1:]:
+        out = list(map(fold, out, values))
+    return out
 
 
 def _read(name: str) -> ColumnFn:
@@ -255,12 +273,12 @@ def _read(name: str) -> ColumnFn:
 
 
 def _typed(args: list[ColumnFn], accepts: type, whole, apply, message: str) -> ColumnFn:
-    """Unary '-', NOT, AND or OR: whole(value lists) over columns of kind
-    accepts; else, per grid, the first error value, or a TypeMismatch unless
-    every value is of kind accepts, or apply(*values)."""
+    """Unary '-', NOT, AND or OR: whole(value lists) as a list over columns
+    of kind accepts; else, per grid, the first error value, or a TypeMismatch
+    unless every value is of kind accepts, or apply(*values)."""
 
     def fast(kind, lists):
-        return (kind, list(whole(lists))) if kind is accepts else None
+        return (kind, whole(lists)) if kind is accepts else None
 
     def rule(*values):
         for value in values:
@@ -357,8 +375,31 @@ def _binary(op: str, left: Value, right: Value) -> Value:
     return ORDERING[op](left, right)
 
 
-def _branch(condition: ColumnFn, then: ColumnFn,
-            otherwise: ColumnFn = _repeat(False)) -> ColumnFn:
+def _if(condition: Node, then: Node,
+        otherwise: Node = BooleanLiteral(False)) -> ColumnFn:
+    # a two-argument IF has an else of FALSE
+    test = _compile(condition)
+    if isinstance(then, _LITERALS) and isinstance(otherwise, _LITERALS):
+        return _pick(test, _literal(then), _literal(otherwise))
+    return _branch(test, _compile(then), _compile(otherwise))
+
+
+def _pick(condition: ColumnFn, x: Value, y: Value) -> ColumnFn:
+    # both branches are literals: one pass over a TRUE/FALSE condition picks
+    # x or y, with no branch columns to build
+    kind = type(x) if type(x) is type(y) else None
+
+    def pick(columns, n):
+        test_kind, tests = condition(columns, n)
+        if test_kind is not bool:
+            return _column([_if_value(test, x, y) for test in tests])
+        values = [x if test else y for test in tests]
+        return (kind, values) if kind is not None else _column(values)
+
+    return pick
+
+
+def _branch(condition: ColumnFn, then: ColumnFn, otherwise: ColumnFn) -> ColumnFn:
     # no node raises, so both branches can be computed and picked per grid
     def branch(columns, n):
         kind, tests = condition(columns, n)
@@ -590,14 +631,17 @@ def semantic_equivalence(
                    for name, (kind, stream) in zip(names, streams)}
         kind_a, va = run_a(columns, n)
         kind_b, vb = run_b(columns, n)
+        one_kind = kind_a is kind_b and kind_a is not None
         # == alone is not agreement: True == 1.0, so the types must match too
-        if va == vb and (
-            (kind_a is not None and kind_a is kind_b)
-            or list(map(type, va)) == list(map(type, vb))
-        ):
+        if va == vb and (one_kind or list(map(type, va)) == list(map(type, vb))):
             continue
-        suspects = map(operator.or_, map(operator.ne, va, vb),
-                       map(operator.is_not, map(type, va), map(type, vb)))
+        if one_kind:
+            # every value has one type, so != alone finds each grid where
+            # values_equal can fail
+            suspects = map(operator.ne, va, vb)
+        else:
+            suspects = map(operator.or_, map(operator.ne, va, vb),
+                           map(operator.is_not, map(type, va), map(type, vb)))
         for i in itertools.compress(range(n), suspects):
             if not values_equal(va[i], vb[i]):
                 witness = {name: values[i] for name, (_, values) in columns.items()}

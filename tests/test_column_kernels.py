@@ -9,6 +9,9 @@ with a fixed example budget, so every run tests the same inputs.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -149,6 +152,26 @@ def test_sum_average_over_a_long_range(name, monkeypatch):
     assert all(exactly(outcome.actual, want) for outcome in report.outcomes)
 
 
+def test_and_or_over_many_arguments_in_a_fresh_process():
+    # each argument is one more eager pass of the fold, not one more level
+    # of nested maps on the C stack; a crash there kills the interpreter,
+    # so the calls run in a child process
+    script = """
+from sheetsmith import evaluate, Grid, parse, semantic_equivalence
+many = ",".join(["A1"] * 100_000)
+print(evaluate(parse(f"=AND({many})"), Grid({"A1": True})))
+print(evaluate(parse(f"=OR({many})"), Grid({"A1": False})))
+print(semantic_equivalence(parse(f"=AND({many})"), parse(f"=OR({many})"),
+                           {"A1": [True, False]}))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evaluator.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["True", "False", "(True, None)"]
+
+
 # ----- semantic_equivalence against a first-difference loop on the oracle ----
 
 NUMERIC_DOMAIN = [-0.0, 0.0, 1, -1, 2.5, 1e308, -1e308, 1.7e308, 3]
@@ -166,6 +189,8 @@ PAIRS = [
     ("=AND(A1,B1,C1)", "=NOT(OR(NOT(A1),NOT(B1),NOT(C1)))", FLAGS),
     ("=OR(A1,B1)", "=IF(A1,TRUE,B1)", FLAGS),
     ("=AND(A1,B1)", "=OR(A1,B1)", FLAGS),
+    ('=IF(A1>=1,"p","f")', '=IF(A1<1,"f","p")', NUMERIC_DOMAIN),
+    ('=IF(A1+B1>=3,"hi","lo")', '=IF(A1+B1>3,"hi","lo")', NUMERIC_DOMAIN),
 ]
 
 

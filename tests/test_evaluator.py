@@ -453,6 +453,32 @@ def test_semantic_equivalence_witness_where_a_middle_run_crosses_blocks():
     assert semantic_equivalence(a, b, domain) == expected
 
 
+# each pair's results share one kind, text, TRUE/FALSE or number, so the
+# witness search compares them with != alone
+@pytest.mark.parametrize(
+    "a,b,size,witness",
+    [
+        # first difference at grid 959 of 1,024
+        ('=IF(A1+B1>=60,"hi","lo")', '=IF(A1+B1>60,"hi","lo")', 32, (29, 31)),
+        ("=A1+B1>=60", "=A1+B1>60", 32, (29, 31)),
+        # grid 5,199 of 10,000, in the second block
+        ('=IF(A1+B1>=150,"hi","lo")', '=IF(A1+B1>150,"hi","lo")', 100, (51, 99)),
+        ("=A1+B1>=150", "=A1+B1>150", 100, (51, 99)),
+        # numbers that differ, but only within the tolerance
+        ("=A1*0.1*10", "=A1", 100, None),
+    ],
+)
+def test_semantic_equivalence_of_one_kind_results(a, b, size, witness):
+    domain = {"A1": range(size), "B1": range(size)}
+    expected = _equivalence_grid_by_grid(parse(a), parse(b), domain)
+    if witness is None:
+        assert expected == (True, None)
+        assert any(ev(a, {"A1": x}) != ev(b, {"A1": x}) for x in range(size))
+    else:
+        assert expected == (False, Grid(dict(zip(domain, witness))))
+    assert semantic_equivalence(parse(a), parse(b), domain) == expected
+
+
 def test_semantic_equivalence_agrees_within_tolerance():
     a, b = parse("=A1*0.1*3"), parse("=A1*0.3")
     assert any(ev("=A1*0.1*3", {"A1": x}) != ev("=A1*0.3", {"A1": x}) for x in range(50))
@@ -501,7 +527,8 @@ MIXED = [
         "=A1<>B1", "=A1>=B1", "=NOT(A1)", "=IF(A1,B1,A1)", "=IF(A1,B1)",
         "=AND(A1,B1)", "=OR(B1,A1,TRUE)", "=SUM(A1:B1)", "=MIN(A1,B1,1)",
         "=MAX(A1:B1,-1)", "=AVERAGE(A1:B1,A1)", '=IF(A1<B1,"lo",IF(A1>B1,"hi"))',
-        "=A1:B1", "=A1+A1+B1+A1",
+        "=A1:B1", "=A1+A1+B1+A1", '=IF(A1,"a","b")', '=IF(A1,1,"x")',
+        "=IF(A1<B1,TRUE,0)", "=IF(A1,2.5,0)", '=IF(A1,"a")', '=IF(A1,1,"x")+1',
     ],
 )
 def test_mixed_type_columns_match_grid_by_grid(text):
