@@ -209,8 +209,8 @@ def fit_accuracy_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
     The fit is linear in log space, so points with accuracy <= 0 cannot be
     used; they are dropped and counted. r_squared is the coefficient of
     determination of the log-space line. Non-finite points, and points
-    whose fit overflows or divides by an underflowed zero, raise
-    DegenerateXError.
+    whose fit overflows, divides by an underflowed zero or underflows a to
+    zero, raise DegenerateXError.
     """
     for point in points:
         if not all(map(math.isfinite, point)):
@@ -234,23 +234,14 @@ def fit_accuracy_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
         intercept = y_mean - slope * x_mean
         ss_res = sum((v - (intercept + slope * x)) ** 2 for x, v in zip(xs, logy))
         ss_tot = sum((v - y_mean) ** 2 for v in logy)
-        if ss_tot > 0:
-            r_squared = 1.0 - ss_res / ss_tot
-        else:
-            r_squared = 1.0 if ss_res == 0 else 0.0
+        r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else float(ss_res == 0)
         a = math.exp(intercept)
-        finite = all(map(math.isfinite, (a, slope, r_squared)))
+        finite = a > 0 and all(map(math.isfinite, (a, slope, r_squared)))
     except (OverflowError, ZeroDivisionError):
         finite = False
     if not finite:
         raise DegenerateXError("these complexity values give no finite fit")
-    return CurveFit(
-        a=a,
-        b=slope,
-        r_squared=r_squared,
-        points_used=len(usable),
-        points_dropped=dropped,
-    )
+    return CurveFit(a, slope, r_squared, len(usable), dropped)
 
 
 def exceeds_base_error_ceiling(
@@ -260,5 +251,9 @@ def exceeds_base_error_ceiling(
 ) -> bool:
     """True when the fitted curve, read at the easiest observed question,
     promises more accuracy than humans achieve on anything (default 95%).
-    The fit itself is never altered; this only drives an annotation."""
-    return fit.a * math.exp(fit.b * min_complexity) > ceiling
+    The fit itself is never altered; this only drives an annotation. Where
+    the curve passes the largest float, the logs of both sides compare."""
+    try:
+        return fit.a * math.exp(fit.b * min_complexity) > ceiling
+    except OverflowError:
+        return math.log(fit.a) + fit.b * min_complexity > math.log(ceiling)

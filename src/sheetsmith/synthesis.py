@@ -22,7 +22,7 @@ prunings keep the walk short, and none changes which list is reached first:
 4. Each capture is placed once. A predicate capturing exactly the rows of an
    earlier one leads to the same states, which have already failed, and a
    predicate capturing no row at all leads nowhere; neither is placed. A
-   family whose cuts hold the same rows as an earlier family's is skipped.
+   family whose tie groups repeat an earlier one's is skipped (see below).
 
 The walk never enters a state whose rows all share one label. The first
 state holds every example, and synthesize returns a one-label set at once.
@@ -51,16 +51,18 @@ Predicates mean what the printed formula means: each attribute's values
 are read into a column of floats, and a family's values come from the
 evaluator's column kernel, evaluator.aggregate_columns, over those columns,
 which falls back to evaluator.aggregate on each row where its overflow
-check fails. A family's tie groups, the rows of each
-distinct value in ascending order, give its thresholds: each group's value,
-with the groups before it below it and its own too up to it, and between
-two groups their midpoint, with the groups before it below and up to it.
-A midpoint that rounds onto an end, as (1.0 + 1.0000000000000002) / 2 does,
-cuts as that end; one that overflows to inf or -inf has every row or none.
-Each comparator's rows are one of those sets or its complement, as
-formulas.ORDERING would pick them. A family whose aggregate is an error on
-some row (a SUM or AVERAGE past the largest float) is left out, as a rule
-testing it returns that error on any such row it reaches.
+check fails. A family's tie groups, the rows of each distinct value in
+ascending order, give its thresholds: each group's value, with the groups
+before it below it and its own too up to it, and between two groups their
+midpoint, with the groups before it below and up to it. A midpoint that
+rounds onto an end, as (1.0 + 1.0000000000000002) / 2 does, cuts as that
+end; one that overflows to inf or -inf is no threshold, as no formula
+prints it. Each comparator's rows are one of those sets or its complement,
+as formulas.ORDERING would pick them, and a midpoint's are also a value's
+under that comparator, so the tie groups fix what a family captures. A
+family whose aggregate is an error on some row (a SUM or AVERAGE past the
+largest float) is left out, as a rule testing it returns that error on any
+such row it reaches.
 """
 
 from __future__ import annotations
@@ -225,11 +227,11 @@ def _float_columns(
     return {name: [*map(float, values)] for name, values in zip(names, rows)}
 
 
-def _cuts(
+def _tie_groups(
     columns: Mapping[str, list[float]], config: HypothesisConfig
-) -> dict[Family, tuple[list[float], list[tuple[int, int]]]]:
-    """Each family's thresholds ascending, and the rows below and up to each
-    as bit masks, row i being bit i, read off the family's tie groups."""
+) -> dict[Family, tuple[list[float], tuple[int, ...]]]:
+    """Each family's distinct values ascending, and for each k the rows of
+    its k smallest values as a bit mask, row i being bit i."""
     lists = list(columns.values())
     families: dict[Family, list[float]] = {}
     for kind in config.aggregates:
@@ -241,25 +243,27 @@ def _cuts(
             value_kind, values = aggregate_columns(kind, lists)
             if value_kind is float:
                 families[kind, None] = values
-    cuts = {}
+    groups = {}
     for family, values in families.items():
         ties: dict[float, int] = {}  # the rows of each value; -0.0 is 0.0
         for i, value in enumerate(values):
             ties[value] = ties.get(value, 0) | 1 << i
         distinct = sorted(ties)
-        # prefix[k]: the rows of the k smallest values
-        prefix = [*accumulate(map(ties.get, distinct), or_, initial=0)]
-        thresholds, bounds = distinct[:1], [(0, prefix[1])]
-        for k in range(1, len(distinct)):
-            low, high = distinct[k - 1], distinct[k]
-            mid = (low + high) / 2
-            if math.isinf(mid):  # low + high overflowed
-                bounds.append((0, 0) if mid < 0 else (prefix[-1],) * 2)
-            else:  # a midpoint rounded onto an end cuts as that end
-                bounds.append((prefix[k - (mid == low)], prefix[k + (mid == high)]))
-            thresholds += [mid, high]
-            bounds.append((prefix[k], prefix[k + 1]))
-        cuts[family] = thresholds, bounds
+        prefix = tuple(accumulate(map(ties.get, distinct), or_, initial=0))
+        groups[family] = distinct, prefix
+    return groups
+
+
+def _cuts(distinct: list[float], prefix: tuple[int, ...]) -> list[tuple]:
+    """A family's thresholds ascending, each with its (below, up-to) rows."""
+    cuts = [(distinct[0], (0, prefix[1]))]
+    for k in range(1, len(distinct)):
+        low, high = distinct[k - 1], distinct[k]
+        mid = (low + high) / 2
+        if not math.isinf(mid):  # no formula prints one that overflowed
+            # a midpoint rounded onto an end cuts as that end
+            cuts.append((mid, (prefix[k - (mid == low)], prefix[k + (mid == high)])))
+        cuts.append((high, (prefix[k], prefix[k + 1])))
     return cuts
 
 
@@ -276,13 +280,13 @@ def _placements(
     shapes = {"<": (0, 0), "<=": (1, 0), ">": (1, full_mask), ">=": (0, full_mask)}
     picks = [(comparator, *shapes[comparator]) for comparator in config.comparators]
     placements: dict[int, tuple] = {}
-    seen = set()  # a family that cuts as an earlier one captures nothing new
-    cuts = _cuts(_float_columns(examples, names), config)
-    for (kind, attribute), (thresholds, bounds) in cuts.items():
-        if (key := tuple(bounds)) in seen:
+    seen = set()  # a family with an earlier one's tie groups captures nothing new
+    groups = _tie_groups(_float_columns(examples, names), config)
+    for (kind, attribute), (distinct, prefix) in groups.items():
+        if prefix in seen:
             continue
-        seen.add(key)
-        for threshold, pair in zip(thresholds, bounds):
+        seen.add(prefix)
+        for threshold, pair in _cuts(distinct, prefix):
             for comparator, bound, flip in picks:
                 mask = pair[bound] ^ flip
                 if mask and mask not in placements:
@@ -297,16 +301,16 @@ def enumerate_candidates(
 
     Order is: aggregates as configured (each attribute in turn for the
     single-attribute family), then thresholds ascending, then comparators as
-    configured. Thresholds are the observed aggregate values plus midpoints
-    of adjacent distinct values. A family whose aggregate is an error on
-    some row has no candidates.
+    configured. Thresholds are the observed aggregate values plus the finite
+    midpoints of adjacent distinct values. A family whose aggregate is an
+    error on some row has no candidates.
     """
     config = config or HypothesisConfig()
-    cuts = _cuts(_float_columns(examples, _check_examples(examples)), config)
+    columns = _float_columns(examples, _check_examples(examples))
     return [
         Predicate(kind, comparator, threshold, attribute)
-        for (kind, attribute), (thresholds, _) in cuts.items()
-        for threshold in thresholds
+        for (kind, attribute), groups in _tie_groups(columns, config).items()
+        for threshold, _ in _cuts(*groups)
         for comparator in config.comparators
     ]
 

@@ -394,6 +394,22 @@ def test_fit_ceiling_of_100_is_accepted(tmp_path, capsys, option):
     assert "ceiling_exceeded: false" in capsys.readouterr().out
 
 
+def test_fit_with_an_underflowed_or_a_tiny_a(tmp_path, capsys):
+    # exp(intercept) underflows to 0: no fit
+    path = write(tmp_path, "zero.csv", "complexity,accuracy_pct\n1,1e-320\n2,70\n")
+    assert main(["fit", "--points", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DegenerateX: ")
+    assert captured.err.count("\n") == 1
+    # a is about 1.95e-303 and exp(b) overflows at the easiest question
+    path = write(
+        tmp_path, "tiny.csv", "complexity,accuracy_pct\n1,1e10\n1.01,1.34e13\n"
+    )
+    assert main(["fit", "--points", path]) == 0
+    assert "ceiling_exceeded: true" in capsys.readouterr().out
+
+
 def test_fit_ceiling_with_no_value_is_argparses_error(tmp_path, capsys):
     path = write(tmp_path, "pts.csv", "complexity,accuracy_pct\n1,90\n2,70\n")
     assert main(["fit", "--points", path, "--ceiling"]) == 2

@@ -233,6 +233,7 @@ def test_fit_rejects_degenerate_x():
         [(1.0, 50.0), (float("inf"), 25.0)],
         [(1.0, float("inf")), (2.0, 25.0)],
         [(1.0, 50.0), (2.0, 25.0), (3.0, float("nan"))],
+        [(1.0, 1e-320), (2.0, 70.0)],  # a = exp(intercept) underflows to 0
     ],
 )
 def test_fit_rejects_points_with_no_finite_fit(points):
@@ -255,3 +256,10 @@ def test_base_error_ceiling_annotation():
                     points_used=2, points_dropped=0)
     assert exceeds_base_error_ceiling(high, min_complexity=0.5)
     assert not exceeds_base_error_ceiling(high, min_complexity=0.5, ceiling=250.0)
+
+
+def test_base_error_ceiling_past_the_largest_float():
+    # exp(710.0) overflows, so the logs of both sides compare
+    for a, exceeds in ((1e-300, True), (1e-320, False)):
+        fit = CurveFit(a=a, b=710.0, r_squared=1.0, points_used=2, points_dropped=0)
+        assert exceeds_base_error_ceiling(fit, min_complexity=1.0) is exceeds

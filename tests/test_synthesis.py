@@ -764,7 +764,8 @@ def _bisected_candidates(examples, names, config):
         distinct = sorted(set(values))
         thresholds = distinct[:1]
         for low, high in zip(distinct, distinct[1:]):
-            thresholds += [(low + high) / 2, high]
+            mid = (low + high) / 2  # no formula prints one that overflowed
+            thresholds += [mid, high] if math.isfinite(mid) else [high]
         for threshold in thresholds:
             bounds = (prefix[bisect_left(ordered, threshold)],
                       prefix[bisect_right(ordered, threshold)])
@@ -831,10 +832,16 @@ HAND_SETS = {
     # SUM and AVERAGE are errors on the first row, so they are left out
     "sum-overflows": pairs((1e308, 1e308), (1.0, 1.0), (2.0, 0.0)),
     # MIN and MAX put the rows in one order, but only MAX's midpoint
-    # overflows, to inf, so its < captures every row
+    # overflows, to inf, which no formula prints
     "midpoint-overflows": pairs((1.0, 1e308), (2.0, 1.7e308)),
     "midpoint-overflows-negative": pairs((-1e308, -1.0), (-1.7e308, -2.0)),
+    # MIN and MAX share tie groups, but only MIN's first midpoint rounds
+    # onto an end, so their thresholds cut the rows differently
+    "tie-groups-repeat-with-a-rounded-midpoint": pairs(
+        (1.0, 1.0), (ABOVE_ONE, 2.0), (3.0, 3.0)
+    ),
 }
+OVERFLOWS = ["midpoint-overflows", "midpoint-overflows-negative"]
 
 
 @pytest.mark.parametrize("examples", HAND_SETS.values(), ids=HAND_SETS)
@@ -866,7 +873,52 @@ def test_hand_sets_hold_what_they_are_named_for():
     names = ("x",)
     placed = _placements(HAND_SETS["one-attribute"], names, HypothesisConfig())
     assert {fields[0] for fields in placed.values()} == {"MIN"}
-    # the overflowing MAX adds the capture of every row under <
+    # the overflowed MAX midpoint is no threshold, so under < nothing
+    # captures every row
     config = HypothesisConfig(comparators=("<",))
     placed = _placements(HAND_SETS["midpoint-overflows"], ("a", "b"), config)
-    assert placed[0b11] == ("MAX", "<", math.inf, None)
+    assert 0b11 not in placed
+    for name in OVERFLOWS:
+        thresholds = [p.threshold for p in enumerate_candidates(HAND_SETS[name])]
+        assert all(map(math.isfinite, thresholds))
+    # MIN and MAX both order the rows 0, 1, 2, each row a value of its own
+    rows = [ex.attributes.values() for ex in
+            HAND_SETS["tie-groups-repeat-with-a-rounded-midpoint"]]
+    for fold in (min, max):
+        folded = [fold(row) for row in rows]
+        assert folded == sorted(set(folded))
+
+
+@pytest.mark.parametrize("examples", HAND_SETS.values(), ids=HAND_SETS)
+def test_every_enumerated_candidate_prints(examples):
+    names = tuple(examples[0].attributes)
+    assignment = default_cell_assignment(names)
+    config = HypothesisConfig(comparators=tuple(ORDERING))
+    for predicate in enumerate_candidates(examples, config):
+        text = render(_compile([(predicate, "a")], "b", names, assignment))
+        assert render(parse(text)) == text
+
+
+def test_overflow_sets_count_each_placement():
+    sets = [HAND_SETS[name] for name in OVERFLOWS]
+    sets.append(column(1.0, 1e308, 1.7e308, labels="aba"))
+    for examples, comparators in itertools.product(
+        sets, [*((c,) for c in ORDERING), ("<", ">=")]
+    ):
+        config = HypothesisConfig(comparators=comparators)
+        expected = counted_placements(examples, config)
+        if expected is None:
+            with pytest.raises(HypothesisSpaceExhaustedError):
+                synthesize(examples, config)
+            continue
+        assert synthesize(examples, config).candidates_explored == expected
+        assert synthesize(examples, config, expected).candidates_explored == expected
+        if expected:
+            with pytest.raises(SearchBudgetExceededError):
+                synthesize(examples, config, expected - 1)
+    # the same list as while the overflowed midpoint was a threshold, in 5
+    # placements rather than 7
+    result = synthesize(sets[-1], HypothesisConfig(comparators=("<",)))
+    rules = [(Predicate("MIN", "<", 5e307), "a"), (Predicate("MIN", "<", 1.7e308), "b")]
+    assert result.formula == _compile(rules, "a", ("x",), {"x": "C5"})
+    assert result.candidates_explored == 5
