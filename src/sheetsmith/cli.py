@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from operator import attrgetter
 from typing import Optional, TYPE_CHECKING
 
 from .csvio import (ascii_int, cell_text, columns, finite_float, open_output,
@@ -44,31 +45,28 @@ def _option(name: str, read, what: str):
     return lambda text: read_value(read, text, name, what, UsageError)
 
 
-def _report_columns() -> tuple[str, ...]:
-    """The scan report: the Halstead counts, then every other MetricsReport field."""
+def _report_table():
+    """The scan report's header, and the function that makes one row of it.
+
+    A row is the source id, the formula, the Halstead counts, every other
+    MetricsReport field and the parse error; the metrics are blank where the
+    formula did not parse, and the parse error is blank where it did.
+    """
     from .metrics import HalsteadCounts, MetricsReport
 
-    return (
-        "source_id",
-        "formula",
-        *columns(HalsteadCounts),
-        *(name for name in columns(MetricsReport) if name != "counts"),
-        "parse_error",
-    )
+    counts = columns(HalsteadCounts)
+    fields = tuple(name for name in columns(MetricsReport) if name != "counts")
+    count_values, field_values = attrgetter(*counts), attrgetter(*fields)
+    blank = (None,) * (len(counts) + len(fields))
 
+    def report_row(source_id: str, formula: str, report: Optional[MetricsReport],
+                   parse_error: Optional[str]) -> tuple:
+        if report is None:
+            return source_id, formula, *blank, parse_error
+        return (source_id, formula, *count_values(report.counts),
+                *field_values(report), parse_error)
 
-def _report_row(
-    header: tuple[str, ...],
-    source_id: str,
-    formula: str,
-    report: Optional[MetricsReport] = None,
-    parse_error: Optional[str] = None,
-) -> dict:
-    """One scanned formula over the report's columns: metrics or a parse error."""
-    values = {"source_id": source_id, "formula": formula, "parse_error": parse_error}
-    if report is not None:
-        values.update(vars(report.counts), **vars(report))
-    return {name: values.get(name) for name in header}
+    return ("source_id", "formula", *counts, *fields, "parse_error"), report_row
 
 
 # ----- analyze ---------------------------------------------------------
@@ -80,21 +78,21 @@ def _cmd_analyze(args) -> int:
     from .parser import parse
 
     ast = parse(args.formula)
-    header = _report_columns()
-    row = _report_row(header, "-", args.formula, metrics_report(ast))
+    header, report_row = _report_table()
+    row = report_row("-", args.formula, metrics_report(ast), None)
     if args.format == "table":
         # the metric fields sit between formula and parse_error
-        metrics = list(row.items())[2:-1]
+        metrics = list(zip(header, row))[2:-1]
         pairs = [("formula", args.formula), ("canonical", render(ast))] + metrics
         width = max(len(name) for name, _ in pairs)
         for name, value in pairs:
             print(f"{name:<{width}}  {cell_text(value)}")
     elif args.format == "csv":
-        write_csv("-", header, [row.values()])
+        write_csv("-", header, [row])
     else:
         import json
 
-        print(json.dumps(row, indent=2))
+        print(json.dumps(dict(zip(header, row)), indent=2))
     return 0
 
 
@@ -105,7 +103,7 @@ def _cmd_scan(args) -> int:
     from .metrics import metrics_report
     from .parser import parse
 
-    header = _report_columns()
+    header, report_row = _report_table()
     rows = []
     for source_id, text in read_formulas_csv(args.path):
         # a formula that does not parse is reported in its row, not raised
@@ -113,15 +111,17 @@ def _cmd_scan(args) -> int:
             report, error = metrics_report(parse(text)), None
         except SheetsmithError as exc:
             report, error = None, f"{exc.code}: {exc}"
-        rows.append(_report_row(header, source_id, text, report, error))
+        rows.append(report_row(source_id, text, report, error))
     if args.format == "json":
         import json
 
+        objects = [dict(zip(header, row)) for row in rows]
         with open_output(args.output) as stream:
-            stream.write(json.dumps(rows, indent=2) + "\n")
+            stream.write(json.dumps(objects, indent=2) + "\n")
     else:
-        write_csv(args.output, header, [row.values() for row in rows], stamp=args.stamp)
-    flagged = sum(1 for row in rows if row["miller_flag"])
+        write_csv(args.output, header, rows, stamp=args.stamp)
+    miller_flag = header.index("miller_flag")
+    flagged = sum(1 for row in rows if row[miller_flag])
     if args.fail_on_miller and flagged:
         print(
             f"error: MillerLimit: {flagged} of {len(rows)} formulas "

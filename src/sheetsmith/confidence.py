@@ -252,8 +252,16 @@ def exceeds_base_error_ceiling(
     """True when the fitted curve, read at the easiest observed question,
     promises more accuracy than humans achieve on anything (default 95%).
     The fit itself is never altered; this only drives an annotation. Where
-    the curve passes the largest float, the logs of both sides compare."""
+    exp(b*x) passes the largest float, the curve's sign is a's: a positive a
+    exceeds a ceiling of 0 or less, and otherwise the logs of both sides
+    compare; a zero a exceeds only a negative ceiling, and a negative a none."""
+    exponent = fit.b * min_complexity
     try:
-        return fit.a * math.exp(fit.b * min_complexity) > ceiling
+        growth = math.exp(exponent)
     except OverflowError:
-        return math.log(fit.a) + fit.b * min_complexity > math.log(ceiling)
+        growth = math.inf
+    if growth != math.inf:
+        return fit.a * growth > ceiling
+    if fit.a <= 0:
+        return fit.a == 0 and 0 > ceiling
+    return ceiling <= 0 or math.log(fit.a) + exponent > math.log(ceiling)

@@ -32,11 +32,13 @@ AGGREGATE_FUNCTIONS = ("MIN", "MAX", "AVERAGE", "SUM")
 _CELL = re.compile(r"(\$?)([A-Za-z]+)(\$?)([0-9]+)")
 CELL_PATTERN = _CELL.pattern.replace("(", "(?:")
 
-# entries in each cache of shared leaf nodes, cell_ref's and the parser's;
-# a full one holds about 0.7 MB
+# entries in each bounded cache: the parser's leaf nodes, cell_ref's cells,
+# column_index's indexes and number_text's texts; a full one holds at most
+# about 0.7 MB
 LEAF_CACHE_SIZE = 2048
 
 
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
 def column_index(letters: str) -> int:
     """Column letters to 1-based index: A -> 1, Z -> 26, AA -> 27."""
     index = 0
@@ -171,11 +173,14 @@ def cells_in_range(ref: RangeRef) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=LEAF_CACHE_SIZE)
 def number_text(value: float) -> str:
     """Canonical numeric literal: no trailing .0, never exponent notation.
 
     Exponent-form reprs are expanded digit for digit, so the text parses back
-    to the same float however tiny or huge it is.
+    to the same float however tiny or huge it is. Texts are cached: values
+    that compare equal have equal texts (-0.0 and 0.0 give "0"; 1, 1.0 and
+    True give "1"), and nan and inf raise, which a cache never stores.
     """
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))

@@ -28,7 +28,6 @@ from .formulas import (
     CellRef,
     FormulaAst,
     FunctionCall,
-    Node,
     number_text,
     NumberLiteral,
     RangeRef,
@@ -65,34 +64,32 @@ class MetricsReport:
     miller_flag: bool
 
 
-def _collect(root: Node, operators: list[str], operands: list[str]) -> None:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is BinaryOp:
-            operators.append(node.op)
-            stack += node.left, node.right
-        elif kind is FunctionCall:
-            # a call with no arguments still counts its name
-            operators.append(node.name)
-            stack += node.args
-        elif kind is UnaryOp:
-            operators.append(node.op)
-            stack.append(node.operand)
-        elif kind is NumberLiteral:
-            operands.append(number_text(node.value))
-        elif kind is CellRef or kind is RangeRef:
-            operands.append(node.canonical())
-        else:
-            operands.append(token_text(node))
-
-
 def halstead_counts(ast: FormulaAst) -> HalsteadCounts:
     """Count distinct and total operators/operands of a formula tree."""
     operators: list[str] = []
     operands: list[str] = []
-    _collect(ast.root, operators, operands)
+    stack = [ast.root]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = pop()
+        kind = node.__class__  # the kinds a grading formula holds most come first
+        if kind is FunctionCall:
+            # a call with no arguments still counts its name
+            operators.append(node.name)
+            stack += node.args
+        elif kind is NumberLiteral:
+            operands.append(number_text(node.value))
+        elif kind is BinaryOp:
+            operators.append(node.op)
+            push(node.left)
+            push(node.right)
+        elif kind is CellRef or kind is RangeRef:
+            operands.append(node.canonical())
+        elif kind is UnaryOp:
+            operators.append(node.op)
+            push(node.operand)
+        else:
+            operands.append(token_text(node))
     return HalsteadCounts(
         n1=len(set(operators)),
         n2=len(set(operands)),

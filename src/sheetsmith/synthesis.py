@@ -268,20 +268,21 @@ def _cuts(distinct: list[float], prefix: tuple[int, ...]) -> list[tuple]:
 
 
 def _placements(
-    examples: Sequence[LabeledExample],
-    names: Sequence[str],
+    columns: Mapping[str, list[float]],
+    count: int,
     config: HypothesisConfig,
 ) -> dict[int, tuple]:
-    """Each non-empty capture, in search order, and the Predicate fields of
-    the first candidate that captures it (pruning 4)."""
+    """Each non-empty capture of the count rows of the float columns, in
+    search order, and the Predicate fields of the first candidate that
+    captures it (pruning 4)."""
     # a comparator captures the rows below (<) or up to (<=) a threshold, or
     # the rest (> and >=): (index into the below/up-to pair, mask to flip by)
-    full_mask = (1 << len(examples)) - 1
+    full_mask = (1 << count) - 1
     shapes = {"<": (0, 0), "<=": (1, 0), ">": (1, full_mask), ">=": (0, full_mask)}
     picks = [(comparator, *shapes[comparator]) for comparator in config.comparators]
     placements: dict[int, tuple] = {}
     seen = set()  # a family with an earlier one's tie groups captures nothing new
-    groups = _tie_groups(_float_columns(examples, names), config)
+    groups = _tie_groups(columns, config)
     for (kind, attribute), (distinct, prefix) in groups.items():
         if prefix in seen:
             continue
@@ -413,11 +414,10 @@ def synthesize(
     config = config or HypothesisConfig()
     names = _check_examples(examples)
     assignment = _cell_assignment(names, config.cell_assignment)
-    # the examples as the block the final check evaluates
-    block = {
-        assignment[name]: (float, values)
-        for name, values in _float_columns(examples, names).items()
-    }
+    # the examples as float columns, which the search cuts and, as a block,
+    # the final check evaluates; neither changes a column
+    columns = _float_columns(examples, names)
+    block = {assignment[name]: (float, values) for name, values in columns.items()}
     labels = [example.label for example in examples]
     label_masks: dict[str, int] = {}  # label -> its rows, in order of appearance
     for i, example in enumerate(examples):
@@ -426,7 +426,7 @@ def synthesize(
         return _checked_result(FormulaAst(TextLiteral(labels[0])), block, labels, 0)
 
     count = len(examples)
-    placements = _placements(examples, names, config)
+    placements = _placements(columns, count, config)
     masks = list(placements)
     # each row's label and the rows that share it
     row_labels = [(example.label, label_masks[example.label]) for example in examples]

@@ -1,0 +1,99 @@
+"""The benchmark's own model of the formula language (perfbench/oracle.py)
+against parse, metrics_report and render, on generated tuple trees.
+
+The oracle imports nothing from sheetsmith: it has its own tree, writer,
+reader and operator/operand count by the README's rules. It is loaded here
+from its file and only read. For each tree, the text oracle.write prints (in
+varied letter case, comma spacing and "40.0" spellings) must parse, every
+metrics_report figure must equal the oracle's, and the oracle must read the
+rendered text back as the tree, with each range's corners in make_range's
+order. Range corners come from a small box, since oracle.range_keys lists
+every cell of a range.
+
+Hypothesis runs derandomized with a fixed example budget, so every run tests
+the same inputs.
+"""
+
+import importlib.util
+import pathlib
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from sheetsmith import metrics_report, parse, render, SUPPORTED_FUNCTIONS
+from sheetsmith.formulas import BINARY_PRECEDENCE
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_oracle", _PATH)
+oracle = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(oracle)
+
+# non-negative, since the writer prints a negative number as unary minus;
+# whole, quarter and hundredth values, none printed in exponent form
+numbers = st.one_of(
+    st.integers(min_value=0, max_value=10**20).map(float),
+    st.integers(min_value=0, max_value=10**4).map(lambda k: k / 4),
+    st.integers(min_value=1, max_value=10**4).map(lambda k: k / 100),
+)
+cells = st.tuples(
+    st.just("cell"),
+    st.integers(min_value=1, max_value=27).map(oracle.col_name),  # A to AA
+    st.integers(min_value=1, max_value=40),
+    st.booleans(),
+    st.booleans(),
+)
+leaves = st.one_of(
+    numbers.map(lambda value: ("num", value)),
+    st.text(max_size=6).map(lambda text: ("text", text)),
+    st.booleans().map(lambda flag: ("bool", flag)),
+    cells,
+    st.tuples(st.just("range"), cells, cells),
+)
+
+
+def _branches(children):
+    def call(name):
+        low, high = SUPPORTED_FUNCTIONS[name]
+        args = st.lists(children, min_size=low, max_size=high or 3)
+        return args.map(lambda args: ("call", name, tuple(args)))
+
+    return st.one_of(
+        st.tuples(st.just("bin"), st.sampled_from(sorted(BINARY_PRECEDENCE)),
+                  children, children),
+        children.map(lambda node: ("neg", node)),
+        st.sampled_from(sorted(SUPPORTED_FUNCTIONS)).flatmap(call),
+    )
+
+
+trees = st.recursive(leaves, _branches, max_leaves=12)
+
+
+def _ordered(node):
+    """The tree with each range's corners ordered as make_range orders them:
+    columns and rows apart, markers with their part, and a tie moves none."""
+    kind = node[0]
+    if kind == "range":
+        (_, c0, r0, c0_abs, r0_abs), (_, c1, r1, c1_abs, r1_abs) = node[1], node[2]
+        if oracle.col_number(c0) > oracle.col_number(c1):
+            c0, c0_abs, c1, c1_abs = c1, c1_abs, c0, c0_abs
+        if r0 > r1:
+            r0, r0_abs, r1, r1_abs = r1, r1_abs, r0, r0_abs
+        return ("range", ("cell", c0, r0, c0_abs, r0_abs), ("cell", c1, r1, c1_abs, r1_abs))
+    if kind == "call":
+        return ("call", node[1], tuple(map(_ordered, node[2])))
+    if kind == "bin":
+        return ("bin", node[1], _ordered(node[2]), _ordered(node[3]))
+    if kind == "neg":
+        return ("neg", _ordered(node[1]))
+    return node
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(trees, st.integers(min_value=0, max_value=2**32 - 1))
+def test_parse_metrics_and_render_agree_with_the_benchmark_oracle(tree, seed):
+    ast = parse(oracle.write(tree, random.Random(seed)))
+    report = metrics_report(ast)
+    figures = {**vars(report.counts), **vars(report)}
+    del figures["counts"]
+    assert figures == oracle.expected_metrics(tree)
+    assert oracle.read(render(ast)) == _ordered(tree)

@@ -259,7 +259,20 @@ def test_base_error_ceiling_annotation():
 
 
 def test_base_error_ceiling_past_the_largest_float():
-    # exp(710.0) overflows, so the logs of both sides compare
-    for a, exceeds in ((1e-300, True), (1e-320, False)):
+    # exp(710.0) overflows: a positive a compares logs with a positive
+    # ceiling and exceeds any other; a zero a exceeds only a negative one,
+    # and a negative a none
+    cases = (
+        (1e-300, 95.0, True), (1e-320, 95.0, False),
+        (1.0, 0.0, True), (1.0, -5.0, True),
+        (0.0, 95.0, False), (0.0, 0.0, False), (0.0, -5.0, True),
+        (-1.0, 95.0, False), (-1.0, -5.0, False),
+    )
+    for a, ceiling, exceeds in cases:
         fit = CurveFit(a=a, b=710.0, r_squared=1.0, points_used=2, points_dropped=0)
-        assert exceeds_base_error_ceiling(fit, min_complexity=1.0) is exceeds
+        assert exceeds_base_error_ceiling(fit, 1.0, ceiling) is exceeds
+    # b * x can overflow to inf itself, and exp(inf) is inf, not an error
+    for a, ceiling, exceeds in ((1e-320, 95.0, True), (0.0, 0.0, False),
+                                (0.0, -5.0, True), (-1.0, -5.0, False)):
+        fit = CurveFit(a=a, b=1e308, r_squared=1.0, points_used=2, points_dropped=0)
+        assert exceeds_base_error_ceiling(fit, 2.0, ceiling) is exceeds

@@ -10,7 +10,7 @@ import operator
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from test_parser import _has_negative_literal
 from sheetsmith import (
@@ -206,6 +206,9 @@ corners = st.builds(
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)
 @given(corners, corners)
+# lowercase "z" sorts after "AA" by column_index, though by length then
+# letters it would come first; the strategy never draws this pair itself
+@example(CellRef("z", 1), CellRef("AA", 1))
 def test_make_range_orders_corners_as_the_sorting_rule_does(a, b):
     assert make_range(a, b) == _sorted_range(a, b)
 

@@ -35,6 +35,7 @@ from sheetsmith.evaluator import aggregate, aggregate_columns, EvalError
 from sheetsmith.formulas import ORDERING, render
 from sheetsmith.synthesis import (
     _compile,
+    _float_columns,
     _placements,
     default_cell_assignment,
     DEFAULT_AGGREGATES,
@@ -773,6 +774,11 @@ def _bisected_candidates(examples, names, config):
                 yield family, threshold, comparator, bounds[bound] ^ flip
 
 
+def placements_of(examples, names, config):
+    """_placements of the examples' float columns, as synthesize calls it."""
+    return _placements(_float_columns(examples, names), len(examples), config)
+
+
 def assert_placed_as_every_candidate_would_be(examples, config):
     """The search's placements are the first candidate of each non-empty
     capture, in order; enumerate_candidates lists every candidate. Floats
@@ -783,7 +789,7 @@ def assert_placed_as_every_candidate_would_be(examples, config):
     for family, threshold, comparator, mask in candidates:
         if mask and mask not in first:
             first[mask] = family, threshold, comparator
-    placed = _placements(examples, names, config)
+    placed = placements_of(examples, names, config)
     assert [
         (mask, (kind, attribute), repr(threshold), comparator)
         for mask, (kind, comparator, threshold, attribute) in placed.items()
@@ -870,13 +876,12 @@ def test_hand_sets_hold_what_they_are_named_for():
         }
         assert {"-0.0", "0.0"} & thresholds == {zero}
     # with one attribute every aggregate after the first adds no capture
-    names = ("x",)
-    placed = _placements(HAND_SETS["one-attribute"], names, HypothesisConfig())
+    placed = placements_of(HAND_SETS["one-attribute"], ("x",), HypothesisConfig())
     assert {fields[0] for fields in placed.values()} == {"MIN"}
     # the overflowed MAX midpoint is no threshold, so under < nothing
     # captures every row
     config = HypothesisConfig(comparators=("<",))
-    placed = _placements(HAND_SETS["midpoint-overflows"], ("a", "b"), config)
+    placed = placements_of(HAND_SETS["midpoint-overflows"], ("a", "b"), config)
     assert 0b11 not in placed
     for name in OVERFLOWS:
         thresholds = [p.threshold for p in enumerate_candidates(HAND_SETS[name])]
