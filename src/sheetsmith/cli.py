@@ -27,11 +27,12 @@ import sys
 from operator import attrgetter
 from typing import Optional, TYPE_CHECKING
 
-from .csvio import (ascii_int, cell_text, columns, finite_float, open_output,
-                    POINTS_HEADER, read_complexities_csv, read_examples_csv,
-                    read_formulas_csv, read_points_csv, read_results_csv,
-                    read_value, write_csv)
-from .errors import SheetsmithError, UsageError
+from .csvio import (ascii_int, cell_text, columns, finite_float, FORMULAS_HEADER,
+                    INTEGER, open_output, POINTS_HEADER, read_complexities_csv,
+                    read_examples_csv, read_formulas_csv, read_points_csv,
+                    read_results_csv, read_value, write_csv)
+from .errors import (EmptyLabelError, InconsistentExamplesError, SheetsmithError,
+                     UsageError)
 
 if TYPE_CHECKING:  # the commands import these when they run
     from .confidence import ExperimentSummary
@@ -40,9 +41,9 @@ if TYPE_CHECKING:  # the commands import these when they run
 BUDGET_ENV_VAR = "SHEETSMITH_SEARCH_BUDGET"
 
 
-def _option(name: str, read, what: str):
-    """An argparse type= function: read as a CSV field reads, or a UsageError."""
-    return lambda text: read_value(read, text, name, what, UsageError)
+def _option(name: str, field):
+    """An argparse type= function: read as a CSV field of that type, or a UsageError."""
+    return lambda text: read_value(field, text, name, UsageError)
 
 
 def _report_table():
@@ -66,7 +67,7 @@ def _report_table():
         return (source_id, formula, *count_values(report.counts),
                 *field_values(report), parse_error)
 
-    return ("source_id", "formula", *counts, *fields, "parse_error"), report_row
+    return (*FORMULAS_HEADER, *counts, *fields, "parse_error"), report_row
 
 
 # ----- analyze ---------------------------------------------------------
@@ -146,8 +147,8 @@ def _search_budget() -> int:
     from .synthesis import DEFAULT_SEARCH_BUDGET
 
     raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_SEARCH_BUDGET))
-    what = "a non-negative integer"
-    return read_value(_non_negative_int, raw, BUDGET_ENV_VAR, what, UsageError)
+    field = (_non_negative_int, "a non-negative integer")
+    return read_value(field, raw, BUDGET_ENV_VAR, UsageError)
 
 
 def _cmd_synthesize(args) -> int:
@@ -162,20 +163,16 @@ def _cmd_synthesize(args) -> int:
         raise UsageError(str(exc)) from None
     budget = _search_budget()
     examples = read_examples_csv(args.examples)
-    if not examples:
-        # keep the library's own empty-input error and wording
-        synthesize(examples)
+    result = synthesize(examples, config, search_budget=budget)
     names = list(examples[0].attributes.keys())
     while True:
-        result = synthesize(examples, config, search_budget=budget)
         report = result.training_report
         print(f"formula: {result.rendered}")
         print(f"training: {report.passes}/{report.total} pass")
         print(f"candidates explored: {result.candidates_explored}")
         if not args.interactive:
             return 0
-        added = None
-        while added is None:
+        while True:
             try:
                 line = input(
                     f"counter-example ({','.join(names)},label), blank to accept: "
@@ -198,8 +195,15 @@ def _cmd_synthesize(args) -> int:
             except ValueError:
                 print("attribute values must be numbers", file=sys.stderr)
                 continue
-            added = LabeledExample(values, parts[-1])
-        examples = list(examples) + [added]
+            added = examples + [LabeledExample(values, parts[-1])]
+            try:
+                result = synthesize(added, config, search_budget=budget)
+            except (EmptyLabelError, InconsistentExamplesError) as exc:
+                # a typo in the added row: it is dropped, and asked for again
+                print(f"{exc.code}: {exc}", file=sys.stderr)
+                continue
+            examples = added
+            break
 
 
 # ----- validate --------------------------------------------------------
@@ -276,6 +280,7 @@ def _opt(value: Optional[float]) -> str:
 def _cmd_confidence(args) -> int:
     from .confidence import (
         ApproachSummary,
+        ConfidenceRecord,
         question_outcome,
         QuestionOutcome,
         QuestionSummary,
@@ -290,7 +295,7 @@ def _cmd_confidence(args) -> int:
     def write(name: str, header, rows) -> None:
         write_csv(os.path.join(args.out_dir, name), header, rows, stamp=args.stamp)
 
-    keys = ("participant_id", "question_id", "approach")
+    keys = columns(ConfidenceRecord)[:3]
     write(
         "outcomes.csv",
         keys + columns(QuestionOutcome),
@@ -328,7 +333,7 @@ def _cmd_confidence(args) -> int:
 
 def _ceiling(text: str) -> float:
     """A --ceiling value: an accuracy percentage above 0 and at most 100."""
-    value = read_value(finite_float, text, "--ceiling", "a finite number", UsageError)
+    value = read_value((finite_float, "a finite number"), text, "--ceiling", UsageError)
     if not 0 < value <= 100:
         raise UsageError(f"--ceiling must be above 0 and at most 100, got {text!r}")
     return value
@@ -393,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="build a formula from examples")
     p.add_argument("--examples", required=True, help="CSV of attributes + label")
-    p.add_argument("--max-depth", type=_option("--max-depth", ascii_int, "an integer"))
+    p.add_argument("--max-depth", type=_option("--max-depth", INTEGER))
     p.add_argument(
         "--interactive",
         action="store_true",

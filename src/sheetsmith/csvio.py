@@ -5,8 +5,9 @@ mark; readers accept a leading byte-order mark and skip the stamp line
 write_csv may put first. Readers raise InputFileError naming the file line a
 bad row starts on, or only the file when it is not UTF-8.
 
-read_value gives every bad number from outside, in a field, an option or the
-environment, its one shape: "<where> must be <what>, got <text>".
+_table reads every table by its header and field types, and read_value gives
+every bad value from outside, in a field, an option or the environment, its
+one shape: "<where> must be <what>, got <text>".
 """
 
 from __future__ import annotations
@@ -117,25 +118,37 @@ def ascii_int(text: str) -> int:
     return int(_ascii(text))
 
 
-def read_value(read, text: str, where: str, what: str, error=InputFileError):
-    """read(text) by a reader such as finite_float; a ValueError from it
-    becomes error("<where> must be <what>, got <text>")."""
+# A field type: a reader that raises ValueError on text it does not take,
+# and what the text must be, for read_value's message
+NUMBER = (finite_float, "a number")
+INTEGER = (ascii_int, "an integer")
+FLAG = (("0", "1").index, "0 or 1")
+
+
+def read_value(field, text: str, where: str, error=InputFileError):
+    """text read by a field type's reader; a ValueError from it becomes
+    error("<where> must be <what>, got <text>")."""
+    read, what = field
     try:
         return read(text)
     except ValueError:
         raise error(f"{where} must be {what}, got {text!r}") from None
 
 
-def _table(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """(file line, fields) of each non-blank data row under a first row ``header``."""
-    rows = _rows(path)
-    if next(rows, (1, None))[1] != list(header):
-        raise InputFileError(f"{path}: header must be {','.join(header)}")
-    yield from _data(path, header, rows)
+def _table(path: str, header: Sequence[str], fields=(),
+           rows=None) -> Iterator[tuple[int, list]]:
+    """(file line, fields) of each non-blank data row, as wide as the header.
 
-
-def _data(path: str, header: Sequence[str], rows) -> Iterator[tuple[int, list[str]]]:
-    """(file line, fields) of each non-blank row; each is as wide as the header."""
+    The first row must be ``header``, unless ``rows`` is the rest of
+    _rows(path) after it. Each field type in ``fields`` reads its column in
+    place; a column with None or past the end of ``fields`` stays text.
+    """
+    if rows is None:
+        rows = _rows(path)
+        if next(rows, (1, None))[1] != list(header):
+            raise InputFileError(f"{path}: header must be {','.join(header)}")
+    typed = [(index, field, header[index])
+             for index, field in enumerate(fields) if field is not None]
     for line, row in rows:
         if not row:
             continue
@@ -143,6 +156,8 @@ def _data(path: str, header: Sequence[str], rows) -> Iterator[tuple[int, list[st
             raise InputFileError(
                 f"{path} line {line}: expected {len(header)} fields, got {len(row)}"
             )
+        for index, field, name in typed:
+            row[index] = read_value(field, row[index], f"{path} line {line}: {name}")
         yield line, row
 
 
@@ -161,49 +176,36 @@ def read_examples_csv(path: str) -> list[LabeledExample]:
     for index, name in enumerate(attributes):
         if name in attributes[:index]:
             raise InputFileError(f"{path}: attribute {name!r} is named more than once")
-    examples = []
-    for line, row in _data(path, header, rows):
-        at = f"{path} line {line}: "
-        values = {
-            name: read_value(finite_float, text, at + name, "a number")
-            for name, text in zip(attributes, row)
-        }
-        examples.append(LabeledExample(values, row[-1]))
-    return examples
+    return [
+        LabeledExample(dict(zip(attributes, row)), row[-1])
+        for _, row in _table(path, header, (NUMBER,) * len(attributes), rows)
+    ]
 
 
 def read_results_csv(path: str) -> list[ConfidenceRecord]:
     """Per-question experiment records; attempted is 0 or 1."""
     from .confidence import ConfidenceRecord
 
-    header = columns(ConfidenceRecord)
+    fields = (None, None, None, FLAG, INTEGER, INTEGER, INTEGER)
     records = []
-    for line, row in _table(path, header):
-        at = f"{path} line {line}: "
-        # a check only: ("0", "1").index raises ValueError on any other text
-        read_value(("0", "1").index, row[3], at + "attempted", "0 or 1")
-        counts = [
-            read_value(ascii_int, text, at + name, "an integer")
-            for name, text in zip(header[4:], row[4:])
-        ]
+    for line, row in _table(path, columns(ConfidenceRecord), fields):
         try:
             # RangeError (rating off the 1..5 scale) is left alone here: it is
             # a domain finding, not a file-shape problem
-            records.append(ConfidenceRecord(*row[:3], row[3] == "1", *counts))
+            records.append(ConfidenceRecord(*row[:3], row[3] == 1, *row[4:]))
         except ValueError as exc:
-            raise InputFileError(at + str(exc)) from None
+            raise InputFileError(f"{path} line {line}: {exc}") from None
     return records
 
 
 def read_complexities_csv(path: str) -> dict[str, float]:
     """question_id,complexity pairs."""
     out: dict[str, float] = {}
-    for line, (question, complexity) in _table(path, ("question_id", "complexity")):
+    header = ("question_id", "complexity")
+    for line, (question, complexity) in _table(path, header, (None, NUMBER)):
         if question in out:
             raise InputFileError(f"{path} line {line}: duplicate question {question!r}")
-        out[question] = read_value(
-            finite_float, complexity, f"{path} line {line}: complexity", "a number"
-        )
+        out[question] = complexity
     return out
 
 
@@ -212,18 +214,12 @@ POINTS_HEADER = ("complexity", "accuracy_pct")
 
 def read_points_csv(path: str) -> list[tuple[float, float]]:
     """complexity,accuracy_pct pairs for curve fitting."""
-    return [
-        tuple(
-            read_value(finite_float, text, f"{path} line {line}: {name}", "a number")
-            for name, text in zip(POINTS_HEADER, row)
-        )
-        for line, row in _table(path, POINTS_HEADER)
-    ]
+    return [(x, y) for _, (x, y) in _table(path, POINTS_HEADER, (NUMBER, NUMBER))]
+
+
+FORMULAS_HEADER = ("source_id", "formula")
 
 
 def read_formulas_csv(path: str) -> list[tuple[str, str]]:
     """source_id,formula rows for batch risk scanning."""
-    return [
-        (source_id, formula)
-        for _, (source_id, formula) in _table(path, ("source_id", "formula"))
-    ]
+    return [tuple(row) for _, row in _table(path, FORMULAS_HEADER)]

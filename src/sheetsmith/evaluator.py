@@ -360,19 +360,13 @@ def _binary(op: str, left: Value, right: Value) -> Value:
             return EvalError(TYPE_MISMATCH, f"'{op}' result out of range")
         return result
 
-    # comparison; same-type only
-    if op in ("=", "<>"):
-        if isinstance(left, bool) != isinstance(right, bool):
-            return EvalError(TYPE_MISMATCH, "'=' across different types")
-        if isinstance(left, str) != isinstance(right, str):
-            return EvalError(TYPE_MISMATCH, f"'{op}' across different types")
-        return (left == right) == (op == "=")
-
-    if isinstance(left, bool) or isinstance(right, bool):
+    # comparison; same-type only, and TRUE/FALSE have no order
+    if op in ORDERING and (isinstance(left, bool) or isinstance(right, bool)):
         return EvalError(TYPE_MISMATCH, f"'{op}' cannot order TRUE/FALSE")
-    if isinstance(left, str) != isinstance(right, str):
+    if (isinstance(left, bool) != isinstance(right, bool)
+            or isinstance(left, str) != isinstance(right, str)):
         return EvalError(TYPE_MISMATCH, f"'{op}' across different types")
-    return ORDERING[op](left, right)
+    return (_EQUALITY.get(op) or ORDERING[op])(left, right)
 
 
 def _if(condition: Node, then: Node,
@@ -461,20 +455,33 @@ def _aggregate_call(node: FunctionCall) -> ColumnFn:
     # MIN / MAX / AVERAGE / SUM over flattened arguments; a range is one
     # argument per cell, read row-major and named for its error message
     name = node.name
-    args, refs = [], []
-    for arg in node.args:
-        if isinstance(arg, RangeRef):
-            for ref in cells_in_range(arg):
-                args.append(_read(ref))
-                refs.append(ref)
-        else:
-            args.append(_compile(arg))
-            refs.append(None)
+    parts = [arg if isinstance(arg, RangeRef) else _compile(arg) for arg in node.args]
 
     def fast(kind, lists):
         return aggregate_columns(name, lists) if kind is float else None
 
-    return _node(args, fast, lambda *values: _aggregate_value(name, refs, values))
+    def run(columns, n):
+        args, refs = [], []
+
+        def rule(*values):
+            return _aggregate_value(name, refs, values)
+
+        for part in parts:
+            if not isinstance(part, RangeRef):
+                args.append(part(columns, n))
+                refs.append(None)
+                continue
+            # a range's cells are walked up to the first one no grid holds:
+            # each grid's value is an error at or before it, so no later
+            # argument can change it, however large the range
+            for ref in cells_in_range(part):
+                args.append(_read(ref)(columns, n))
+                refs.append(ref)
+                if ref not in columns:
+                    return _split(args, n, fast, rule)
+        return _split(args, n, fast, rule)
+
+    return run
 
 
 def _aggregate_value(name: str, refs: list, values: tuple) -> Value:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache
-from typing import Union
+from typing import Iterator, Union
 
 from ._record import record
 
@@ -162,15 +162,13 @@ def make_range(a: CellRef, b: CellRef) -> RangeRef:
     )
 
 
-def cells_in_range(ref: RangeRef) -> list[str]:
-    """Canonical cell names covered by a range, row-major."""
+def cells_in_range(ref: RangeRef) -> Iterator[str]:
+    """Canonical cell names covered by a range, row-major, one at a time."""
     c0 = column_index(ref.start.column)
     c1 = column_index(ref.end.column)
-    out = []
     for row in range(ref.start.row, ref.end.row + 1):
         for col in range(c0, c1 + 1):
-            out.append(f"{column_letters(col)}{row}")
-    return out
+            yield f"{column_letters(col)}{row}"
 
 
 @lru_cache(maxsize=LEAF_CACHE_SIZE)

@@ -352,7 +352,7 @@ def _aggregate_node(
         return FunctionCall(predicate.aggregate, (refs[0],))
     # cells side by side along one row print as the range that covers them
     span = RangeRef(refs[0], refs[-1])
-    if refs[0].row == refs[-1].row and cells_in_range(span) == [
+    if refs[0].row == refs[-1].row and list(cells_in_range(span)) == [
         ref.canonical() for ref in refs
     ]:
         return FunctionCall(predicate.aggregate, (span,))

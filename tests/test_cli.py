@@ -566,6 +566,21 @@ def test_synthesize_interactive_rejects_nan_and_inf(tmp_path, capsys, monkeypatc
     assert captured.out.count("formula:") == 1
 
 
+def test_synthesize_interactive_drops_a_row_the_examples_reject(capsys, monkeypatch):
+    # the first row contradicts the bundled 20,30,Fail and the second has no
+    # label: each is reported, dropped and asked for again
+    monkeypatch.setattr("sys.stdin", io.StringIO("20,30,Pass\n35,80,\n\n"))
+    examples = fixture("grading_examples.csv")
+    assert main(["synthesize", "--examples", examples, "--interactive"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("formula:") == 1
+    assert captured.err == (
+        "InconsistentExamples: identical rows (20.0, 30.0) are labelled both "
+        "'Fail' and 'Pass'\n"
+        "EmptyLabel: example 12 has an empty label\n"
+    )
+
+
 HUGE_NUMBER = "=" + "9" * 400
 
 

@@ -107,3 +107,22 @@ def test_non_finite_numbers_are_rejected(tmp_path, text):
     message = f"line 3: accuracy_pct must be a number, got '{text}'"
     with pytest.raises(InputFileError, match=message):
         csvio.read_points_csv(path)
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (csvio.read_results_csv, RESULTS_HEADER + "P1,q1,edm,2,0,3,3\n",
+         "line 2: attempted must be 0 or 1, got '2'"),
+        (csvio.read_points_csv, "complexity,accuracy_pct\n1,90\n2,x\n",
+         "line 3: accuracy_pct must be a number, got 'x'"),
+        # each row's fields are read before it is checked against earlier rows
+        (csvio.read_complexities_csv, "question_id,complexity\nq1,1\nq1,x\n",
+         "line 3: complexity must be a number, got 'x'"),
+    ],
+)
+def test_a_bad_field_is_named_by_its_column(tmp_path, read, text, message):
+    path = write(tmp_path, "t.csv", text)
+    with pytest.raises(InputFileError) as raised:
+        read(path)
+    assert str(raised.value) == f"{path} {message}"

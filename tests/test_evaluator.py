@@ -120,6 +120,19 @@ def test_comparisons_same_type_only():
     assert kind(ev("=1=TRUE")) == "TypeMismatch"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("=TRUE<>1", "'<>' across different types"),
+        ("=TRUE=1", "'=' across different types"),
+        ('="a"<>1', "'<>' across different types"),
+        ("=TRUE<1", "'<' cannot order TRUE/FALSE"),
+    ],
+)
+def test_a_comparison_error_names_its_operator(text, message):
+    assert ev(text) == EvalError("TypeMismatch", message)
+
+
 def test_if_needs_boolean_condition():
     assert kind(ev("=IF(1,2,3)")) == "TypeMismatch"
     assert ev("=IF(TRUE,2,3)") == 2.0
@@ -614,3 +627,19 @@ def test_validate_examples_with_a_cell_absent_from_some_rows():
     )
     assert [o.passed for o in report.outcomes] == [True, True, False, False]
     assert report.outcomes[2].actual.kind == "MissingCell"
+
+
+def test_a_range_is_read_only_up_to_the_first_cell_no_grid_holds():
+    grid = Grid({"A1": 1.0, "B1": 2.0})
+    missing = EvalError("MissingCell", "cell C1 is empty")
+    results = []
+    peak = _traced_peak(lambda: results.append(evaluate(parse("=SUM(A1:Z4000)"), grid)))
+    assert results == [missing]
+    assert peak < 2**20
+    # the range's error comes first in each grid, so a later argument's
+    # error cannot replace it
+    assert ev("=SUM(A1:Z4000,1/0)", grid.cells()) == missing
+    assert _check_batch("=MIN(A1:Z4000)", [{"A1": 1, "B1": "x"}, {"A1": 2}]) == [
+        EvalError("TypeMismatch", "MIN over non-numeric cell B1"),
+        EvalError("MissingCell", "cell B1 is empty"),
+    ]
