@@ -208,12 +208,20 @@ def fit_accuracy_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
 
     The fit is linear in log space, so points with accuracy <= 0 cannot be
     used; they are dropped and counted. r_squared is the coefficient of
-    determination of the log-space line. Non-finite points, and points
-    whose fit overflows, divides by an underflowed zero or underflows a to
-    zero, raise DegenerateXError.
+    determination of the log-space line. Non-finite points (a coordinate
+    that is no finite float, such as an integer too large for one), and
+    points whose fit overflows, divides by an underflowed zero or underflows
+    a to zero, raise DegenerateXError.
     """
     for point in points:
-        if not all(map(math.isfinite, point)):
+        try:
+            finite = all(map(math.isfinite, point))
+        except OverflowError:
+            # such an integer is not printed: str() of one past 4,300 digits raises
+            raise DegenerateXError(
+                "points must be finite, got an integer too large for a float"
+            ) from None
+        if not finite:
             raise DegenerateXError(f"point {tuple(point)} is not finite")
     usable = [(x, y) for x, y in points if y > 0]
     dropped = len(points) - len(usable)

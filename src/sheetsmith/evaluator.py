@@ -13,14 +13,14 @@ its kind: the one type all its values have, or None if not known to share one.
 Every operator and function but IF splits in one place, _split: if its
 arguments share a kind it needs (numbers for + - * and the aggregates,
 numbers or text for comparisons, TRUE/FALSE for AND, OR and NOT), it works
-on whole columns. Most nodes map a builtin over them. MIN and MAX fold the
-argument columns pairwise, keeping the later value only where it is
-strictly smaller (larger), so a tie keeps the first, as min and max do: MIN
-of 0 and -0 is 0. AND and OR fold them with & and |, one eager pass per
-argument, so many arguments never nest deep. SUM and AVERAGE fold
-'+' over the columns from 0.0, as the scalar rule adds left to right from
+on whole columns. Most nodes map a builtin over them. Every fold over
+argument columns is reduce over one eager two-column step of _STEPS, so
+many arguments never nest deep. MIN and MAX keep the later value only where
+it is strictly smaller (larger), so a tie keeps the first, as min and max
+do: MIN of 0 and -0 is 0. AND and OR step with & and |. SUM and AVERAGE
+step '+' from a column of 0.0, as the scalar rule adds left to right from
 0.0: SUM(-0) is 0, and a total is the same on every Python, where the
-built-in sum rounds a total once from 3.12. These four folds, with the
+built-in sum rounds a total once from 3.12. The aggregate folds, with the
 scalar rule where their overflow check fails, are aggregate_columns, which
 synthesis uses too. One sum of a result column checks + - * and SUM/AVERAGE
 for overflow: if it is not finite the node runs its scalar rule instead, so
@@ -50,7 +50,7 @@ import operator
 import sys
 from functools import partial, reduce
 from math import isfinite, prod
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .errors import DomainTooLargeError, EmptyExampleSetError
@@ -208,10 +208,6 @@ def _split(args: list[Column], n: int, fast, rule) -> Column:
     return _column(list(itertools.starmap(rule, rows)))
 
 
-def _node(args: list[ColumnFn], fast, rule) -> ColumnFn:
-    return lambda columns, n: _split([arg(columns, n) for arg in args], n, fast, rule)
-
-
 _LITERALS = (NumberLiteral, TextLiteral, BooleanLiteral)
 
 
@@ -243,8 +239,8 @@ def _compile(node: Node) -> ColumnFn:
         if node.name == "NOT":
             return _typed(args, bool, lambda lists: list(map(operator.not_, *lists)),
                           operator.not_, "NOT needs TRUE or FALSE")
-        test, fold = (all, operator.and_) if node.name == "AND" else (any, operator.or_)
-        return _typed(args, bool, partial(_fold, fold),
+        test = all if node.name == "AND" else any
+        return _typed(args, bool, partial(reduce, _STEPS[node.name]),
                       lambda *values: test(values),
                       f"{node.name} needs TRUE/FALSE arguments")
     raise TypeError(f"not a formula node: {node!r}")
@@ -253,15 +249,6 @@ def _compile(node: Node) -> ColumnFn:
 def _repeat(value: Value) -> ColumnFn:
     kind = type(value)
     return lambda columns, n: (kind, [value] * n)
-
-
-def _fold(fold, lists: Sequence[list]) -> list:
-    """fold(out, values) over value lists left to right, one eager pass per
-    list: lazy maps chained one per list would nest that deep on the C stack."""
-    out = lists[0]
-    for values in lists[1:]:
-        out = list(map(fold, out, values))
-    return out
 
 
 def _read(name: str) -> ColumnFn:
@@ -289,7 +276,7 @@ def _typed(args: list[ColumnFn], accepts: type, whole, apply, message: str) -> C
                 return EvalError(TYPE_MISMATCH, message)
         return apply(*values)
 
-    return _node(args, fast, rule)
+    return lambda columns, n: _split([arg(columns, n) for arg in args], n, fast, rule)
 
 
 def _chain(node: BinaryOp) -> ColumnFn:
@@ -419,11 +406,17 @@ def _if_value(test: Value, then: Value, otherwise: Value) -> Value:
     return EvalError(TYPE_MISMATCH, "IF condition must be TRUE or FALSE")
 
 
-# MIN and MAX of two columns: strict compares, so a tie keeps the earlier
-# value, as min and max do
-_PICKS = {
+# Every fold over argument columns is reduce over one of these steps: each
+# takes the running column's values and the next column's and returns a new
+# list in one eager pass, since lazy maps chained one per argument would nest
+# that deep on the C stack. MIN and MAX compare strictly, so a tie keeps the
+# earlier value, as min and max do.
+_STEPS = {
     "MIN": lambda xs, ys: [y if y < x else x for x, y in zip(xs, ys)],
     "MAX": lambda xs, ys: [y if y > x else x for x, y in zip(xs, ys)],
+    "SUM": lambda xs, ys: list(map(operator.add, xs, ys)),
+    "AND": lambda xs, ys: list(map(operator.and_, xs, ys)),
+    "OR": lambda xs, ys: list(map(operator.or_, xs, ys)),
 }
 
 
@@ -431,19 +424,17 @@ def aggregate_columns(name: str, lists: Sequence[list[float]]) -> Column:
     """MIN, MAX, SUM or AVERAGE of one or more columns of floats, as a
     column: per grid what aggregate returns for that grid's values.
 
-    MIN and MAX fold the columns pairwise with _PICKS. SUM and AVERAGE add
-    them left to right from 0.0, one column at a time, as aggregate does, so
-    SUM(-0) is 0 and a total is the same on every Python. One sum of the
-    result column checks SUM and AVERAGE for overflow; where it is not
-    finite, which a column of finite totals can cause too, aggregate runs on
-    each grid instead, and a grid whose total overflows holds its error value.
+    MIN and MAX reduce the columns with their _STEPS entry. SUM and AVERAGE
+    reduce them with the SUM step from a column of 0.0, left to right, as
+    aggregate adds, so SUM(-0) is 0 and a total is the same on every Python.
+    One sum of the result column checks SUM and AVERAGE for overflow; where
+    it is not finite, which a column of finite totals can cause too,
+    aggregate runs on each grid instead, and a grid whose total overflows
+    holds its error value.
     """
-    pick = _PICKS.get(name)
-    if pick is not None:
-        return float, reduce(pick, lists)
-    totals = [0.0] * len(lists[0])
-    for values in lists:
-        totals = list(map(operator.add, totals, values))
+    if name in ("MIN", "MAX"):
+        return float, reduce(_STEPS[name], lists)
+    totals = reduce(_STEPS["SUM"], lists, [0.0] * len(lists[0]))
     if name == "AVERAGE":
         totals = [total / len(lists) for total in totals]
     if isfinite(sum(totals)):
@@ -575,17 +566,21 @@ def _validate(
 
 def referenced_cells(ast: FormulaAst) -> set[str]:
     """Canonical names of every cell the formula can read."""
-    cells: set[str] = set()
+    return set(_cells_read(ast))
+
+
+def _cells_read(ast: FormulaAst) -> Iterator[str]:
+    """Canonical names of the cells a formula reads, one at a time: its
+    references left to right, each range's cells row-major."""
     stack = [ast.root]
     while stack:
         node = stack.pop()
         if isinstance(node, CellRef):
-            cells.add(node.canonical())
+            yield node.canonical()
         elif isinstance(node, RangeRef):
-            cells.update(cells_in_range(node))
+            yield from cells_in_range(node)
         else:
-            stack.extend(children(node))
-    return cells
+            stack.extend(reversed(children(node)))
 
 
 def semantic_equivalence(
@@ -618,9 +613,12 @@ def semantic_equivalence(
             f"domain enumerates {total} grids, cap is {DEFAULT_GRID_CAP}"
         )
     cells = [_column([_norm(value) for value in values]) for values in value_lists]
-    uncovered = (referenced_cells(a) | referenced_cells(b)) - set(names)
-    if uncovered:
-        raise ValueError(f"domain does not cover cells: {sorted(uncovered)}")
+    # the first cell the domain lacks is named; a range is walked no further
+    # than it, however large
+    covered = set(names)
+    for name in itertools.chain(_cells_read(a), _cells_read(b)):
+        if name not in covered:
+            raise ValueError(f"domain does not cover cell {name}")
     run_a, run_b = _compile(a.root), _compile(b.root)
     # a cell's column, in enumeration order, is each of its values repeated
     # once per grid of the later cells, cycled; its kind is its whole list's

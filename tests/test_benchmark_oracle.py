@@ -8,19 +8,31 @@ varied letter case, comma spacing and "40.0" spellings) must parse, every
 metrics_report figure must equal the oracle's, and the oracle must read the
 rendered text back as the tree, with each range's corners in make_range's
 order. Range corners come from a small box, since oracle.range_keys lists
-every cell of a range.
+every cell of a range. evaluate must also give the oracle's value, or an
+error of the oracle's kind, over cells that hold numbers, TRUE/FALSE, text
+or nothing.
 
 Hypothesis runs derandomized with a fixed example budget, so every run tests
 the same inputs.
 """
 
 import importlib.util
+import math
 import pathlib
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from sheetsmith import metrics_report, parse, render, SUPPORTED_FUNCTIONS
+from sheetsmith import (
+    evaluate,
+    EvalError,
+    Grid,
+    metrics_report,
+    parse,
+    render,
+    SUPPORTED_FUNCTIONS,
+    values_equal,
+)
 from sheetsmith.formulas import BINARY_PRECEDENCE
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
@@ -42,12 +54,13 @@ cells = st.tuples(
     st.booleans(),
     st.booleans(),
 )
+ranges = st.tuples(st.just("range"), cells, cells)
 leaves = st.one_of(
     numbers.map(lambda value: ("num", value)),
     st.text(max_size=6).map(lambda text: ("text", text)),
     st.booleans().map(lambda flag: ("bool", flag)),
     cells,
-    st.tuples(st.just("range"), cells, cells),
+    ranges,
 )
 
 
@@ -66,6 +79,23 @@ def _branches(children):
 
 
 trees = st.recursive(leaves, _branches, max_leaves=12)
+
+
+def _folds(names, leaves, arguments=st.nothing()):
+    """Calls to names nested over leaves of one kind, plus arguments: most
+    such calls fold columns of the kind they take, which few trees do."""
+    def branches(children):
+        args = st.lists(children | arguments, min_size=1, max_size=3).map(tuple)
+        return st.tuples(st.just("call"), st.sampled_from(names), args)
+
+    return st.recursive(leaves, branches, max_leaves=8)
+
+
+folds = st.one_of(
+    _folds(["AND", "OR"], st.booleans().map(lambda flag: ("bool", flag)) | cells),
+    _folds(["MIN", "MAX", "SUM", "AVERAGE"],
+           numbers.map(lambda value: ("num", value)) | cells, ranges),
+)
 
 
 def _ordered(node):
@@ -97,3 +127,61 @@ def test_parse_metrics_and_render_agree_with_the_benchmark_oracle(tree, seed):
     del figures["counts"]
     assert figures == oracle.expected_metrics(tree)
     assert oracle.read(render(ast)) == _ordered(tree)
+
+
+def _subtrees(node):
+    yield node
+    if node[0] == "call":
+        for arg in node[2]:
+            yield from _subtrees(arg)
+    elif node[0] == "bin":
+        yield from _subtrees(node[2])
+        yield from _subtrees(node[3])
+    elif node[0] == "neg":
+        yield from _subtrees(node[1])
+
+
+def _cells(tree, rng):
+    """A value for each cell the tree names, or none: a number (negative or
+    zero too), TRUE/FALSE or a short text. Most cells, or all, hold one
+    kind, so that AND, MIN and the like often get arguments they take."""
+    keys = []
+    for node in _subtrees(tree):
+        if node[0] == "cell":
+            keys.append(oracle.cell_key(node))
+        elif node[0] == "range":
+            keys.extend(oracle.range_keys(node))
+    kinds = (
+        lambda: rng.choice([0.0, -0.0, float(rng.randint(-9, 9)), rng.uniform(-100, 100)]),
+        lambda: rng.random() < 0.5,
+        lambda: rng.choice(["", "a", "Pass", "40"]),
+    )
+    # numbers twice as often as the others: four of the six folds take them
+    most, odd = rng.choice(kinds[:1] + kinds), rng.choice([0.0, 0.1, 0.4])
+    cells = {}
+    for key in keys:
+        if rng.random() >= odd:
+            cells[key] = most()
+        elif rng.random() < 0.5:  # else the cell is left out
+            cells[key] = rng.choice(kinds)()
+    return cells
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(trees | folds)
+def test_evaluate_agrees_with_the_benchmark_oracle(tree):
+    # seeded by the tree, not by a drawn integer, which hypothesis makes 0
+    # in about a third of its examples: each tree gets cells of its own
+    rng = random.Random(repr(tree))
+    cells = _cells(tree, rng)
+    # overflow is left out: where sheetsmith gives TypeMismatch, the oracle
+    # keeps inf or nan
+    for node in _subtrees(tree):
+        value = oracle.evaluate(node, cells)
+        assume(not (isinstance(value, float) and not math.isfinite(value)))
+    expected = oracle.evaluate(tree, cells)
+    got = evaluate(parse(oracle.write(tree, rng)), Grid(cells))
+    if isinstance(expected, oracle.Fault):
+        assert isinstance(got, EvalError) and got.kind == expected.kind
+    else:
+        assert values_equal(got, expected)

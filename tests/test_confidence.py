@@ -234,6 +234,10 @@ def test_fit_rejects_degenerate_x():
         [(1.0, float("inf")), (2.0, 25.0)],
         [(1.0, 50.0), (2.0, 25.0), (3.0, float("nan"))],
         [(1.0, 1e-320), (2.0, 70.0)],  # a = exp(intercept) underflows to 0
+        # integers too large for a float; the last has no str() either
+        [(10**400, 50.0), (1.0, 20.0)],
+        [(1.0, 10**400), (2.0, 20.0)],
+        [(-(10**5000), 50.0), (1.0, 20.0)],
     ],
 )
 def test_fit_rejects_points_with_no_finite_fit(points):

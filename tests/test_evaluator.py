@@ -284,6 +284,24 @@ def test_semantic_equivalence_requires_covered_cells():
         semantic_equivalence(parse("=A1+B7"), parse("=A1"), {"A1": range(3)})
 
 
+def test_semantic_equivalence_names_the_first_uncovered_cell():
+    # a range is walked row-major only up to the first cell the domain
+    # lacks, so a huge one costs neither time nor a huge message
+    errors = []
+
+    def call():
+        with pytest.raises(ValueError) as raised:
+            semantic_equivalence(parse("=SUM(A1:Z20000)"), parse("=1"), {"A1": [1]})
+        errors.append(str(raised.value))
+
+    assert _traced_peak(call) < 2**20
+    assert errors == ["domain does not cover cell B1"]
+    with pytest.raises(ValueError, match="^domain does not cover cell B2$"):
+        semantic_equivalence(parse("=A1+B2"), parse("=1"), {"A1": [1]})
+    domain = {"A1": [1, 2], "B2": [3]}
+    assert semantic_equivalence(parse("=A1+B2"), parse("=B2+A1"), domain) == (True, None)
+
+
 @pytest.mark.parametrize("spelling", ["a1", "$A$1"])
 def test_semantic_equivalence_rejects_two_keys_for_one_cell(spelling):
     # the later list would silently replace the earlier one in every grid
