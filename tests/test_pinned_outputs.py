@@ -1,5 +1,5 @@
-"""Byte-for-byte pins of the command line's outputs on the bundled data and
-on a seeded sheet of formulas for scan.
+"""Byte-for-byte pins of the command line's outputs on the bundled data, on
+one fixed formula for analyze and on a seeded sheet of formulas for scan.
 
 Each pin is the sha256 of the exact bytes a command writes, so a refactor
 that keeps behaviour keeps every digest, and any change to a number's
@@ -47,10 +47,28 @@ FIT_JSON = {
     "edm": "081b7d040439479870a55a2b0684ff0279b951f0e79b376944ad69015cbbc9ee",
 }
 
+# fit's table and csv forms on the same files
+FIT_FORMS = {
+    ("table", "traditional"):
+        "d0367cbf9345015cd756bde259cd4ba0ee89a7f89088f19a2cc4f572051370ec",
+    ("table", "edm"): "1af864940250c50bbc0f7fb635d98f72fc86581bebfc898315354ad092edfdba",
+    ("csv", "traditional"):
+        "2ae1fdf8a7b8b7386439d05d4fe1268a2e097265ba9dbbb177f58f89b4a34576",
+    ("csv", "edm"): "c3f0cc7d2e1e06bbb48038d278c2aeac32a78ec7ee4aa265a211fe6d989a621d",
+}
+
+# analyze's three forms on the reference grading formula
+ANALYZE = {
+    "table": "88df079939f693662299f24bc4b20cda2b6323f25bffd41ec5844fe810ff916d",
+    "csv": "95155ffd5d942300cd52829241cd8fd8b683a0c0cee0069cf1bee227150cb7ac",
+    "json": "3d8a3049d57c3f943d23bec927dde6db0a1ccb1d5f604aafcb423a28e15c73b5",
+}
+
 SYNTHESIZE_STDOUT = "0af9c51e685da4a4c92776b851fdd24e567ed816ef3de966b0615955a41e831a"
 VALIDATE_STDOUT = "dc3c0d6849936f936f4777fd4da8d2557462dbb223f7ccb52c1cde16e2db106c"
 
 SCAN_REPORT = "05a3426dae5f76f0047a6d1213783f964fe99bf23e1f8827751fcefeeab0cd3e"
+SCAN_JSON = "a3e58a7d9c3041f64294e913b960c1cb098c2b729d1bec147602f187d928001d"
 
 # synthesize's output on the seeded example sets at each budget, and
 # enumerate_candidates on the same sets
@@ -91,6 +109,19 @@ def test_fit_json_on_both_accuracy_files_is_pinned(tmp_path, capsys):
         points = str(tmp_path / f"accuracy_vs_complexity_{approach}.csv")
         argv = ["fit", "--points", points, "--format", "json"]
         assert _stdout(capsys, argv) == pinned, approach
+
+
+def test_fit_table_and_csv_on_both_accuracy_files_are_pinned(tmp_path, capsys):
+    _confidence(tmp_path, capsys)
+    for (form, approach), pinned in FIT_FORMS.items():
+        points = str(tmp_path / f"accuracy_vs_complexity_{approach}.csv")
+        argv = ["fit", "--points", points, "--format", form]
+        assert _stdout(capsys, argv) == pinned, (form, approach)
+
+
+def test_analyze_in_each_form_is_pinned(capsys):
+    for form, pinned in ANALYZE.items():
+        assert _stdout(capsys, ["analyze", REFERENCE, "--format", form]) == pinned, form
 
 
 def test_synthesize_on_the_bundled_grades_is_pinned(capsys):
@@ -176,6 +207,16 @@ def test_scan_report_of_a_seeded_sheet_is_pinned(tmp_path):
     _scan_sheet(sheet)
     assert main(["scan", str(sheet), "-o", str(report)]) == 0
     assert sha256(report.read_bytes()) == SCAN_REPORT
+
+
+def test_scan_json_of_a_seeded_sheet_is_pinned(tmp_path, capsys):
+    sheet, report = tmp_path / "sheet.csv", tmp_path / "report.json"
+    _scan_sheet(sheet)
+    assert _stdout(capsys, ["scan", str(sheet), "--format", "json"]) == SCAN_JSON
+    argv = ["scan", str(sheet), "--format", "json", "-o", str(report)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert sha256(report.read_bytes()) == SCAN_JSON
 
 
 def _example_sets():
