@@ -10,13 +10,13 @@ Subcommands:
 
 Exit status: 0 on success, 1 for domain errors (the stderr line starts with
 ``error: <Code>:`` naming the module error), 2 for usage or unreadable files.
-This module parses arguments and prints; csvio reads and writes every file.
-File outputs are byte-identical across runs on equal inputs; --stamp opts in
-to a generation-time comment line, which every reader skips.
+This module parses arguments and prints; csvio reads every file, and only
+_write_report writes a report's CSV or JSON form. File outputs are
+byte-identical across runs; --stamp adds a CSV timestamp line readers skip.
 
 Each command imports the layers it uses when it runs, so a process loads only
 those: ``fit`` never loads the parser, and ``analyze`` never loads synthesis.
-Likewise ``json`` is imported only where JSON is printed.
+Likewise ``json`` is imported only in _write_report's JSON branch.
 """
 
 from __future__ import annotations
@@ -70,6 +70,20 @@ def _report_table():
     return (*FORMULAS_HEADER, *counts, *fields, "parse_error"), report_row
 
 
+def _write_report(form: str, header, rows, output="-", stamp=False, one=False):
+    """Write rows as "csv" (stamped if asked) or "json" to output ('-' = stdout).
+
+    JSON is a list of objects keyed by the header, or the one object if one is set.
+    """
+    if form == "csv":
+        return write_csv(output, header, rows, stamp=stamp)
+    import json
+
+    objects = [dict(zip(header, row)) for row in rows]
+    with open_output(output) as stream:
+        stream.write(json.dumps(objects[0] if one else objects, indent=2) + "\n")
+
+
 # ----- analyze ---------------------------------------------------------
 
 
@@ -88,12 +102,8 @@ def _cmd_analyze(args) -> int:
         width = max(len(name) for name, _ in pairs)
         for name, value in pairs:
             print(f"{name:<{width}}  {cell_text(value)}")
-    elif args.format == "csv":
-        write_csv("-", header, [row])
     else:
-        import json
-
-        print(json.dumps(dict(zip(header, row)), indent=2))
+        _write_report(args.format, header, [row], one=True)
     return 0
 
 
@@ -113,14 +123,7 @@ def _cmd_scan(args) -> int:
         except SheetsmithError as exc:
             report, error = None, f"{exc.code}: {exc}"
         rows.append(report_row(source_id, text, report, error))
-    if args.format == "json":
-        import json
-
-        objects = [dict(zip(header, row)) for row in rows]
-        with open_output(args.output) as stream:
-            stream.write(json.dumps(objects, indent=2) + "\n")
-    else:
-        write_csv(args.output, header, rows, stamp=args.stamp)
+    _write_report(args.format, header, rows, args.output, args.stamp)
     miller_flag = header.index("miller_flag")
     flagged = sum(1 for row in rows if row[miller_flag])
     if args.fail_on_miller and flagged:
@@ -352,13 +355,7 @@ def _cmd_fit(args) -> int:
     usable_x = [x for x, y in points if y > 0]
     ceiling_exceeded = exceeds_base_error_ceiling(fit, min(usable_x), ceiling)
     payload = {**vars(fit), "ceiling_exceeded": ceiling_exceeded}
-    if args.format == "json":
-        import json
-
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        write_csv("-", list(payload), [list(payload.values())])
-    else:
+    if args.format == "table":
         for name, value in payload.items():
             print(f"{name}: {cell_text(value)}")
         if ceiling_exceeded:
@@ -366,6 +363,8 @@ def _cmd_fit(args) -> int:
                 f"note: extrapolation at the easiest question exceeds the "
                 f"{ceiling}% base-error ceiling"
             )
+    else:
+        _write_report(args.format, list(payload), [payload.values()], one=True)
     return 0
 
 
@@ -393,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 1 if any formula exceeds the concept limit",
     )
-    p.add_argument("--stamp", action="store_true", help="add a timestamp comment")
+    p.add_argument("--stamp", action="store_true", help="add a timestamp comment to CSV")
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("synthesize", help="build a formula from examples")

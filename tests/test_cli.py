@@ -97,6 +97,34 @@ def test_scan_json(tmp_path, capsys):
     assert rows[0]["source_id"] == "r1"
 
 
+def test_scan_of_a_header_only_file(tmp_path, capsys):
+    path = write(tmp_path, "f.csv", "source_id,formula\n")
+    assert main(["scan", path]) == 0
+    assert capsys.readouterr().out == (
+        "source_id,formula,n1,n2,N1,N2,complexity,out_of_range_flag,"
+        "volume,difficulty,effort,miller_concepts,miller_flag,parse_error\n"
+    )
+    assert main(["scan", path, "--format", "json"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+
+
+def test_scan_stamp_goes_only_into_csv(tmp_path, capsys):
+    path = write(tmp_path, "f.csv", "source_id,formula\nr1,=A1+A2\n")
+    assert main(["scan", path]) == 0
+    plain = capsys.readouterr().out
+    assert main(["scan", path, "--stamp"]) == 0
+    stamp, rest = capsys.readouterr().out.split("\n", 1)
+    assert stamp.startswith("# generated ")
+    assert rest == plain
+    assert main(["scan", path, "--format", "json"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["scan", path, "--format", "json", "--stamp"]) == 0
+    assert capsys.readouterr().out == plain
+    report = tmp_path / "report.json"
+    assert main(["scan", path, "--format", "json", "--stamp", "-o", str(report)]) == 0
+    assert report.read_text() == plain
+
+
 def test_scan_fail_on_miller(tmp_path, capsys):
     quoted = REFERENCE.replace('"', '""')
     src = write(

@@ -137,18 +137,33 @@ def test_validate_on_the_bundled_grades_is_pinned(capsys):
     assert _stdout(capsys, argv) == VALIDATE_STDOUT
 
 
-def test_importing_the_cli_leaves_statistics_unloaded():
+def _fresh_stdout(probe: str) -> str:
+    """What probe prints in a new interpreter that imports this sheetsmith."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sheetsmith.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+
+
+def test_importing_the_cli_leaves_statistics_unloaded():
     probe = (
         "import sys, sheetsmith.cli; "
         "print(sorted({'statistics', 'fractions'} & set(sys.modules)))"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True,
-    ).stdout
+    out = _fresh_stdout(probe)
     assert out == "[]\n"
+
+
+def test_a_csv_report_leaves_json_unloaded():
+    probe = (
+        "import io, sys, contextlib; from sheetsmith.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['analyze', '=1+A1', '--format', 'csv'])\n"
+        "print('json' in sys.modules)"
+    )
+    assert _fresh_stdout(probe) == "False\n"
 
 
 SPACES = ["", "", "", "", " ", "\t", "\xa0"]
