@@ -132,3 +132,28 @@ def test_only_commands_that_print_json_load_json(tmp_path):
     for command in commands:
         assert "json" not in _loaded_modules(_command(*command)), command[0]
     assert "json" in _loaded_modules(_command("analyze", "=A1", "--format", "json"))
+
+
+def test_each_command_loads_exactly_its_layers(tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text("complexity,accuracy_pct\n1,90\n2,70\n3,50\n")
+    formulas = tmp_path / "formulas.csv"
+    formulas.write_text("source_id,formula\nq1,=SUM(C5:D5)/2\nq2,=IF(1)#\n")
+    grades = os.path.join(DATA, "grading_examples.csv")
+    formula_layers = {"_record", "cli", "csvio", "errors", "formulas", "metrics",
+                      "parser"}
+    study_layers = {"_record", "cli", "confidence", "csvio", "errors"}
+    commands = [
+        (("analyze", "=SUM(C5:D5)/2"), formula_layers),
+        (("scan", str(formulas), "-o", str(tmp_path / "report.csv")), formula_layers),
+        (("validate", "--formula", "=MIN(C5:D5)", "--examples", grades),
+         formula_layers | {"evaluator", "synthesis"}),
+        (("synthesize", "--examples", grades),
+         formula_layers | {"evaluator", "synthesis"}),
+        (("confidence", "--results", os.path.join(DATA, "experiment_results.csv"),
+          "--complexities", os.path.join(DATA, "question_complexities.csv"),
+          "--out-dir", str(tmp_path)), study_layers),
+        (("fit", "--points", str(points)), study_layers),
+    ]
+    for command, layers in commands:
+        assert _loaded_layers(_command(*command)) == layers, command[0]
