@@ -13,6 +13,8 @@ of it as the ``sheetsmith`` command.
 Importing the package loads none of the layers. Each public name below is
 imported from its home module the first time it is used (PEP 562), so a
 program that needs only the parser never pays for synthesis or statistics.
+``cli`` and ``csvio`` reach the other layers through these names too, so this
+table alone decides what a command loads.
 """
 
 from importlib import import_module

@@ -14,9 +14,10 @@ This module parses arguments and prints; csvio reads every file, and only
 _write_report writes a report's CSV or JSON form. File outputs are
 byte-identical across runs; --stamp adds a CSV timestamp line readers skip.
 
-Each command imports the layers it uses when it runs, so a process loads only
-those: ``fit`` never loads the parser, and ``analyze`` never loads synthesis.
-Likewise ``json`` is imported only in _write_report's JSON branch.
+Each command reaches the other layers through the package's names, which
+import a layer on its first use, so a process loads only the layers its
+command uses: ``fit`` never loads the parser, and ``analyze`` never loads
+synthesis. Likewise ``json`` is imported only in _write_report's JSON branch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import argparse
 import os
 import sys
 from operator import attrgetter
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
+
+import sheetsmith
 
 from .csvio import (ascii_int, cell_text, columns, finite_float, FORMULAS_HEADER,
                     INTEGER, open_output, POINTS_HEADER, read_complexities_csv,
@@ -33,10 +36,6 @@ from .csvio import (ascii_int, cell_text, columns, finite_float, FORMULAS_HEADER
                     read_results_csv, read_value, write_csv)
 from .errors import (EmptyLabelError, InconsistentExamplesError, SheetsmithError,
                      UsageError)
-
-if TYPE_CHECKING:  # the commands import these when they run
-    from .confidence import ExperimentSummary
-    from .metrics import MetricsReport
 
 BUDGET_ENV_VAR = "SHEETSMITH_SEARCH_BUDGET"
 
@@ -53,14 +52,13 @@ def _report_table():
     MetricsReport field and the parse error; the metrics are blank where the
     formula did not parse, and the parse error is blank where it did.
     """
-    from .metrics import HalsteadCounts, MetricsReport
-
-    counts = columns(HalsteadCounts)
-    fields = tuple(name for name in columns(MetricsReport) if name != "counts")
+    counts = columns(sheetsmith.HalsteadCounts)
+    fields = tuple(name for name in columns(sheetsmith.MetricsReport) if name != "counts")
     count_values, field_values = attrgetter(*counts), attrgetter(*fields)
     blank = (None,) * (len(counts) + len(fields))
 
-    def report_row(source_id: str, formula: str, report: Optional[MetricsReport],
+    def report_row(source_id: str, formula: str,
+                   report: Optional[sheetsmith.MetricsReport],
                    parse_error: Optional[str]) -> tuple:
         if report is None:
             return source_id, formula, *blank, parse_error
@@ -88,17 +86,14 @@ def _write_report(form: str, header, rows, output="-", stamp=False, one=False):
 
 
 def _cmd_analyze(args) -> int:
-    from .formulas import render
-    from .metrics import metrics_report
-    from .parser import parse
-
-    ast = parse(args.formula)
+    ast = sheetsmith.parse(args.formula)
     header, report_row = _report_table()
-    row = report_row("-", args.formula, metrics_report(ast), None)
+    row = report_row("-", args.formula, sheetsmith.metrics_report(ast), None)
     if args.format == "table":
         # the metric fields sit between formula and parse_error
         metrics = list(zip(header, row))[2:-1]
-        pairs = [("formula", args.formula), ("canonical", render(ast))] + metrics
+        pairs = [("formula", args.formula), ("canonical", sheetsmith.render(ast)),
+                 *metrics]
         width = max(len(name) for name, _ in pairs)
         for name, value in pairs:
             print(f"{name:<{width}}  {cell_text(value)}")
@@ -111,15 +106,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .metrics import metrics_report
-    from .parser import parse
-
     header, report_row = _report_table()
     rows = []
     for source_id, text in read_formulas_csv(args.path):
         # a formula that does not parse is reported in its row, not raised
         try:
-            report, error = metrics_report(parse(text)), None
+            report, error = sheetsmith.metrics_report(sheetsmith.parse(text)), None
         except SheetsmithError as exc:
             report, error = None, f"{exc.code}: {exc}"
         rows.append(report_row(source_id, text, report, error))
@@ -147,26 +139,22 @@ def _non_negative_int(text: str) -> int:
 
 
 def _search_budget() -> int:
-    from .synthesis import DEFAULT_SEARCH_BUDGET
-
-    raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_SEARCH_BUDGET))
+    raw = os.environ.get(BUDGET_ENV_VAR, str(sheetsmith.synthesis.DEFAULT_SEARCH_BUDGET))
     field = (_non_negative_int, "a non-negative integer")
-    return read_value(field, raw, BUDGET_ENV_VAR, UsageError)
+    return _option(BUDGET_ENV_VAR, field)(raw)
 
 
 def _cmd_synthesize(args) -> int:
-    from .synthesis import HypothesisConfig, LabeledExample, synthesize
-
     depth = args.max_depth
     if depth is None:  # the library's default
-        depth = HypothesisConfig.max_decision_depth
+        depth = sheetsmith.HypothesisConfig.max_decision_depth
     try:
-        config = HypothesisConfig(max_decision_depth=depth)
+        config = sheetsmith.HypothesisConfig(max_decision_depth=depth)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     budget = _search_budget()
     examples = read_examples_csv(args.examples)
-    result = synthesize(examples, config, search_budget=budget)
+    result = sheetsmith.synthesize(examples, config, search_budget=budget)
     names = list(examples[0].attributes.keys())
     while True:
         report = result.training_report
@@ -198,9 +186,9 @@ def _cmd_synthesize(args) -> int:
             except ValueError:
                 print("attribute values must be numbers", file=sys.stderr)
                 continue
-            added = examples + [LabeledExample(values, parts[-1])]
+            added = examples + [sheetsmith.LabeledExample(values, parts[-1])]
             try:
-                result = synthesize(added, config, search_budget=budget)
+                result = sheetsmith.synthesize(added, config, search_budget=budget)
             except (EmptyLabelError, InconsistentExamplesError) as exc:
                 # a typo in the added row: it is dropped, and asked for again
                 print(f"{exc.code}: {exc}", file=sys.stderr)
@@ -213,22 +201,17 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .evaluator import EvalError, validate_examples
-    from .formulas import BooleanLiteral, NumberLiteral, TextLiteral, token_text
-    from .parser import parse
-    from .synthesis import example_grids
-
-    literal = {bool: BooleanLiteral, float: NumberLiteral, str: TextLiteral}
+    literal = {bool: sheetsmith.BooleanLiteral, float: sheetsmith.NumberLiteral,
+               str: sheetsmith.TextLiteral}
 
     def text(value) -> str:
-        if isinstance(value, EvalError):
+        if isinstance(value, sheetsmith.EvalError):
             return f"#{value.kind}"
-        return token_text(literal[type(value)](value))
+        return sheetsmith.formulas.token_text(literal[type(value)](value))
 
-    ast = parse(args.formula)
+    ast = sheetsmith.parse(args.formula)
     examples = read_examples_csv(args.examples)
-    pairs = example_grids(examples)
-    report = validate_examples(ast, pairs)
+    report = sheetsmith.validate_examples(ast, sheetsmith.example_grids(examples))
     for outcome in report.outcomes:
         if outcome.passed:
             print(f"example {outcome.index + 1}: pass")
@@ -244,7 +227,7 @@ def _cmd_validate(args) -> int:
 # ----- confidence ------------------------------------------------------
 
 
-def _summary_tables(summary: ExperimentSummary) -> str:
+def _summary_tables(summary: sheetsmith.ExperimentSummary) -> str:
     # the rows are unpacked whole, so a field added to a summary fails here
     lines = [
         f"{'approach':<12} {'question':<10} {'complexity':>10} {'accuracy%':>9} "
@@ -281,32 +264,23 @@ def _opt(value: Optional[float]) -> str:
 
 
 def _cmd_confidence(args) -> int:
-    from .confidence import (
-        ApproachSummary,
-        ConfidenceRecord,
-        question_outcome,
-        QuestionOutcome,
-        QuestionSummary,
-        summarize_experiment,
-    )
-
     records = read_results_csv(args.results)
     complexities = read_complexities_csv(args.complexities)
-    summary = summarize_experiment(records, complexities)
+    summary = sheetsmith.summarize_experiment(records, complexities)
     os.makedirs(args.out_dir, exist_ok=True)
 
     def write(name: str, header, rows) -> None:
         write_csv(os.path.join(args.out_dir, name), header, rows, stamp=args.stamp)
 
-    keys = columns(ConfidenceRecord)[:3]
+    keys = columns(sheetsmith.ConfidenceRecord)[:3]
     write(
         "outcomes.csv",
-        keys + columns(QuestionOutcome),
-        [_fields(r, keys) + _fields(question_outcome(r)) for r in records],
+        keys + columns(sheetsmith.QuestionOutcome),
+        [_fields(r, keys) + _fields(sheetsmith.question_outcome(r)) for r in records],
     )
     for name, cls, rows in (
-        ("summary_questions.csv", QuestionSummary, summary.questions),
-        ("summary_approaches.csv", ApproachSummary, summary.approaches),
+        ("summary_questions.csv", sheetsmith.QuestionSummary, summary.questions),
+        ("summary_approaches.csv", sheetsmith.ApproachSummary, summary.approaches),
     ):
         write(name, columns(cls), map(_fields, rows))
 
@@ -336,24 +310,19 @@ def _cmd_confidence(args) -> int:
 
 def _ceiling(text: str) -> float:
     """A --ceiling value: an accuracy percentage above 0 and at most 100."""
-    value = read_value((finite_float, "a finite number"), text, "--ceiling", UsageError)
+    value = _option("--ceiling", (finite_float, "a finite number"))(text)
     if not 0 < value <= 100:
         raise UsageError(f"--ceiling must be above 0 and at most 100, got {text!r}")
     return value
 
 
 def _cmd_fit(args) -> int:
-    from .confidence import (
-        DEFAULT_BASE_ERROR_CEILING,
-        exceeds_base_error_ceiling,
-        fit_accuracy_curve,
-    )
-
-    ceiling = DEFAULT_BASE_ERROR_CEILING if args.ceiling is None else args.ceiling
+    ceiling = (sheetsmith.DEFAULT_BASE_ERROR_CEILING if args.ceiling is None
+               else args.ceiling)
     points = read_points_csv(args.points)
-    fit = fit_accuracy_curve(points)
+    fit = sheetsmith.fit_accuracy_curve(points)
     usable_x = [x for x, y in points if y > 0]
-    ceiling_exceeded = exceeds_base_error_ceiling(fit, min(usable_x), ceiling)
+    ceiling_exceeded = sheetsmith.exceeds_base_error_ceiling(fit, min(usable_x), ceiling)
     payload = {**vars(fit), "ceiling_exceeded": ceiling_exceeded}
     if args.format == "table":
         for name, value in payload.items():

@@ -17,13 +17,11 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from typing import Iterator, Sequence, TextIO, TYPE_CHECKING
+from typing import Iterator, Sequence, TextIO
+
+import sheetsmith
 
 from .errors import InputFileError
-
-if TYPE_CHECKING:  # the readers import these on first use
-    from .confidence import ConfidenceRecord
-    from .synthesis import LabeledExample
 
 STAMP_PREFIX = "# generated "
 
@@ -161,10 +159,8 @@ def _table(path: str, header: Sequence[str], fields=(),
         yield line, row
 
 
-def read_examples_csv(path: str) -> list[LabeledExample]:
+def read_examples_csv(path: str) -> list[sheetsmith.LabeledExample]:
     """Attribute columns followed by a final 'label' column."""
-    from .synthesis import LabeledExample
-
     rows = _rows(path)
     _, header = next(rows, (1, None))
     if not header or len(header) < 2 or header[-1] != "label":
@@ -177,22 +173,20 @@ def read_examples_csv(path: str) -> list[LabeledExample]:
         if name in attributes[:index]:
             raise InputFileError(f"{path}: attribute {name!r} is named more than once")
     return [
-        LabeledExample(dict(zip(attributes, row)), row[-1])
+        sheetsmith.LabeledExample(dict(zip(attributes, row)), row[-1])
         for _, row in _table(path, header, (NUMBER,) * len(attributes), rows)
     ]
 
 
-def read_results_csv(path: str) -> list[ConfidenceRecord]:
+def read_results_csv(path: str) -> list[sheetsmith.ConfidenceRecord]:
     """Per-question experiment records; attempted is 0 or 1."""
-    from .confidence import ConfidenceRecord
-
     fields = (None, None, None, FLAG, INTEGER, INTEGER, INTEGER)
     records = []
-    for line, row in _table(path, columns(ConfidenceRecord), fields):
+    for line, row in _table(path, columns(sheetsmith.ConfidenceRecord), fields):
         try:
             # RangeError (rating off the 1..5 scale) is left alone here: it is
             # a domain finding, not a file-shape problem
-            records.append(ConfidenceRecord(*row[:3], row[3] == 1, *row[4:]))
+            records.append(sheetsmith.ConfidenceRecord(*row[:3], row[3] == 1, *row[4:]))
         except ValueError as exc:
             raise InputFileError(f"{path} line {line}: {exc}") from None
     return records

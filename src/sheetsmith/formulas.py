@@ -183,7 +183,7 @@ def number_text(value: float) -> str:
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     text = repr(float(value))
-    if "e" in text or "E" in text:
+    if "e" in text:
         import decimal
 
         text = format(decimal.Decimal(text), "f")
