@@ -37,8 +37,8 @@ _HOMES = {
             DomainTooLargeError EmptyExampleSetError EmptyInputError
             EmptyLabelError FormulaSyntaxError HypothesisSpaceExhaustedError
             InconsistentExamplesError InputFileError InsufficientPointsError
-            RangeError SearchBudgetExceededError SheetsmithError
-            UnknownFunctionError UnknownQuestionError UsageError
+            MillerLimitError RangeError SearchBudgetExceededError
+            SheetsmithError UnknownFunctionError UnknownQuestionError UsageError
         """,
         "evaluator": """
             compile_formula EvalError evaluate Grid referenced_cells

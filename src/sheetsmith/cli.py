@@ -10,6 +10,8 @@ Subcommands:
 
 Exit status: 0 on success, 1 for domain errors (the stderr line starts with
 ``error: <Code>:`` naming the module error), 2 for usage or unreadable files.
+A handler returns nothing: it finishes, or raises. main alone sets the exit
+status, from the error's class, and alone writes the ``error:`` line.
 This module parses arguments and prints; csvio reads every file, and only
 _write_report writes a report's CSV or JSON form. File outputs are
 byte-identical across runs; --stamp adds a CSV timestamp line readers skip.
@@ -34,8 +36,8 @@ from .csvio import (ascii_int, cell_text, columns, finite_float, FORMULAS_HEADER
                     INTEGER, open_output, POINTS_HEADER, read_complexities_csv,
                     read_examples_csv, read_formulas_csv, read_points_csv,
                     read_results_csv, read_value, write_csv)
-from .errors import (EmptyLabelError, InconsistentExamplesError, SheetsmithError,
-                     UsageError)
+from .errors import (EmptyLabelError, InconsistentExamplesError, MillerLimitError,
+                     SheetsmithError, UsageError)
 
 BUDGET_ENV_VAR = "SHEETSMITH_SEARCH_BUDGET"
 
@@ -85,7 +87,7 @@ def _write_report(form: str, header, rows, output="-", stamp=False, one=False):
 # ----- analyze ---------------------------------------------------------
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     ast = sheetsmith.parse(args.formula)
     header, report_row = _report_table()
     row = report_row("-", args.formula, sheetsmith.metrics_report(ast), None)
@@ -99,13 +101,12 @@ def _cmd_analyze(args) -> int:
             print(f"{name:<{width}}  {cell_text(value)}")
     else:
         _write_report(args.format, header, [row], one=True)
-    return 0
 
 
 # ----- scan ------------------------------------------------------------
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     header, report_row = _report_table()
     rows = []
     for source_id, text in read_formulas_csv(args.path):
@@ -119,13 +120,8 @@ def _cmd_scan(args) -> int:
     miller_flag = header.index("miller_flag")
     flagged = sum(1 for row in rows if row[miller_flag])
     if args.fail_on_miller and flagged:
-        print(
-            f"error: MillerLimit: {flagged} of {len(rows)} formulas "
-            "exceed the concept limit",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        # after the report is written, so the gate keeps its evidence
+        raise MillerLimitError(f"{flagged} of {len(rows)} formulas exceed the concept limit")
 
 
 # ----- synthesize ------------------------------------------------------
@@ -144,7 +140,7 @@ def _search_budget() -> int:
     return _option(BUDGET_ENV_VAR, field)(raw)
 
 
-def _cmd_synthesize(args) -> int:
+def _cmd_synthesize(args):
     depth = args.max_depth
     if depth is None:  # the library's default
         depth = sheetsmith.HypothesisConfig.max_decision_depth
@@ -162,17 +158,17 @@ def _cmd_synthesize(args) -> int:
         print(f"training: {report.passes}/{report.total} pass")
         print(f"candidates explored: {result.candidates_explored}")
         if not args.interactive:
-            return 0
+            return
         while True:
             try:
                 line = input(
                     f"counter-example ({','.join(names)},label), blank to accept: "
                 )
             except EOFError:
-                return 0
+                return
             line = line.strip()
             if line in ("", "accept"):
-                return 0
+                return
             parts = [part.strip() for part in line.split(",")]
             if len(parts) != len(names) + 1:
                 print(
@@ -200,7 +196,7 @@ def _cmd_synthesize(args) -> int:
 # ----- validate --------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     literal = {bool: sheetsmith.BooleanLiteral, float: sheetsmith.NumberLiteral,
                str: sheetsmith.TextLiteral}
 
@@ -221,7 +217,6 @@ def _cmd_validate(args) -> int:
                 f"{text(outcome.expected)} got {text(outcome.actual)}"
             )
     print(f"{report.passes}/{report.total} pass")
-    return 0
 
 
 # ----- confidence ------------------------------------------------------
@@ -263,14 +258,14 @@ def _opt(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:.4g}"
 
 
-def _cmd_confidence(args) -> int:
+def _cmd_confidence(args):
     records = read_results_csv(args.results)
     complexities = read_complexities_csv(args.complexities)
     summary = sheetsmith.summarize_experiment(records, complexities)
     os.makedirs(args.out_dir, exist_ok=True)
 
     def write(name: str, header, rows) -> None:
-        write_csv(os.path.join(args.out_dir, name), header, rows, stamp=args.stamp)
+        _write_report("csv", header, rows, os.path.join(args.out_dir, name), args.stamp)
 
     keys = columns(sheetsmith.ConfidenceRecord)[:3]
     write(
@@ -302,7 +297,6 @@ def _cmd_confidence(args) -> int:
         )
 
     print(_summary_tables(summary))
-    return 0
 
 
 # ----- fit -------------------------------------------------------------
@@ -316,7 +310,7 @@ def _ceiling(text: str) -> float:
     return value
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     ceiling = (sheetsmith.DEFAULT_BASE_ERROR_CEILING if args.ceiling is None
                else args.ceiling)
     points = read_points_csv(args.points)
@@ -334,7 +328,6 @@ def _cmd_fit(args) -> int:
             )
     else:
         _write_report(args.format, list(payload), [payload.values()], one=True)
-    return 0
 
 
 # ----- wiring ----------------------------------------------------------
@@ -406,7 +399,7 @@ def main(argv=None) -> int:
         # argparse reports a type= function's ValueError, TypeError or
         # ArgumentTypeError itself; an option's UsageError passes it to here
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except SheetsmithError as exc:
@@ -415,6 +408,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: InputFile: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -80,6 +80,10 @@ class ConfidenceRecord:
             )
         if self.error_count < 0:
             raise ValueError("error count cannot be negative")
+        if self.error_count > 2**53:
+            # a float holds every count up to here exactly, and a mean over
+            # such counts cannot overflow
+            raise ValueError(f"error count must be at most 2**53, got {self.error_count}")
         _check_rating("confidence", self.confidence)
         _check_rating("difficulty", self.difficulty)
 

@@ -94,6 +94,10 @@ def _rows(path: str) -> Iterator[tuple[int, list[str]]]:
             # text is decoded a chunk at a time, ahead of the record being
             # read, so the file is named without a line
             raise InputFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            # e.g. a field past the csv module's limit of 131,072 characters,
+            # or a NUL byte before Python 3.11
+            raise InputFileError(f"{path} line {start}: {exc}") from None
 
 
 def _ascii(text: str) -> str:

@@ -50,6 +50,12 @@ class DegenerateFormulaError(SheetsmithError):
     code = "DegenerateFormula"
 
 
+class MillerLimitError(SheetsmithError):
+    """scan --fail-on-miller: a formula holds more concepts than MILLER_LIMIT."""
+
+    code = "MillerLimit"
+
+
 class EmptyExampleSetError(SheetsmithError):
     code = "EmptyExampleSet"
 

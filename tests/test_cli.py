@@ -132,10 +132,39 @@ def test_scan_fail_on_miller(tmp_path, capsys):
         f'source_id,formula\nplain,=A1+A2\nbig,"{quoted}"\n',
     )
     assert main(["scan", src]) == 0
-    capsys.readouterr()
+    plain = capsys.readouterr().out
     assert main(["scan", src, "--fail-on-miller"]) == 1
     captured = capsys.readouterr()
     assert "error: MillerLimit: 1 of 2" in captured.err
+    # the report is written whole before the gate's one stderr line
+    assert captured.err.splitlines() == [
+        "error: MillerLimit: 1 of 2 formulas exceed the concept limit"
+    ]
+    assert captured.out == plain
+    report = tmp_path / "report.csv"
+    assert main(["scan", src, "--fail-on-miller", "-o", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert report.read_text() == plain
+
+
+@pytest.mark.parametrize("command", ["scan", "synthesize"])
+def test_a_field_past_the_csv_limit_is_an_input_file_error(tmp_path, capsys, command):
+    # the csv module stops at 131,072 characters a field; Excel at 32,767
+    if command == "scan":
+        path = write(tmp_path, "f.csv", f"source_id,formula\nq1,={'A' * 200_000}\n")
+        argv = ["scan", path]
+    else:
+        path = write(tmp_path, "e.csv", f"exam,label\n1,A\n{'2' * 200_000},B\n")
+        argv = ["synthesize", "--examples", path]
+    line = 2 if command == "scan" else 3
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: InputFile: {path} line {line}: field larger than field limit (131072)\n"
+    )
 
 
 def test_scan_missing_file_exits_two(tmp_path, capsys):
@@ -526,6 +555,27 @@ def test_synthesize_rejects_infinite_attributes(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: InputFile: {path} line 3: x must be a number, got 'inf'\n"
     )
+
+
+@pytest.mark.parametrize("count", [2**53 + 1, 10**400])
+def test_confidence_rejects_an_error_count_no_float_holds(tmp_path, capsys, count):
+    # a mean over such counts rounded, or overflowed into a traceback
+    def run(error_count):
+        path = write(
+            tmp_path, "results.csv",
+            "participant_id,question_id,approach,attempted,error_count,confidence,"
+            f"difficulty\nP1,q1,edm,1,{error_count},3,3\n",
+        )
+        return path, main(["confidence", "--results", path, "--out-dir", str(tmp_path),
+                           "--complexities", fixture("question_complexities.csv")])
+
+    path, status = run(count)
+    assert status == 2
+    assert capsys.readouterr().err == (
+        f"error: InputFile: {path} line 2: "
+        f"error count must be at most 2**53, got {count}\n"
+    )
+    assert run(2**53)[1] == 0
 
 
 def test_validate_prints_values_as_formula_text(tmp_path, capsys):

@@ -40,7 +40,7 @@ def _loaded_layers(code: str) -> set:
 
 
 def test_every_public_name_resolves_from_its_home_module():
-    assert len(sheetsmith.__all__) == len(set(sheetsmith.__all__)) == 70
+    assert len(sheetsmith.__all__) == len(set(sheetsmith.__all__)) == 71
     for name in sheetsmith.__all__:
         value = getattr(sheetsmith, name)
         home = importlib.import_module(f"sheetsmith.{sheetsmith._HOMES[name]}")
