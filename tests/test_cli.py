@@ -149,17 +149,16 @@ def test_scan_fail_on_miller(tmp_path, capsys):
     assert report.read_text() == plain
 
 
-@pytest.mark.parametrize("command", ["scan", "synthesize"])
-def test_a_field_past_the_csv_limit_is_an_input_file_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, text, line", [
+    (["scan"], f"source_id,formula\nq1,={'A' * 200_000}\n", 2),
+    (["synthesize", "--examples"], f"exam,label\n1,A\n{'2' * 200_000},B\n", 3),
+], ids=["scan", "synthesize"])
+def test_a_field_past_the_csv_limit_is_an_input_file_error(
+    tmp_path, capsys, command, text, line
+):
     # the csv module stops at 131,072 characters a field; Excel at 32,767
-    if command == "scan":
-        path = write(tmp_path, "f.csv", f"source_id,formula\nq1,={'A' * 200_000}\n")
-        argv = ["scan", path]
-    else:
-        path = write(tmp_path, "e.csv", f"exam,label\n1,A\n{'2' * 200_000},B\n")
-        argv = ["synthesize", "--examples", path]
-    line = 2 if command == "scan" else 3
-    assert main(argv) == 2
+    path = write(tmp_path, "f.csv", text)
+    assert main([*command, path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
