@@ -20,6 +20,9 @@ Each command reaches the other layers through the package's names, which
 import a layer on its first use, so a process loads only the layers its
 command uses: ``fit`` never loads the parser, and ``analyze`` never loads
 synthesis. Likewise ``json`` is imported only in _write_report's JSON branch.
+A call builds only its own subcommand's argument parser, beside the root's;
+``--help``, a root option given first, or a missing or unknown command builds
+all six.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from .csvio import (ascii_int, cell_text, columns, finite_float, FORMULAS_HEADER
                     INTEGER, open_output, POINTS_HEADER, read_complexities_csv,
                     read_examples_csv, read_formulas_csv, read_points_csv,
                     read_results_csv, read_value, write_csv)
-from .errors import (EmptyLabelError, InconsistentExamplesError, MillerLimitError,
-                     SheetsmithError, UsageError)
+from .errors import MillerLimitError, SheetsmithError, UsageError
 
 BUDGET_ENV_VAR = "SHEETSMITH_SEARCH_BUDGET"
 
@@ -185,8 +187,9 @@ def _cmd_synthesize(args):
             added = examples + [sheetsmith.LabeledExample(values, parts[-1])]
             try:
                 result = sheetsmith.synthesize(added, config, search_budget=budget)
-            except (EmptyLabelError, InconsistentExamplesError) as exc:
-                # a typo in the added row: it is dropped, and asked for again
+            except SheetsmithError as exc:
+                # a row the examples reject, or one no list within the depth
+                # or budget fits: it is dropped, and asked for again
                 print(f"{exc.code}: {exc}", file=sys.stderr)
                 continue
             examples = added
@@ -333,57 +336,71 @@ def _cmd_fit(args):
 # ----- wiring ----------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("analyze", "scan", "synthesize", "validate", "confidence", "fit")
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The root parser with all six subcommands' parsers, or with command's alone."""
     parser = argparse.ArgumentParser(
         prog="sheetsmith",
         description="Spreadsheet formula risk metrics, validation, and synthesis.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with one command built, the full set as metavar keeps the root usage
+    # line argparse prints for a rejected argument as it is with all six
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    named = _COMMANDS if command is None else (command,)
 
-    p = sub.add_parser("analyze", help="metrics for one formula")
-    p.add_argument("formula")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.set_defaults(handler=_cmd_analyze)
+    if "analyze" in named:
+        p = sub.add_parser("analyze", help="metrics for one formula")
+        p.add_argument("formula")
+        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("scan", help="risk report over a formulas CSV")
-    p.add_argument("path", help="CSV with header source_id,formula")
-    p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument(
-        "--fail-on-miller",
-        action="store_true",
-        help="exit 1 if any formula exceeds the concept limit",
-    )
-    p.add_argument("--stamp", action="store_true", help="add a timestamp comment to CSV")
-    p.set_defaults(handler=_cmd_scan)
+    if "scan" in named:
+        p = sub.add_parser("scan", help="risk report over a formulas CSV")
+        p.add_argument("path", help="CSV with header source_id,formula")
+        p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument(
+            "--fail-on-miller",
+            action="store_true",
+            help="exit 1 if any formula exceeds the concept limit",
+        )
+        p.add_argument("--stamp", action="store_true", help="add a timestamp comment to CSV")
+        p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("synthesize", help="build a formula from examples")
-    p.add_argument("--examples", required=True, help="CSV of attributes + label")
-    p.add_argument("--max-depth", type=_option("--max-depth", INTEGER))
-    p.add_argument(
-        "--interactive",
-        action="store_true",
-        help="offer to add counter-examples and re-synthesize",
-    )
-    p.set_defaults(handler=_cmd_synthesize)
+    if "synthesize" in named:
+        p = sub.add_parser("synthesize", help="build a formula from examples")
+        p.add_argument("--examples", required=True, help="CSV of attributes + label")
+        p.add_argument("--max-depth", type=_option("--max-depth", INTEGER))
+        p.add_argument(
+            "--interactive",
+            action="store_true",
+            help="offer to add counter-examples and re-synthesize",
+        )
+        p.set_defaults(handler=_cmd_synthesize)
 
-    p = sub.add_parser("validate", help="check a formula against examples")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--examples", required=True)
-    p.set_defaults(handler=_cmd_validate)
+    if "validate" in named:
+        p = sub.add_parser("validate", help="check a formula against examples")
+        p.add_argument("--formula", required=True)
+        p.add_argument("--examples", required=True)
+        p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("confidence", help="experiment summary and plot data")
-    p.add_argument("--results", required=True)
-    p.add_argument("--complexities", required=True)
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--stamp", action="store_true", help="add a timestamp comment")
-    p.set_defaults(handler=_cmd_confidence)
+    if "confidence" in named:
+        p = sub.add_parser("confidence", help="experiment summary and plot data")
+        p.add_argument("--results", required=True)
+        p.add_argument("--complexities", required=True)
+        p.add_argument("--out-dir", default=".")
+        p.add_argument("--stamp", action="store_true", help="add a timestamp comment")
+        p.set_defaults(handler=_cmd_confidence)
 
-    p = sub.add_parser("fit", help="fit accuracy = a*exp(b*complexity)")
-    p.add_argument("--points", required=True)
-    p.add_argument("--ceiling", type=_ceiling)
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.set_defaults(handler=_cmd_fit)
+    if "fit" in named:
+        p = sub.add_parser("fit", help="fit accuracy = a*exp(b*complexity)")
+        p.add_argument("--points", required=True)
+        p.add_argument("--ceiling", type=_ceiling)
+        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        p.set_defaults(handler=_cmd_fit)
 
     return parser
 
@@ -395,10 +412,11 @@ def main(argv=None) -> int:
     while "--ceiling" in argv[:-1]:
         at = argv.index("--ceiling")
         argv[at:at + 2] = [f"--ceiling={argv[at + 1]}"]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         # argparse reports a type= function's ValueError, TypeError or
         # ArgumentTypeError itself; an option's UsageError passes it to here
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -1,11 +1,14 @@
 """End-to-end runs of the command line, in process via cli.main."""
 
+import argparse
 import io
 import json
 
 import pytest
 
+from sheetsmith import cli
 from sheetsmith.cli import main
+from sheetsmith.errors import UsageError
 
 REFERENCE = (
     '=IF(MIN(C5:D5)<40,"Fail",IF(AVERAGE(C5:D5)>=70,"Dist",'
@@ -518,6 +521,62 @@ def test_help_exits_zero(capsys):
     assert "analyze" in capsys.readouterr().out
 
 
+COMMANDS = ("analyze", "scan", "synthesize", "validate", "confidence", "fit")
+PARSED_ALIKE = [
+    ["analyze", "=A1+A2", "--format", "json"],
+    ["scan", "f.csv", "-o", "r.csv", "--format", "json", "--fail-on-miller", "--stamp"],
+    ["synthesize", "--examples", "e.csv", "--max-depth", "3", "--interactive"],
+    ["validate", "--formula", "=A1", "--examples", "e.csv"],
+    ["confidence", "--results", "r.csv", "--complexities", "c.csv", "--out-dir", "d",
+     "--stamp"],
+    ["fit", "--points", "p.csv", "--ceiling", "90", "--format", "csv"],
+    *([command, "-h"] for command in COMMANDS),
+    ["analyze"], ["scan"], ["synthesize"], ["validate", "--formula", "=A1"],
+    ["confidence", "--results", "r.csv"], ["fit"],
+    ["analyze", "=A1", "--format", "xml"], ["scan", "f.csv", "--format", "xml"],
+    ["fit", "--points", "p.csv", "--format", "xml"],
+    ["synthesize", "--examples", "e.csv", "--max-depth", "x"],
+    ["fit", "--points", "p.csv", "--ceiling=-1e3"],
+    ["scan", "x.csv", "extra"], ["analyze", "=A1", "x"], ["scan", "--", "x"],
+    [], ["--help"], ["bogus"], ["Scan"], ["-h", "scan"],
+]
+
+
+def _parse(parser, argv, capsys):
+    """The namespace argparse gives, or how it ended: exit code and output,
+    or the UsageError an option raised."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+    except UsageError as exc:
+        return "UsageError", str(exc)
+
+
+@pytest.mark.parametrize("argv", PARSED_ALIKE, ids=" ".join)
+def test_one_command_parses_as_all_six_do(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    alone = _parse(cli._build_parser(named), argv, capsys)
+    assert alone == _parse(cli._build_parser(), argv, capsys)
+
+
+def test_a_named_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["scan", str(tmp_path / "missing.csv")]) == 2
+    assert len(built) == 2  # the root and scan
+    built.clear()
+    assert main(["--help"]) == 0
+    assert len(built) == 7  # the root and all six
+
+
 LONG_CHAIN = "=" + "+".join(["C5"] * 2000)
 
 
@@ -656,6 +715,32 @@ def test_synthesize_interactive_drops_a_row_the_examples_reject(capsys, monkeypa
         "'Fail' and 'Pass'\n"
         "EmptyLabel: example 12 has an empty label\n"
     )
+
+
+@pytest.mark.parametrize(
+    "option,budget,message",
+    [
+        (["--max-depth", "1"], None,
+         "HypothesisSpaceExhausted: no decision list up to depth 1 fits all 3 "
+         "examples; best candidate passes 66.7%"),
+        ([], "2", "SearchBudgetExceeded: synthesis stopped after 2 candidate placements"),
+    ],
+    ids=("depth", "budget"),
+)
+def test_synthesize_interactive_drops_a_row_no_list_fits(
+    tmp_path, capsys, monkeypatch, option, budget, message
+):
+    # the two rows fit within the depth and the budget; with the third
+    # none does, so the third is reported, dropped and asked for again
+    path = write(tmp_path, "two.csv", "exam,label\n1,A\n2,B\n")
+    if budget is not None:
+        monkeypatch.setenv("SHEETSMITH_SEARCH_BUDGET", budget)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1.2,C\n\n"))
+    assert main(["synthesize", "--examples", path, "--interactive", *option]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("formula:") == 1
+    assert 'formula: =IF(MIN(C5)<1.5,"A","B")' in captured.out
+    assert captured.err == message + "\n"
 
 
 HUGE_NUMBER = "=" + "9" * 400
