@@ -31,7 +31,6 @@ import argparse
 import os
 import sys
 from operator import attrgetter
-from typing import Optional
 
 import sheetsmith
 
@@ -62,8 +61,8 @@ def _report_table():
     blank = (None,) * (len(counts) + len(fields))
 
     def report_row(source_id: str, formula: str,
-                   report: Optional[sheetsmith.MetricsReport],
-                   parse_error: Optional[str]) -> tuple:
+                   report: sheetsmith.MetricsReport | None,
+                   parse_error: str | None) -> tuple:
         if report is None:
             return source_id, formula, *blank, parse_error
         return (source_id, formula, *count_values(report.counts),
@@ -257,7 +256,7 @@ def _fields(row, names: tuple[str, ...] = ()) -> list:
     return [getattr(row, name) for name in names or row.__match_args__]
 
 
-def _opt(value: Optional[float]) -> str:
+def _opt(value: float | None) -> str:
     return "-" if value is None else f"{value:.4g}"
 
 
@@ -339,7 +338,7 @@ def _cmd_fit(args):
 _COMMANDS = ("analyze", "scan", "synthesize", "validate", "confidence", "fit")
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The root parser with all six subcommands' parsers, or with command's alone."""
     parser = argparse.ArgumentParser(
         prog="sheetsmith",

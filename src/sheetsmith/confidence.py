@@ -16,7 +16,7 @@ an unattempted question says nothing about calibration.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
 
 from ._record import record
 from .errors import (
@@ -56,7 +56,7 @@ def combined_overconfidence(confidence: int, difficulty: int) -> float:
     return CONFIDENCE_WEIGHT * confidence + DIFFICULTY_WEIGHT * difficulty
 
 
-def confidence_ratio(combined: float, f: int) -> Optional[float]:
+def confidence_ratio(combined: float, f: int) -> float | None:
     """combined / F, or None when F is 0 (question not attempted)."""
     if f == 0:
         return None
@@ -92,7 +92,7 @@ class ConfidenceRecord:
 class QuestionOutcome:
     f_score: int
     combined_overconfidence: float
-    confidence_ratio: Optional[float]
+    confidence_ratio: float | None
 
 
 def question_outcome(record: ConfidenceRecord) -> QuestionOutcome:
@@ -108,10 +108,10 @@ class QuestionSummary:
     question_id: str
     complexity: float
     attempted: int
-    percentage_accuracy: Optional[float]
-    mean_errors: Optional[float]
-    mean_confidence_ratio: Optional[float]
-    mean_difficulty: Optional[float]
+    percentage_accuracy: float | None
+    mean_errors: float | None
+    mean_confidence_ratio: float | None
+    mean_difficulty: float | None
 
 
 @record
@@ -119,9 +119,9 @@ class ApproachSummary:
     approach: str
     participants: int
     percentage_models_with_errors: float
-    percentage_accuracy: Optional[float]
-    mean_errors_per_question: Optional[float]
-    mean_confidence_ratio: Optional[float]
+    percentage_accuracy: float | None
+    mean_errors_per_question: float | None
+    mean_confidence_ratio: float | None
 
 
 @record
@@ -183,7 +183,7 @@ def summarize_experiment(
 
 def _rates(
     attempted: Sequence[ConfidenceRecord],
-) -> tuple[Optional[float], Optional[float], Optional[float]]:
+) -> tuple[float | None, float | None, float | None]:
     """Accuracy %, mean errors and mean confidence ratio, as both summaries
     order them; each is None when nothing was attempted. An attempted answer
     scores F >= 1, so every one has a confidence ratio."""
@@ -194,7 +194,7 @@ def _rates(
     )
 
 
-def _mean(xs: Sequence[float]) -> Optional[float]:
+def _mean(xs: Sequence[float]) -> float | None:
     return math.fsum(xs) / len(xs) if xs else None
 
 

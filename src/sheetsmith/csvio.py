@@ -16,8 +16,9 @@ import csv
 import math
 import sys
 import time
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from typing import Iterator, Sequence, TextIO
+from io import TextIOBase
 
 import sheetsmith
 
@@ -32,7 +33,7 @@ def columns(cls) -> tuple[str, ...]:
 
 
 @contextmanager
-def open_output(path: str) -> Iterator[TextIO]:
+def open_output(path: str) -> Iterator[TextIOBase]:
     """The stream for an output path: stdout for '-', else a new UTF-8 file."""
     if path == "-":
         yield sys.stdout

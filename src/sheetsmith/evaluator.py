@@ -31,16 +31,17 @@ no node raises, so IF computes both branches and picks one per grid. An IF
 whose two branches are literals (a two-argument IF's else is FALSE) builds
 no branch columns: one pass over a TRUE/FALSE condition picks either value.
 
-This is the only evaluation path. compile_formula returns it as a function
-of one grid's cells, which evaluate uses; validate_examples evaluates all its
-examples as one block, through _validate, which synthesis calls on the
-examples' own float columns; semantic_equivalence checks the grid cap and
-every domain value up front, builds each block's cell columns straight from
-the value lists, compares the two result columns in bulk (values_equal runs
-only where they differ in value or type; when both columns have one kind,
-one != pass finds those grids), and builds a Grid only for the witness it
-returns. The parser rejects non-finite literals and Grid holds
-finite numbers only, so every number a compiled formula reads is finite.
+This is the only evaluation path. evaluate runs it on a block of one grid;
+compile_formula returns it as a function of one grid's cells, which it reads
+as Grid does; validate_examples evaluates all its examples as one block,
+through _validate, which synthesis calls on the examples' own float columns;
+semantic_equivalence checks the grid cap and every domain value up front,
+builds each block's cell columns straight from the value lists, compares the
+two result columns in bulk (values_equal runs only where they differ in
+value or type; when both columns have one kind, one != pass finds those
+grids), and builds a Grid only for the witness it returns. The parser
+rejects non-finite literals and Grid holds finite numbers only, so every
+number a compiled formula reads is finite.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import partial, reduce
 from math import isfinite, prod
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .errors import DomainTooLargeError, EmptyExampleSetError
@@ -92,7 +93,7 @@ class EvalError:
     message: str
 
 
-Value = Union[float, str, bool, EvalError]
+Value = float | str | bool | EvalError
 
 
 def canonical_ref(text: str) -> str:
@@ -130,7 +131,7 @@ def _norm(value) -> Value:
 class Grid:
     """Read-only cell-to-value mapping. Absent cells read as MissingCell."""
 
-    def __init__(self, cells: Optional[Mapping[str, Value]] = None):
+    def __init__(self, cells: Mapping[str, Value] | None = None):
         cells = cells or {}
         self._cells = dict(zip(_canonical_names(cells), map(_norm, cells.values())))
 
@@ -154,26 +155,32 @@ class Grid:
 
 def evaluate(ast: FormulaAst, grid: Grid) -> Value:
     """Evaluate a formula against a grid, returning a value or an EvalError."""
-    return compile_formula(ast)(grid._cells)
+    return _one(_compile(ast.root), grid._cells)
 
 
 Compiled = Callable[[Mapping[str, Value]], Value]
 
 # A column is a block's values with their kind: the one type every value has,
 # or None if not known to share one. Fast paths fire only on an exact kind.
-Column = tuple[Optional[type], list]
+Column = tuple[type | None, list]
 ColumnFn = Callable[[Mapping[str, Column], int], Column]
 
 
 def compile_formula(ast: FormulaAst) -> Compiled:
-    """Turn a formula into a function of a {canonical ref: value} dict.
+    """Turn a formula into a function of one grid's {cell: value} dict.
 
-    The tree is compiled once; calling the result evaluates a block of one
-    grid. Cell values must be grid values (see Grid), and an absent cell
-    reads as MissingCell.
+    The tree is compiled once. Calling the result reads its dict as Grid
+    does, so it raises what Grid raises and returns what evaluate returns
+    for Grid(cells): names in any case, with or without '$', and numbers
+    as floats; an absent cell reads as MissingCell.
     """
     run = _compile(ast.root)
-    return lambda cells: run(_columns((cells,)), 1)[1][0]
+    return lambda cells: _one(run, Grid(cells)._cells)
+
+
+def _one(run: ColumnFn, cells: dict[str, Value]) -> Value:
+    """A compiled node's value on a block of one grid's checked cells."""
+    return run(_columns((cells,)), 1)[1][0]
 
 
 def _column(values: list) -> Column:
@@ -587,7 +594,7 @@ def semantic_equivalence(
     a: FormulaAst,
     b: FormulaAst,
     domain: Mapping[str, Sequence[Value]],
-) -> tuple[bool, Optional[Grid]]:
+) -> tuple[bool, Grid | None]:
     """Compare two formulas on every grid of a finite domain.
 
     ``domain`` maps cell references to candidate values; the grids enumerated

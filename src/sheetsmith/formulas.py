@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator, Union
 
 from ._record import record
 
@@ -111,16 +111,8 @@ class UnaryOp:
     op: str = "-"
 
 
-Node = Union[
-    NumberLiteral,
-    TextLiteral,
-    BooleanLiteral,
-    CellRef,
-    RangeRef,
-    FunctionCall,
-    BinaryOp,
-    UnaryOp,
-]
+Node = (NumberLiteral | TextLiteral | BooleanLiteral | CellRef | RangeRef
+        | FunctionCall | BinaryOp | UnaryOp)
 
 
 @record

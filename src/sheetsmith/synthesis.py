@@ -68,9 +68,9 @@ such row it reaches.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from itertools import accumulate
 from operator import or_
-from typing import Mapping, Optional, Sequence
 
 from ._record import record
 from .errors import (
@@ -145,12 +145,20 @@ class LabeledExample:
                 )
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    """A ValueError unless value is an int, not a bool, of least or more."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {least} or more, got {value}")
+
+
 @record
 class HypothesisConfig:
     aggregates: tuple[str, ...] = DEFAULT_AGGREGATES
     comparators: tuple[str, ...] = DEFAULT_COMPARATORS
     max_decision_depth: int = 5
-    cell_assignment: Optional[Mapping[str, str]] = None
+    cell_assignment: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
         for kind, names, allowed in (
@@ -164,10 +172,7 @@ class HypothesisConfig:
                     raise ValueError(f"{kind} {name!r} is not one of {allowed}")
                 if name in names[:index]:
                     raise ValueError(f"{kind} {name!r} is named more than once")
-        if self.max_decision_depth < 1:
-            raise ValueError(
-                f"max_decision_depth must be 1 or more, got {self.max_decision_depth}"
-            )
+        _check_count("max_decision_depth", self.max_decision_depth, 1)
 
 
 @record
@@ -177,7 +182,7 @@ class Predicate:
     aggregate: str
     comparator: str
     threshold: float
-    attribute: Optional[str] = None
+    attribute: str | None = None
 
 
 @record
@@ -215,7 +220,7 @@ def _check_examples(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
     return _attribute_names(examples)
 
 
-Family = tuple[str, Optional[str]]  # (aggregate, attribute or None)
+Family = tuple[str, str | None]  # (aggregate, attribute or None)
 Rules = list[tuple[int, str]]  # (the capture of a placement, its label)
 
 
@@ -296,7 +301,7 @@ def _placements(
 
 
 def enumerate_candidates(
-    examples: Sequence[LabeledExample], config: Optional[HypothesisConfig] = None
+    examples: Sequence[LabeledExample], config: HypothesisConfig | None = None
 ) -> list[Predicate]:
     """All threshold predicates for an example set, in search order.
 
@@ -323,7 +328,7 @@ def default_cell_assignment(names: Sequence[str]) -> dict[str, str]:
 
 
 def _cell_assignment(
-    names: Sequence[str], given: Optional[Mapping[str, str]]
+    names: Sequence[str], given: Mapping[str, str] | None
 ) -> dict[str, str]:
     """The given assignment in canonical refs, one cell per attribute."""
     if not given:
@@ -384,7 +389,7 @@ def _compile(
 
 def example_grids(
     examples: Sequence[LabeledExample],
-    assignment: Optional[Mapping[str, str]] = None,
+    assignment: Mapping[str, str] | None = None,
 ) -> list[tuple[Grid, str]]:
     """(grid, expected label) pairs for validating against the examples."""
     cells = _cell_assignment(_attribute_names(examples), assignment)
@@ -396,21 +401,21 @@ def example_grids(
 
 def synthesize(
     examples: Sequence[LabeledExample],
-    config: Optional[HypothesisConfig] = None,
+    config: HypothesisConfig | None = None,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> SynthesisResult:
     """Find the first decision list consistent with every example.
 
     The budget counts candidate placements actually tried during the search,
     after the prunings above, a memo hit counting none; exceeding it raises
-    SearchBudgetExceeded, and a negative budget is a ValueError. The
-    rendered text of a consistent list is parsed again and re-checked through
-    the evaluator, on the examples' float columns, before being returned, so
-    the training report always shows a full pass for the text users copy: it
-    equals validate_examples of that text on example_grids.
+    SearchBudgetExceeded, and a budget that is not an int of 0 or more is a
+    ValueError. The rendered text of a consistent list is parsed again and
+    re-checked through the evaluator, on the examples' float columns, before
+    being returned, so the training report always shows a full pass for the
+    text users copy: it equals validate_examples of that text on
+    example_grids.
     """
-    if search_budget < 0:
-        raise ValueError(f"search_budget must be 0 or more, got {search_budget}")
+    _check_count("search_budget", search_budget, 0)
     config = config or HypothesisConfig()
     names = _check_examples(examples)
     assignment = _cell_assignment(names, config.cell_assignment)
@@ -431,7 +436,7 @@ def synthesize(
     # each row's label and the rows that share it
     row_labels = [(example.label, label_masks[example.label]) for example in examples]
 
-    def shared_label(rows: int) -> Optional[str]:
+    def shared_label(rows: int) -> str | None:
         """The label of every row in a non-empty set, or None if they differ."""
         label, same = row_labels[(rows & -rows).bit_length() - 1]
         return label if rows & same == rows else None
@@ -444,7 +449,7 @@ def synthesize(
     explored = 0
     failed: set[tuple[int, int]] = set()
 
-    def last_rule(alive: int) -> Optional[tuple[Rules, str]]:
+    def last_rule(alive: int) -> tuple[Rules, str] | None:
         """The one rule left for the rows in alive, and a default: the first
         placement that ends the list, found in one pass over the captures."""
         nonlocal explored
@@ -467,7 +472,7 @@ def synthesize(
         captured = alive & masks[index]
         return [(masks[index], shared_label(captured))], shared_label(alive & ~captured)
 
-    def extend(alive: int, slots: int) -> Optional[tuple[Rules, str]]:
+    def extend(alive: int, slots: int) -> tuple[Rules, str] | None:
         """Rules for the rows in alive, at most slots of them, and a default."""
         nonlocal explored
         if (alive, slots) in failed:  # pruning 3

@@ -6,6 +6,7 @@ import pytest
 
 from oracle import oracle_eval
 from sheetsmith import (
+    compile_formula,
     DomainTooLargeError,
     EmptyExampleSetError,
     EvalError,
@@ -211,6 +212,35 @@ def test_grid_accepts_distinct_cells_in_any_spelling():
     grid = Grid({"a1": 1, "$B$1": "x", "c$2": True})
     assert grid.cells() == {"A1": 1.0, "B1": "x", "C2": True}
     assert "$A1" in grid and grid.lookup("b1") == "x"
+
+
+@pytest.mark.parametrize(
+    "text, cells",
+    [
+        ("=A1+1", {"A1": 3}),
+        ("=A1", {"A1": 3}),
+        ("=A1+1", {"a1": 3.0}),
+        ("=$A$1*B$2", {"$A$1": 2, "b$2": 5}),
+        ("=A1+1", {}),
+        ('=IF(a1>2,"big",B1)', {"A1": 2, "$b1": "x"}),
+    ],
+    ids=["int", "int-read", "lowercase", "dollar-marked", "absent", "mixed"],
+)
+def test_compile_formula_reads_its_dict_as_grid_does(text, cells):
+    ast = parse(text)
+    got, want = compile_formula(ast)(cells), evaluate(ast, Grid(cells))
+    assert (got, type(got)) == (want, type(want))
+
+
+@pytest.mark.parametrize(
+    "cells, match",
+    [({"A1": float("nan")}, "finite, got nan"), ({"A1": 1, "a1": 2}, "more than once")],
+)
+def test_compile_formula_rejects_what_grid_rejects(cells, match):
+    with pytest.raises(ValueError, match=match):
+        Grid(cells)
+    with pytest.raises(ValueError, match=match):
+        compile_formula(parse("=A1"))(cells)
 
 
 def test_values_equal():

@@ -19,16 +19,16 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(sheetsmith.__file__)))
 DATA = os.path.join(SRC, "sheetsmith", "data")
 
 
-def _loaded_modules(code: str) -> set:
-    """The modules a fresh interpreter holds after running code.
+def _loaded_modules(code: str, *flags: str) -> set:
+    """The modules a fresh interpreter, given flags, holds after running code.
 
     The probe imports nothing itself, so it can tell whether code loaded json.
     """
     probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, *flags, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
     ).stdout
     return set(out.splitlines()[-1].split())
 
@@ -157,3 +157,27 @@ def test_each_command_loads_exactly_its_layers(tmp_path):
     ]
     for command, layers in commands:
         assert _loaded_layers(_command(*command)) == layers, command[0]
+
+
+def test_no_command_loads_typing(tmp_path):
+    # -S keeps site out: a .pth file can import typing on its own and so hide
+    # an import of it here
+    points = tmp_path / "points.csv"
+    points.write_text("complexity,accuracy_pct\n1,90\n2,70\n3,50\n")
+    formulas = tmp_path / "formulas.csv"
+    formulas.write_text("source_id,formula\nq1,=SUM(C5:D5)/2\nq2,=IF(1)#\n")
+    grades = os.path.join(DATA, "grading_examples.csv")
+    runs = [_command(*command) for command in [
+        ("analyze", "=SUM(C5:D5)/2"),
+        ("scan", str(formulas), "-o", str(tmp_path / "report.csv")),
+        ("validate", "--formula", "=MIN(C5:D5)", "--examples", grades),
+        ("synthesize", "--examples", grades),
+        ("confidence", "--results", os.path.join(DATA, "experiment_results.csv"),
+         "--complexities", os.path.join(DATA, "question_complexities.csv"),
+         "--out-dir", str(tmp_path)),
+        ("fit", "--points", str(points)),
+    ]]
+    runs.append("import sheetsmith.confidence, sheetsmith.evaluator, "
+                "sheetsmith.synthesis")
+    for code in runs:
+        assert "typing" not in _loaded_modules(code, "-S"), code

@@ -238,6 +238,26 @@ def test_negative_search_budget_rejected():
     assert only.candidates_explored == 0
 
 
+@pytest.mark.parametrize("budget, shown", [
+    (1.5, "1.5"), (1751.0, "1751.0"), ("10", "'10'"), (True, "True"), (None, "None"),
+])
+def test_search_budget_must_be_an_int(budget, shown):
+    # a float budget would run, and report a fractional count when exceeded
+    message = f"^search_budget must be an integer, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        synthesize(rows(GRADES), search_budget=budget)
+
+
+@pytest.mark.parametrize("depth, shown", [
+    (2.5, "2.5"), (3.0, "3.0"), ("3", "'3'"), (True, "True"), (None, "None"),
+])
+def test_config_rejects_a_depth_that_is_not_an_int(depth, shown):
+    # a float depth would pass the range check and fail later inside the search
+    message = f"^max_decision_depth must be an integer, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        HypothesisConfig(max_decision_depth=depth)
+
+
 def test_minimal_depth_wins():
     # separable at depth 1, so no nested IF appears
     examples = rows([(10, 10, "Fail"), (20, 20, "Fail"), (90, 90, "Pass")])
