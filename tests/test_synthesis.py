@@ -672,6 +672,56 @@ def test_grading_search_takes_far_fewer_placements():
     assert synthesize(rows(GRADES)).candidates_explored < 33_189
 
 
+def planted_marks(count):
+    """count distinct rows of three marks under a planted four-label list."""
+    rng = random.Random(count)
+    fail, pass_, merit = rng.randint(35, 45), rng.randint(52, 60), rng.randint(65, 75)
+    examples, seen = [], set()
+    while len(examples) < count:
+        marks = tuple(round(rng.uniform(0, 100), 2) for _ in range(3))
+        if marks in seen:
+            continue
+        seen.add(marks)
+        average = statistics.fmean(marks)
+        label = ("Fail" if min(marks) < fail else "Pass" if average < pass_
+                 else "Merit" if average < merit else "Dist")
+        examples.append(LabeledExample(dict(zip("abc", marks)), label))
+    return examples
+
+
+def test_hundred_row_planted_search_is_pinned():
+    # the 100-row set of the search-budget table in ROADMAP.md
+    result = synthesize(planted_marks(100))
+    assert result.rendered == (
+        '=IF(MIN(C5:E5)<36.41,"Fail",IF(AVERAGE(C5:E5)<59.23166666666667,"Pass",'
+        'IF(AVERAGE(C5:E5)<71.38833333333334,"Merit","Dist")))'
+    )
+    assert result.candidates_explored == 4_326_431
+
+
+@pytest.mark.parametrize(
+    "marks,count,rate",
+    [(2, 24, 75.0), (3, 29, 65.51724137931035)],
+)
+def test_best_pass_rate_of_a_set_no_list_fits_is_pinned(marks, count, rate):
+    rng = random.Random(7)
+    examples, seen = [], set()
+    for _ in range(30):
+        row = tuple(rng.randint(0, 9) for _ in range(marks))
+        label = rng.choice("ABC")
+        if row not in seen:  # a repeated row may carry another label
+            seen.add(row)
+            examples.append(LabeledExample(dict(zip("abc", row)), label))
+    assert len(examples) == count
+    with pytest.raises(HypothesisSpaceExhaustedError) as info:
+        synthesize(examples)
+    assert repr(info.value.best_pass_rate) == repr(rate)
+    assert str(info.value) == (
+        f"no decision list up to depth 5 fits all {count} examples; "
+        f"best candidate passes {rate:.1f}%"
+    )
+
+
 def counted_placements(examples, config):
     """Placements a plain walk tries before its first list, or None if none fits.
 
