@@ -24,6 +24,11 @@ prunings keep the walk short, and none changes which list is reached first:
    predicate capturing no row at all leads nowhere; neither is placed. A
    family whose tie groups repeat an earlier one's is skipped (see below).
 
+One _Walk object, built per search, holds all of the search's state: the
+capture masks, each label's rows, the budget, the placements tried so far
+and the failed states. Its methods are the walk's steps, so a step that
+needs more state adds it there.
+
 The walk never enters a state whose rows all share one label. The first
 state holds every example, and synthesize returns a one-label set at once.
 Say the walk entered one at depth d, after the rules P. With that label as
@@ -399,6 +404,98 @@ def example_grids(
     ]
 
 
+class _Walk:
+    """The search over one example set: its captures, labels and budget, the
+    placements tried so far and the failed states (pruning 3)."""
+
+    __slots__ = ("masks", "label_masks", "row_labels", "budget", "explored", "failed")
+
+    def __init__(self, masks: list[int], labels: Sequence[str], budget: int) -> None:
+        self.masks = masks
+        # each label's rows, the labels in order of appearance
+        self.label_masks: dict[str, int] = {}
+        for i, label in enumerate(labels):
+            self.label_masks[label] = self.label_masks.get(label, 0) | 1 << i
+        # each row's label and the rows that share it
+        self.row_labels = [(label, self.label_masks[label]) for label in labels]
+        self.budget = budget
+        self.explored = 0
+        self.failed: set[tuple[int, int]] = set()
+
+    def shared_label(self, rows: int) -> str | None:
+        """The label every row in a set shares, or None if the set is empty or
+        its rows' labels differ."""
+        label, same = self.row_labels[(rows & -rows).bit_length() - 1]
+        return label if rows and rows & same == rows else None
+
+    def over_budget(self) -> SearchBudgetExceededError:
+        return SearchBudgetExceededError(
+            f"synthesis stopped after {self.budget} candidate placements"
+        )
+
+    def last_rule(self, alive: int) -> tuple[Rules, str] | None:
+        """The one rule left for the rows in alive, and a default: the first
+        placement that ends the list, found in one pass over the captures."""
+        parts = [alive & rows for rows in self.label_masks.values() if alive & rows]
+        end = index = len(self.masks)
+        # alive has two parts or more (see the module docstring); with three
+        # or more every placement leaves a mixed rest
+        if len(parts) == 2:
+            # a capture that is one part whole; the parts follow the captures,
+            # so a part no capture equals is found at end or after it, and the
+            # first part at end at most
+            captures = [alive & mask for mask in self.masks] + parts
+            index = min(map(captures.index, parts))
+        tried = min(index + 1, end)
+        if self.explored + tried > self.budget:
+            raise self.over_budget()
+        self.explored += tried
+        if index == end:
+            return None
+        mask = self.masks[index]
+        rule = mask, self.shared_label(alive & mask)
+        return [rule], self.shared_label(alive & ~mask)
+
+    def extend(self, alive: int, slots: int) -> tuple[Rules, str] | None:
+        """Rules for the rows in alive, at most slots of them, and a default."""
+        if (alive, slots) in self.failed:  # pruning 3
+            return None
+        if slots > 1:
+            for mask in self.masks:
+                self.explored += 1
+                if self.explored > self.budget:
+                    raise self.over_budget()
+                rule_label = self.shared_label(alive & mask)
+                if rule_label is None:
+                    continue  # empty, or mixed: every completion would misclassify
+                found = self.extend(alive & ~mask, slots - 1)
+                if found is not None:
+                    found[0].insert(0, (mask, rule_label))
+                    return found
+        elif (found := self.last_rule(alive)) is not None:
+            return found
+        self.failed.add((alive, slots))
+        return None
+
+    def best_passes(self) -> int:
+        """The most rows a list walked classifies, once the search has failed."""
+        # Every state entered ends in failed, as no search below it succeeded.
+        # Each pure capture in a failed last-slot state left a mixed rest,
+        # which a full list of those rules leaves unclassified.
+        leftovers = {
+            alive & ~mask
+            for alive, slots in self.failed
+            if slots == 1
+            for mask in self.masks
+            if self.shared_label(alive & mask) is not None
+        }
+        return max(
+            len(self.row_labels) - alive.bit_count()
+            + max((alive & m).bit_count() for m in self.label_masks.values())
+            for alive in leftovers | {alive for alive, _ in self.failed}
+        )
+
+
 def synthesize(
     examples: Sequence[LabeledExample],
     config: HypothesisConfig | None = None,
@@ -424,104 +521,19 @@ def synthesize(
     columns = _float_columns(examples, names)
     block = {assignment[name]: (float, values) for name, values in columns.items()}
     labels = [example.label for example in examples]
-    label_masks: dict[str, int] = {}  # label -> its rows, in order of appearance
-    for i, example in enumerate(examples):
-        label_masks[example.label] = label_masks.get(example.label, 0) | 1 << i
-    if len(label_masks) == 1:
+    if len(set(labels)) == 1:
         return _checked_result(FormulaAst(TextLiteral(labels[0])), block, labels, 0)
 
     count = len(examples)
     placements = _placements(columns, count, config)
-    masks = list(placements)
-    # each row's label and the rows that share it
-    row_labels = [(example.label, label_masks[example.label]) for example in examples]
-
-    def shared_label(rows: int) -> str | None:
-        """The label of every row in a non-empty set, or None if they differ."""
-        label, same = row_labels[(rows & -rows).bit_length() - 1]
-        return label if rows & same == rows else None
-
-    def over_budget() -> SearchBudgetExceededError:
-        return SearchBudgetExceededError(
-            f"synthesis stopped after {search_budget} candidate placements"
-        )
-
-    explored = 0
-    failed: set[tuple[int, int]] = set()
-
-    def last_rule(alive: int) -> tuple[Rules, str] | None:
-        """The one rule left for the rows in alive, and a default: the first
-        placement that ends the list, found in one pass over the captures."""
-        nonlocal explored
-        parts = [alive & rows for rows in label_masks.values() if alive & rows]
-        end = index = len(masks)
-        # alive has two parts or more (see the module docstring); with three
-        # or more every placement leaves a mixed rest
-        if len(parts) == 2:
-            # a capture that is one part whole; the parts follow the captures,
-            # so a part no capture equals is found at end or after it, and the
-            # first part at end at most
-            captures = [alive & mask for mask in masks] + parts
-            index = min(map(captures.index, parts))
-        tried = min(index + 1, end)
-        if explored + tried > search_budget:
-            raise over_budget()
-        explored += tried
-        if index == end:
-            return None
-        captured = alive & masks[index]
-        return [(masks[index], shared_label(captured))], shared_label(alive & ~captured)
-
-    def extend(alive: int, slots: int) -> tuple[Rules, str] | None:
-        """Rules for the rows in alive, at most slots of them, and a default."""
-        nonlocal explored
-        if (alive, slots) in failed:  # pruning 3
-            return None
-        if slots == 1:
-            found = last_rule(alive)
-            if found is None:
-                failed.add((alive, slots))
-            return found
-        for mask in masks:
-            explored += 1
-            if explored > search_budget:
-                raise over_budget()
-            captured = alive & mask
-            if captured == 0:
-                continue
-            rule_label = shared_label(captured)
-            if rule_label is None:
-                continue  # mixed capture: every completion would misclassify
-            found = extend(alive & ~captured, slots - 1)
-            if found is not None:
-                found[0].insert(0, (mask, rule_label))
-                return found
-        failed.add((alive, slots))
-        return None
-
+    walk = _Walk(list(placements), labels, search_budget)
     for depth in range(1, config.max_decision_depth + 1):
-        found = extend((1 << count) - 1, depth)
+        found = walk.extend((1 << count) - 1, depth)
         if found is not None:
             rules = [(Predicate(*placements[mask]), label) for mask, label in found[0]]
             formula = _compile(rules, found[1], names, assignment)
-            return _checked_result(formula, block, labels, explored)
-    # Every state entered ends in failed, as no search below it succeeded.
-    # Each pure capture in a failed last-slot state left a mixed rest, which
-    # a full list of those rules leaves unclassified.
-    leftovers = {
-        alive & ~mask
-        for alive, slots in failed
-        if slots == 1
-        for mask in masks
-        if alive & mask and shared_label(alive & mask) is not None
-    }
-    best_passes = max(
-        count
-        - alive.bit_count()
-        + max((alive & m).bit_count() for m in label_masks.values())
-        for alive in leftovers | {alive for alive, _ in failed}
-    )
-    rate = 100.0 * best_passes / count
+            return _checked_result(formula, block, labels, walk.explored)
+    rate = 100.0 * walk.best_passes() / count
     raise HypothesisSpaceExhaustedError(
         f"no decision list up to depth {config.max_decision_depth} fits all "
         f"{count} examples; best candidate passes {rate:.1f}%",
