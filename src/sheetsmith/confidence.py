@@ -78,6 +78,12 @@ class ConfidenceRecord:
             raise ValueError(
                 f"approach must be one of {APPROACHES}, got {self.approach!r}"
             )
+        if not isinstance(self.attempted, bool):
+            raise ValueError(f"attempted must be True or False, got {self.attempted!r}")
+        if not isinstance(self.error_count, int) or isinstance(self.error_count, bool):
+            raise ValueError(
+                f"error count must be an integer, got {self.error_count!r}"
+            )
         if self.error_count < 0:
             raise ValueError("error count cannot be negative")
         if self.error_count > 2**53:

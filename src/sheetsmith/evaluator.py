@@ -605,6 +605,11 @@ def semantic_equivalence(
     value is checked as a grid value before any grid is enumerated.
     """
     names = _canonical_names(domain.keys())
+    for name, values in zip(names, domain.values()):
+        if isinstance(values, (str, bytes)):  # iterating it would give its characters
+            raise TypeError(
+                f"domain values of cell {name} must be a list, got {values!r}"
+            )
     value_lists = [values if hasattr(values, "__len__") else list(values)
                    for values in domain.values()]
     try:

@@ -129,13 +129,16 @@ class LabeledExample:
     """One training row: attribute name -> numeric value, plus its label.
 
     A value must be a finite int or float. A bool is not one: a grid keeps
-    it as TRUE/FALSE, which no threshold test reads as a number.
+    it as TRUE/FALSE, which no threshold test reads as a number. The label
+    must be a str, as the formula prints it as text.
     """
 
     attributes: dict[str, float]
     label: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a str, got {self.label!r}")
         for name, value in self.attributes.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 shown = repr(value)
@@ -170,6 +173,10 @@ class HypothesisConfig:
             ("aggregate", self.aggregates, DEFAULT_AGGREGATES),
             ("comparator", self.comparators, tuple(ORDERING)),
         ):
+            if isinstance(names, str):  # iterating it would give its characters
+                raise ValueError(
+                    f"{kind}s must be a sequence of names, got the str {names!r}"
+                )
             if not names:
                 raise ValueError(f"{kind}s must name at least one of {allowed}")
             for index, name in enumerate(names):

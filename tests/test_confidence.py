@@ -1,5 +1,6 @@
 import importlib.resources
 import math
+import re
 
 import pytest
 
@@ -95,6 +96,18 @@ def test_record_validation():
         ConfidenceRecord("P01", "q1", "edm", True, -1, 3, 3)
     with pytest.raises(RangeError):
         ConfidenceRecord("P01", "q1", "edm", True, 0, 0, 3)
+    # a fractional count or a text flag would be scored as if it were valid
+    for attempted, errors, message in [
+        ("0", 0, "attempted must be True or False, got '0'"),
+        (1, 0, "attempted must be True or False, got 1"),
+        (None, 0, "attempted must be True or False, got None"),
+        (True, 1.5, "error count must be an integer, got 1.5"),
+        (True, 1.0, "error count must be an integer, got 1.0"),
+        (True, True, "error count must be an integer, got True"),
+        (True, "2", "error count must be an integer, got '2'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConfidenceRecord("P01", "q1", "edm", attempted, errors, 3, 3)
 
 
 def test_summary_hand_count():

@@ -359,14 +359,30 @@ def test_long_flat_chain_goes_left_to_right_and_stops_at_the_first_error():
 
 
 @pytest.mark.parametrize(
-    "bad,error",
-    [(float("nan"), ValueError), (float("inf"), ValueError), (None, TypeError)],
+    "values,error",
+    [
+        ([0, 1, float("nan")], ValueError),
+        ([0, 1, float("inf")], ValueError),
+        ([0, 1, None], TypeError),
+        # text is one value, not a list of its characters
+        ("abc", TypeError),
+        (b"abc", TypeError),
+    ],
+    ids=["nan-ValueError", "inf-ValueError", "None-TypeError", "str", "bytes"],
 )
-def test_semantic_equivalence_checks_domain_values_before_enumerating(bad, error):
+def test_semantic_equivalence_checks_domain_values_before_enumerating(values, error):
     # the formulas differ on the very first grid, so only a check made before
     # enumeration can see the bad value at the end of the list
     with pytest.raises(error):
-        semantic_equivalence(parse("=A1"), parse("=A1+1"), {"A1": [0, 1, bad]})
+        semantic_equivalence(parse("=A1"), parse("=A1+1"), {"A1": values})
+
+
+def test_a_text_value_list_is_named_by_its_cell():
+    # read as its characters the text would give the grids "a", "b" and "c",
+    # on which =B2 agrees with itself
+    message = "^domain values of cell B2 must be a list, got 'abc'$"
+    with pytest.raises(TypeError, match=message):
+        semantic_equivalence(parse("=B2"), parse("=B2"), {"A1": [1], "b2": "abc"})
 
 
 def _equivalence_grid_by_grid(a, b, domain):

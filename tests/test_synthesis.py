@@ -316,6 +316,16 @@ def test_attribute_values_that_are_not_numbers_rejected(bad, shown):
     assert str(info.value) == f"attribute 'x' must be a finite number, got {shown}"
 
 
+@pytest.mark.parametrize(
+    "label", [5, None, b"A", ("A",)], ids=["int", "none", "bytes", "tuple"]
+)
+def test_labels_that_are_not_text_rejected(label):
+    # the formula prints a label as text; anything else would fail only in
+    # the printer, after the search
+    with pytest.raises(ValueError, match=r"^label must be a str, got "):
+        LabeledExample({"a": 2}, label)
+
+
 def test_bool_attributes_no_longer_reach_the_search():
     # a grid keeps a bool as TRUE/FALSE, so the checked formula failed
     with pytest.raises(ValueError, match="attribute 'x' must be a finite number"):
@@ -337,8 +347,13 @@ COMPARATORS = "'<', '<=', '>', '>='"
         ({"comparators": ("~",)}, COMPARATORS),
         ({"aggregates": ("MEDIAN",)}, "'MIN', 'MAX', 'AVERAGE', 'SUM', 'ATTRIBUTE'"),
         ({"max_decision_depth": 0}, "1 or more"),
+        # a str is not read as the names of its characters
+        ({"aggregates": "MIN"}, "a sequence of names, got the str 'MIN'"),
+        ({"comparators": "<>"}, "a sequence of names, got the str '<>'"),
+        ({"comparators": "<"}, "a sequence of names, got the str '<'"),
     ],
-    ids=["equals", "not-equals", "unknown-comparator", "median", "depth-0"],
+    ids=["equals", "not-equals", "unknown-comparator", "median", "depth-0",
+         "aggregates-str", "comparators-str", "one-comparator-str"],
 )
 def test_config_rejects_what_the_search_cannot_test(config, allowed):
     with pytest.raises(ValueError) as info:
