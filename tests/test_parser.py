@@ -252,6 +252,34 @@ def test_deeper_nesting_is_a_syntax_error(text):
     assert info.value.position is not None
 
 
+def _calls(levels):
+    return "IF(TRUE," * levels + "1" + ",0)" * levels
+
+
+def _groups(levels):
+    return "(" * levels + "1" + ")" * levels
+
+
+def test_each_construct_gives_its_nesting_level_back():
+    # siblings each start at the depth around them, so a level that leaked
+    # out of a call, a group or an argument would push a later one past 64
+    text = "=" + "+".join([_calls(64)] * 3)
+    assert len(text) == 2118
+    parse(text)
+    parse("=SUM(" + ",".join([_groups(63)] * 3) + ")")
+    # the 65th level fails at the token that opens it, not at one inside it
+    for text, position in [
+        (_nested_ifs(65), 513),
+        ("=" + _groups(65), 65),
+        ("=" + "-" * 65 + "1", 65),
+        ("=" + "+".join([_calls(64), _calls(64), _calls(65)]), 1925),
+        ("=SUM(" + ",".join([_groups(63), _groups(63), _groups(64)]) + ")", 324),
+    ]:
+        with pytest.raises(FormulaSyntaxError, match="nests deeper than 64") as info:
+            parse(text)
+        assert info.value.position == position, text[:40]
+
+
 def test_tiny_number_keeps_its_value():
     ast = parse("=0.00000000000000000001")
     assert render(ast) == "=0.00000000000000000001"
