@@ -16,6 +16,13 @@ nested deeper than MAX_NESTING levels (Excel's cap) is a syntax error, and
 so is a number literal too large for a float. Input is case-insensitive;
 positions in errors index the original string.
 
+The descent keeps no state between its steps. Each rule is a function that
+takes the token list, the index of its first token and, where a level can
+open, the depth already open around it; it returns its node and the index
+of the token after it. A level is opened by passing ``depth + 1`` to the
+steps inside it, so it closes when they return, and siblings all start at
+the depth around them.
+
 The tokenizer is one ``findall`` of a pattern with no group and no
 whitespace part: no alternative starts with a whitespace character, so the
 search steps over a whitespace run, leading, inner or trailing, one
@@ -102,12 +109,8 @@ def parse(source: str) -> FormulaAst:
     if not tokens:
         raise FormulaSyntaxError("empty formula", 0)
     tokens.append("")
-    parser = _Parser(tokens)
-    if tokens[0] == "=":
-        parser.index = 1
     try:
-        root = parser.binary()
-        end = parser.index
+        root, end = _binary(tokens, 1 if tokens[0] == "=" else 0, 0, 0)
         if tokens[end]:
             raise _Failure(
                 FormulaSyntaxError, f"expected end of formula, found {tokens[end]!r}", end
@@ -155,142 +158,127 @@ def _found(text: str) -> str:
     return repr(text) if text else "end of formula"
 
 
-class _Parser:
-    """Recursive descent over a list of token texts that ends in "" (EOF).
+# The steps of the descent. Each takes the token list, which ends in ""
+# (EOF), and the index of its first token, plus the depth already open
+# around it where a level can open, and returns its node and the index after
+# it. No step moves past EOF: ``_unary`` fails on it, and every step steps
+# over only a token whose text it has checked, which is never EOF. Every
+# error is a _Failure at a token's index.
 
-    The parser never moves past EOF: ``unary`` consumes its token before
-    looking at it but fails on EOF, and every other step consumes only a
-    token whose text it has checked, which is never EOF. Every error is a
-    _Failure at a token's index.
-    """
 
-    __slots__ = ("tokens", "index", "depth")
+def _binary(tokens: list[str], index: int, depth: int, floor: int) -> tuple[Node, int]:
+    """An operand, then every operator binding tighter than ``floor``."""
+    node, index = _unary(tokens, index, depth)
+    while True:
+        op = tokens[index]
+        # no other token's text is an operator: text literals keep their
+        # quotes, and EOF's text is empty
+        precedence = BINARY_PRECEDENCE.get(op, 0)
+        if precedence <= floor:
+            return node, index
+        right, index = _binary(tokens, index + 1, depth, precedence)
+        node = BinaryOp(op, node, right)
 
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.index = 0
-        self.depth = 0
 
-    def expect(self, text: str, what: str) -> None:
-        index = self.index
-        found = self.tokens[index]
-        if found != text:
-            raise _Failure(
-                FormulaSyntaxError, f"expected {what}, found {_found(found)}", index
-            )
-        self.index = index + 1
+def _nested(depth: int, index: int) -> int:
+    """The depth inside a level opened by token ``index``, at most MAX_NESTING."""
+    if depth == MAX_NESTING:
+        raise _Failure(
+            FormulaSyntaxError, f"formula nests deeper than {MAX_NESTING} levels", index
+        )
+    return depth + 1
 
-    def enter(self, index: int) -> None:
-        """Open one nesting level, within MAX_NESTING; the caller closes it."""
-        if self.depth == MAX_NESTING:
+
+def _closed(tokens: list[str], index: int, what: str) -> int:
+    """The index after the ')' that ``what`` expects at ``index``."""
+    found = tokens[index]
+    if found != ")":
+        raise _Failure(FormulaSyntaxError, f"expected {what}, found {_found(found)}", index)
+    return index + 1
+
+
+def _unary(tokens: list[str], index: int, depth: int) -> tuple[Node, int]:
+    text = tokens[index]
+    first = text[:1]
+    if first in _LETTERS:
+        # a name ends in a letter, a cell in its row's digits
+        if text[-1] in _LETTERS:
+            return _name(tokens, index, depth)
+        return _cell(tokens, index)
+    # a lone '"' or '$' is an unexpected character, not a text or a cell
+    if first in _DIGITS or (first == '"' and text != '"'):
+        try:
+            return _literal(text), index + 1
+        except ValueError:
+            raise _Failure(FormulaSyntaxError, "number out of range", index) from None
+    if first == "$" and text != "$":
+        return _cell(tokens, index)
+    if text == "(":
+        node, end = _binary(tokens, index + 1, _nested(depth, index), 0)
+        return node, _closed(tokens, end, "')'")
+    if text == "-":
+        node, end = _unary(tokens, index + 1, _nested(depth, index))
+        return UnaryOp(node), end
+    raise _Failure(
+        FormulaSyntaxError,
+        f"expected a number, text, cell, function, or '(', found {_found(text)}",
+        index,
+    )
+
+
+def _cell(tokens: list[str], index: int) -> tuple[Node, int]:
+    """A cell at token ``index``, or a range with that cell as its first corner."""
+    # only a row can be wrong in text of a cell's shape; index is at the
+    # corner being read
+    try:
+        node = cell_ref(tokens[index])
+        if tokens[index + 1] != ":":
+            return node, index + 1
+        index += 2
+        text = tokens[index]
+        if not _is_cell(text):
             raise _Failure(
                 FormulaSyntaxError,
-                f"formula nests deeper than {MAX_NESTING} levels",
+                f"expected a cell reference after ':', found {_found(text)}",
                 index,
             )
-        self.depth += 1
+        return make_range(node, cell_ref(text)), index + 1
+    except ValueError:
+        raise _Failure(FormulaSyntaxError, "cell row must be at least 1", index) from None
 
-    def binary(self, floor: int = 0) -> Node:
-        """An operand, then every operator binding tighter than ``floor``."""
-        node = self.unary()
-        tokens = self.tokens
-        while True:
-            op = tokens[self.index]
-            # no other token's text is an operator: text literals keep their
-            # quotes, and EOF's text is empty
-            precedence = BINARY_PRECEDENCE.get(op, 0)
-            if precedence <= floor:
-                return node
-            self.index += 1
-            node = BinaryOp(op, node, self.binary(precedence))
 
-    def unary(self) -> Node:
-        index = self.index
-        text = self.tokens[index]
-        self.index = index + 1
-        first = text[:1]
-        if first in _LETTERS:
-            # a name ends in a letter, a cell in its row's digits
-            if text[-1] in _LETTERS:
-                return self.name(text.upper(), index)
-            return self.cell(text, index)
-        # a lone '"' or '$' is an unexpected character, not a text or a cell
-        if first in _DIGITS or (first == '"' and text != '"'):
-            try:
-                return _literal(text)
-            except ValueError:
-                raise _Failure(FormulaSyntaxError, "number out of range", index) from None
-        if first == "$" and text != "$":
-            return self.cell(text, index)
-        if text == "(" or text == "-":
-            self.enter(index)
-            if text == "(":
-                node = self.binary()
-                self.expect(")", "')'")
-            else:
-                node = UnaryOp(self.unary())
-            self.depth -= 1
-            return node
-        raise _Failure(
-            FormulaSyntaxError,
-            f"expected a number, text, cell, function, or '(', found {_found(text)}",
-            index,
-        )
-
-    def cell(self, text: str, index: int) -> Node:
-        """A cell, or a range after its first corner's token at ``index``."""
-        # only a row can be wrong in text of a cell's shape; index follows
-        # the corner being read
-        try:
-            node = cell_ref(text)
-            if self.tokens[self.index] == ":":
-                index = self.index + 1
-                text = self.tokens[index]
-                if not _is_cell(text):
-                    raise _Failure(
-                        FormulaSyntaxError,
-                        f"expected a cell reference after ':', found {_found(text)}",
-                        index,
-                    )
-                self.index = index + 1
-                node = make_range(node, cell_ref(text))
-            return node
-        except ValueError:
-            raise _Failure(FormulaSyntaxError, "cell row must be at least 1", index) from None
-
-    def name(self, name: str, index: int) -> Node:
-        """A function call or a boolean, after its NAME token at ``index``."""
-        if self.tokens[self.index] != "(":
-            if name in _BOOLEANS:
-                return _BOOLEANS[name]
-            if name in SUPPORTED_FUNCTIONS:
-                raise _Failure(
-                    FormulaSyntaxError,
-                    f"expected '(' after function name {name}",
-                    self.index,
-                )
-            raise _Failure(UnknownFunctionError, name, index)
-        if name not in SUPPORTED_FUNCTIONS:
-            raise _Failure(UnknownFunctionError, name, index)
-        self.index += 1
-        self.enter(index)
-        args: list[Node] = []
-        if self.tokens[self.index] != ")":
-            args.append(self.binary())
-            while self.tokens[self.index] == ",":
-                self.index += 1
-                args.append(self.binary())
-        self.depth -= 1
-        self.expect(")", "')' or ','")
-        low, high = SUPPORTED_FUNCTIONS[name]
-        if len(args) < low or (high is not None and len(args) > high):
-            if high == low:
-                wanted = f"exactly {low}"
-            elif high is None:
-                wanted = f"at least {low}"
-            else:
-                wanted = f"between {low} and {high}"
+def _name(tokens: list[str], index: int, depth: int) -> tuple[Node, int]:
+    """A function call or a boolean at NAME token ``index``."""
+    name = tokens[index].upper()
+    if tokens[index + 1] != "(":
+        if name in _BOOLEANS:
+            return _BOOLEANS[name], index + 1
+        if name in SUPPORTED_FUNCTIONS:
             raise _Failure(
-                ArityError, f"{name} takes {wanted} argument(s), got {len(args)}", None
+                FormulaSyntaxError, f"expected '(' after function name {name}", index + 1
             )
-        return FunctionCall(name, tuple(args))
+        raise _Failure(UnknownFunctionError, name, index)
+    if name not in SUPPORTED_FUNCTIONS:
+        raise _Failure(UnknownFunctionError, name, index)
+    depth = _nested(depth, index)
+    args: list[Node] = []
+    index += 2
+    if tokens[index] != ")":
+        arg, index = _binary(tokens, index, depth, 0)
+        args.append(arg)
+        while tokens[index] == ",":
+            arg, index = _binary(tokens, index + 1, depth, 0)
+            args.append(arg)
+    index = _closed(tokens, index, "')' or ','")
+    low, high = SUPPORTED_FUNCTIONS[name]
+    if len(args) < low or (high is not None and len(args) > high):
+        if high == low:
+            wanted = f"exactly {low}"
+        elif high is None:
+            wanted = f"at least {low}"
+        else:
+            wanted = f"between {low} and {high}"
+        raise _Failure(
+            ArityError, f"{name} takes {wanted} argument(s), got {len(args)}", None
+        )
+    return FunctionCall(name, tuple(args)), index
