@@ -35,13 +35,20 @@ DIFFICULTY_WEIGHT = 0.5
 DEFAULT_BASE_ERROR_CEILING = 95.0
 
 
-def f_score(error_count: int, attempted: bool) -> int:
-    """Fold an error count onto the 0..5 self-rating scale."""
-    if not attempted:
-        return 0
+def _check_outcome(error_count: int, attempted: bool) -> None:
+    """A ValueError unless attempted is a bool and error_count an int of 0 or more."""
+    if not isinstance(attempted, bool):
+        raise ValueError(f"attempted must be True or False, got {attempted!r}")
+    if not isinstance(error_count, int) or isinstance(error_count, bool):
+        raise ValueError(f"error count must be an integer, got {error_count!r}")
     if error_count < 0:
         raise ValueError("error count cannot be negative")
-    return max(5 - error_count, 1)
+
+
+def f_score(error_count: int, attempted: bool) -> int:
+    """Fold an error count onto the 0..5 self-rating scale."""
+    _check_outcome(error_count, attempted)
+    return max(5 - error_count, 1) if attempted else 0
 
 
 def _check_rating(name: str, value: int) -> None:
@@ -78,14 +85,7 @@ class ConfidenceRecord:
             raise ValueError(
                 f"approach must be one of {APPROACHES}, got {self.approach!r}"
             )
-        if not isinstance(self.attempted, bool):
-            raise ValueError(f"attempted must be True or False, got {self.attempted!r}")
-        if not isinstance(self.error_count, int) or isinstance(self.error_count, bool):
-            raise ValueError(
-                f"error count must be an integer, got {self.error_count!r}"
-            )
-        if self.error_count < 0:
-            raise ValueError("error count cannot be negative")
+        _check_outcome(self.error_count, self.attempted)
         if self.error_count > 2**53:
             # a float holds every count up to here exactly, and a mean over
             # such counts cannot overflow

@@ -128,9 +128,10 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 class LabeledExample:
     """One training row: attribute name -> numeric value, plus its label.
 
-    A value must be a finite int or float. A bool is not one: a grid keeps
-    it as TRUE/FALSE, which no threshold test reads as a number. The label
-    must be a str, as the formula prints it as text.
+    The attributes must be a mapping. A value must be a finite int or float.
+    A bool is not one: a grid keeps it as TRUE/FALSE, which no threshold
+    test reads as a number. The label must be a str, as the formula prints
+    it as text.
     """
 
     attributes: dict[str, float]
@@ -139,6 +140,10 @@ class LabeledExample:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
             raise ValueError(f"label must be a str, got {self.label!r}")
+        if not isinstance(self.attributes, Mapping):
+            raise ValueError(
+                f"attributes must be a mapping of names to numbers, got {self.attributes!r}"
+            )
         for name, value in self.attributes.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 shown = repr(value)
@@ -173,9 +178,11 @@ class HypothesisConfig:
             ("aggregate", self.aggregates, DEFAULT_AGGREGATES),
             ("comparator", self.comparators, tuple(ORDERING)),
         ):
-            if isinstance(names, str):  # iterating it would give its characters
+            # iterating a str or bytes would give its characters or byte values
+            if isinstance(names, (str, bytes)):
                 raise ValueError(
-                    f"{kind}s must be a sequence of names, got the str {names!r}"
+                    f"{kind}s must be a sequence of names,"
+                    f" got the {type(names).__name__} {names!r}"
                 )
             if not names:
                 raise ValueError(f"{kind}s must name at least one of {allowed}")

@@ -39,6 +39,23 @@ def test_f_score_rejects_negative_counts():
         f_score(-1, True)
 
 
+def test_f_score_rejects_what_is_not_a_count_and_a_flag():
+    # F is a whole number from 0 to 5; these were scored as if they were
+    # valid (1.5 errors gave 3.5, True errors gave 4, 1 counted as attempted)
+    for errors, attempted, message in [
+        (1.5, True, "error count must be an integer, got 1.5"),
+        (1.5, False, "error count must be an integer, got 1.5"),
+        (True, True, "error count must be an integer, got True"),
+        ("2", True, "error count must be an integer, got '2'"),
+        (2, 1, "attempted must be True or False, got 1"),
+        (2, None, "attempted must be True or False, got None"),
+        (2, "yes", "attempted must be True or False, got 'yes'"),
+        (-1, False, "error count cannot be negative"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            f_score(errors, attempted)
+
+
 def test_combined_is_an_equal_weight_blend():
     assert combined_overconfidence(5, 1) == 3.0
     assert combined_overconfidence(4, 3) == 3.5

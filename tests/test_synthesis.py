@@ -326,6 +326,19 @@ def test_labels_that_are_not_text_rejected(label):
         LabeledExample({"a": 2}, label)
 
 
+@pytest.mark.parametrize(
+    "attributes", [[1, 2], None, (("a", 2),), "a"], ids=["list", "none", "pairs", "str"]
+)
+def test_attributes_that_are_not_a_mapping_rejected(attributes):
+    # the value check reads them as a mapping, so these ended in an
+    # AttributeError naming no field
+    with pytest.raises(ValueError) as info:
+        LabeledExample(attributes, "A")
+    assert str(info.value) == (
+        f"attributes must be a mapping of names to numbers, got {attributes!r}"
+    )
+
+
 def test_bool_attributes_no_longer_reach_the_search():
     # a grid keeps a bool as TRUE/FALSE, so the checked formula failed
     with pytest.raises(ValueError, match="attribute 'x' must be a finite number"):
@@ -351,9 +364,13 @@ COMPARATORS = "'<', '<=', '>', '>='"
         ({"aggregates": "MIN"}, "a sequence of names, got the str 'MIN'"),
         ({"comparators": "<>"}, "a sequence of names, got the str '<>'"),
         ({"comparators": "<"}, "a sequence of names, got the str '<'"),
+        # nor bytes as the names of its byte values
+        ({"aggregates": b"MIN"}, "a sequence of names, got the bytes b'MIN'"),
+        ({"comparators": b"<"}, "a sequence of names, got the bytes b'<'"),
     ],
     ids=["equals", "not-equals", "unknown-comparator", "median", "depth-0",
-         "aggregates-str", "comparators-str", "one-comparator-str"],
+         "aggregates-str", "comparators-str", "one-comparator-str",
+         "aggregates-bytes", "comparators-bytes"],
 )
 def test_config_rejects_what_the_search_cannot_test(config, allowed):
     with pytest.raises(ValueError) as info:
