@@ -158,12 +158,10 @@ def _found(text: str) -> str:
     return repr(text) if text else "end of formula"
 
 
-# The steps of the descent. Each takes the token list, which ends in ""
-# (EOF), and the index of its first token, plus the depth already open
-# around it where a level can open, and returns its node and the index after
-# it. No step moves past EOF: ``_unary`` fails on it, and every step steps
-# over only a token whose text it has checked, which is never EOF. Every
-# error is a _Failure at a token's index.
+# The steps of the descent. No step moves past the "" token (EOF):
+# ``_unary`` fails on it, and every step steps over only a token whose text
+# it has checked, which is never EOF. Every error is a _Failure at a token's
+# index.
 
 
 def _binary(tokens: list[str], index: int, depth: int, floor: int) -> tuple[Node, int]:
