@@ -577,6 +577,76 @@ def test_a_named_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatc
     assert len(built) == 7  # the root and all six
 
 
+HELP = "show this help message and exit"
+ON = "_StoreTrueAction"
+# per command: its help, its handler, and per argument its option strings (or
+# dest), default, choices, required, help, nargs, action class and type name
+ARGUMENTS = {
+    "analyze": ("metrics for one formula", "_cmd_analyze", [
+        (["-h", "--help"], "==SUPPRESS==", None, False, HELP, 0, "_HelpAction", None),
+        ("formula", None, None, True, None, None, "_StoreAction", None),
+        (["--format"], "table", ("table", "csv", "json"), False, None, None,
+         "_StoreAction", None),
+    ]),
+    "scan": ("risk report over a formulas CSV", "_cmd_scan", [
+        (["-h", "--help"], "==SUPPRESS==", None, False, HELP, 0, "_HelpAction", None),
+        ("path", None, None, True, "CSV with header source_id,formula", None,
+         "_StoreAction", None),
+        (["--output", "-o"], "-", None, False, "output path ('-' = stdout)", None,
+         "_StoreAction", None),
+        (["--format"], "csv", ("csv", "json"), False, None, None, "_StoreAction", None),
+        (["--fail-on-miller"], False, None, False,
+         "exit 1 if any formula exceeds the concept limit", 0, ON, None),
+        (["--stamp"], False, None, False, "add a timestamp comment to CSV", 0, ON, None),
+    ]),
+    "synthesize": ("build a formula from examples", "_cmd_synthesize", [
+        (["-h", "--help"], "==SUPPRESS==", None, False, HELP, 0, "_HelpAction", None),
+        (["--examples"], None, None, True, "CSV of attributes + label", None,
+         "_StoreAction", None),
+        (["--max-depth"], None, None, False, None, None, "_StoreAction", "<lambda>"),
+        (["--interactive"], False, None, False,
+         "offer to add counter-examples and re-synthesize", 0, ON, None),
+    ]),
+    "validate": ("check a formula against examples", "_cmd_validate", [
+        (["-h", "--help"], "==SUPPRESS==", None, False, HELP, 0, "_HelpAction", None),
+        (["--formula"], None, None, True, None, None, "_StoreAction", None),
+        (["--examples"], None, None, True, None, None, "_StoreAction", None),
+    ]),
+    "confidence": ("experiment summary and plot data", "_cmd_confidence", [
+        (["-h", "--help"], "==SUPPRESS==", None, False, HELP, 0, "_HelpAction", None),
+        (["--results"], None, None, True, None, None, "_StoreAction", None),
+        (["--complexities"], None, None, True, None, None, "_StoreAction", None),
+        (["--out-dir"], ".", None, False, None, None, "_StoreAction", None),
+        (["--stamp"], False, None, False, "add a timestamp comment", 0, ON, None),
+    ]),
+    "fit": ("fit accuracy = a*exp(b*complexity)", "_cmd_fit", [
+        (["-h", "--help"], "==SUPPRESS==", None, False, HELP, 0, "_HelpAction", None),
+        (["--points"], None, None, True, None, None, "_StoreAction", None),
+        (["--ceiling"], None, None, False, None, None, "_StoreAction", "_ceiling"),
+        (["--format"], "table", ("table", "csv", "json"), False, None, None,
+         "_StoreAction", None),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_each_command_keeps_its_arguments(name):
+    # help text is compared by its parts, not byte for byte: argparse lays it
+    # out differently from one Python version to the next
+    parser = cli._build_parser(name)
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (choice,) = [a for a in sub._choices_actions if a.dest == name]
+    command = sub.choices[name]
+    arguments = [
+        (a.option_strings or a.dest, a.default, a.choices, a.required, a.help, a.nargs,
+         type(a).__name__, getattr(a.type, "__name__", None))
+        for a in command._actions
+    ]
+    assert (choice.help, command.get_default("handler").__name__, arguments) == (
+        ARGUMENTS[name]
+    )
+
+
 LONG_CHAIN = "=" + "+".join(["C5"] * 2000)
 
 
