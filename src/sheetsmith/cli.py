@@ -20,9 +20,10 @@ Each command reaches the other layers through the package's names, which
 import a layer on its first use, so a process loads only the layers its
 command uses: ``fit`` never loads the parser, and ``analyze`` never loads
 synthesis. Likewise ``json`` is imported only in _write_report's JSON branch.
-A call builds only its own subcommand's argument parser, beside the root's;
-``--help``, a root option given first, or a missing or unknown command builds
-all six.
+_COMMANDS is the one table of the six commands: each one's help, handler and
+arguments. A call builds only its own subcommand's argument parser from it,
+beside the root's; ``--help``, a root option given first, or a missing or
+unknown command builds all six.
 """
 
 from __future__ import annotations
@@ -137,8 +138,7 @@ def _non_negative_int(text: str) -> int:
 
 def _search_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR, str(sheetsmith.synthesis.DEFAULT_SEARCH_BUDGET))
-    field = (_non_negative_int, "a non-negative integer")
-    return _option(BUDGET_ENV_VAR, field)(raw)
+    return _option(BUDGET_ENV_VAR, (_non_negative_int, "a non-negative integer"))(raw)
 
 
 def _cmd_synthesize(args):
@@ -335,72 +335,56 @@ def _cmd_fit(args):
 # ----- wiring ----------------------------------------------------------
 
 
-_COMMANDS = ("analyze", "scan", "synthesize", "validate", "confidence", "fit")
+# the one table of commands: each one's help and handler, then its
+# arguments, each its names and then the keywords add_argument takes
+_COMMANDS = {
+    "analyze": ("metrics for one formula", _cmd_analyze,
+                ("formula", {}),
+                ("--format", dict(choices=("table", "csv", "json"), default="table"))),
+    "scan": ("risk report over a formulas CSV", _cmd_scan,
+             ("path", dict(help="CSV with header source_id,formula")),
+             ("--output", "-o", dict(default="-", help="output path ('-' = stdout)")),
+             ("--format", dict(choices=("csv", "json"), default="csv")),
+             ("--fail-on-miller", dict(
+                 action="store_true",
+                 help="exit 1 if any formula exceeds the concept limit")),
+             ("--stamp", dict(action="store_true", help="add a timestamp comment to CSV"))),
+    "synthesize": ("build a formula from examples", _cmd_synthesize,
+                   ("--examples", dict(required=True, help="CSV of attributes + label")),
+                   ("--max-depth", dict(type=_option("--max-depth", INTEGER))),
+                   ("--interactive", dict(
+                       action="store_true",
+                       help="offer to add counter-examples and re-synthesize"))),
+    "validate": ("check a formula against examples", _cmd_validate,
+                 ("--formula", dict(required=True)),
+                 ("--examples", dict(required=True))),
+    "confidence": ("experiment summary and plot data", _cmd_confidence,
+                   ("--results", dict(required=True)),
+                   ("--complexities", dict(required=True)),
+                   ("--out-dir", dict(default=".")),
+                   ("--stamp", dict(action="store_true", help="add a timestamp comment"))),
+    "fit": ("fit accuracy = a*exp(b*complexity)", _cmd_fit,
+            ("--points", dict(required=True)),
+            ("--ceiling", dict(type=_ceiling)),
+            ("--format", dict(choices=("table", "csv", "json"), default="table"))),
+}
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The root parser with all six subcommands' parsers, or with command's alone."""
     parser = argparse.ArgumentParser(
         prog="sheetsmith",
-        description="Spreadsheet formula risk metrics, validation, and synthesis.",
-    )
+        description="Spreadsheet formula risk metrics, validation, and synthesis.")
     # with one command built, the full set as metavar keeps the root usage
     # line argparse prints for a rejected argument as it is with all six
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    named = _COMMANDS if command is None else (command,)
-
-    if "analyze" in named:
-        p = sub.add_parser("analyze", help="metrics for one formula")
-        p.add_argument("formula")
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.set_defaults(handler=_cmd_analyze)
-
-    if "scan" in named:
-        p = sub.add_parser("scan", help="risk report over a formulas CSV")
-        p.add_argument("path", help="CSV with header source_id,formula")
-        p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument(
-            "--fail-on-miller",
-            action="store_true",
-            help="exit 1 if any formula exceeds the concept limit",
-        )
-        p.add_argument("--stamp", action="store_true", help="add a timestamp comment to CSV")
-        p.set_defaults(handler=_cmd_scan)
-
-    if "synthesize" in named:
-        p = sub.add_parser("synthesize", help="build a formula from examples")
-        p.add_argument("--examples", required=True, help="CSV of attributes + label")
-        p.add_argument("--max-depth", type=_option("--max-depth", INTEGER))
-        p.add_argument(
-            "--interactive",
-            action="store_true",
-            help="offer to add counter-examples and re-synthesize",
-        )
-        p.set_defaults(handler=_cmd_synthesize)
-
-    if "validate" in named:
-        p = sub.add_parser("validate", help="check a formula against examples")
-        p.add_argument("--formula", required=True)
-        p.add_argument("--examples", required=True)
-        p.set_defaults(handler=_cmd_validate)
-
-    if "confidence" in named:
-        p = sub.add_parser("confidence", help="experiment summary and plot data")
-        p.add_argument("--results", required=True)
-        p.add_argument("--complexities", required=True)
-        p.add_argument("--out-dir", default=".")
-        p.add_argument("--stamp", action="store_true", help="add a timestamp comment")
-        p.set_defaults(handler=_cmd_confidence)
-
-    if "fit" in named:
-        p = sub.add_parser("fit", help="fit accuracy = a*exp(b*complexity)")
-        p.add_argument("--points", required=True)
-        p.add_argument("--ceiling", type=_ceiling)
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.set_defaults(handler=_cmd_fit)
-
+    for name in _COMMANDS if command is None else (command,):
+        text, handler, *arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for *names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

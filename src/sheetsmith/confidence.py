@@ -20,6 +20,7 @@ from collections.abc import Mapping, Sequence
 
 from ._record import record
 from .errors import (
+    check_integer,
     DegenerateXError,
     EmptyInputError,
     InsufficientPointsError,
@@ -39,8 +40,7 @@ def _check_outcome(error_count: int, attempted: bool) -> None:
     """A ValueError unless attempted is a bool and error_count an int of 0 or more."""
     if not isinstance(attempted, bool):
         raise ValueError(f"attempted must be True or False, got {attempted!r}")
-    if not isinstance(error_count, int) or isinstance(error_count, bool):
-        raise ValueError(f"error count must be an integer, got {error_count!r}")
+    check_integer("error count", error_count)
     if error_count < 0:
         raise ValueError("error count cannot be negative")
 

@@ -3,7 +3,34 @@
 Every error carries a stable ``code`` string so the command line can emit a
 single machine-greppable line, and an ``exit_status`` that separates domain
 errors (1) from unusable input files (2).
+
+It also holds the two argument rules every layer shares: check_integer, an
+int that is not a bool, and not_finite, a finite int or float that is not a
+bool, where an int too large for a float is named in words. Every layer
+imports this module and it imports no layer, so no import cycle can form.
 """
+
+import math
+
+
+def check_integer(name: str, value, least: int | None = None) -> None:
+    """A ValueError unless value is an int, not a bool, of least or more if given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be {least} or more, got {value}")
+
+
+def not_finite(value) -> str | None:
+    """None for a finite int or float that is not a bool, else how an error
+    shows value: its repr, or in words for an int too large for a float,
+    whose repr can itself raise past 4,300 digits."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return repr(value)
+    try:
+        return None if math.isfinite(value) else repr(value)
+    except OverflowError:
+        return "an integer too large for a float"
 
 
 class SheetsmithError(Exception):

@@ -54,7 +54,7 @@ from functools import partial, reduce
 from math import isfinite, prod
 
 from ._record import record
-from .errors import DomainTooLargeError, EmptyExampleSetError
+from .errors import DomainTooLargeError, EmptyExampleSetError, not_finite
 from .formulas import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
@@ -111,21 +111,15 @@ def _canonical_names(refs: Iterable[str]) -> list[str]:
 
 
 def _norm(value) -> Value:
-    if isinstance(value, bool):
+    if isinstance(value, float) and isfinite(value):  # the most common value
+        return float(value)
+    if isinstance(value, (bool, str, EvalError)):
         return value
-    if isinstance(value, (int, float)):
-        try:
-            number = float(value)
-        except OverflowError:
-            raise ValueError(
-                "grid numbers must be finite, got an integer too large for a float"
-            ) from None
-        if not isfinite(number):
-            raise ValueError(f"grid numbers must be finite, got {number!r}")
-        return number
-    if isinstance(value, (str, EvalError)):
-        return value
-    raise TypeError(f"not a grid value: {value!r}")
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"not a grid value: {value!r}")
+    if (shown := not_finite(value)) is not None:
+        raise ValueError(f"grid numbers must be finite, got {shown}")
+    return float(value)
 
 
 class Grid:

@@ -79,9 +79,11 @@ from operator import or_
 
 from ._record import record
 from .errors import (
+    check_integer,
     EmptyLabelError,
     HypothesisSpaceExhaustedError,
     InconsistentExamplesError,
+    not_finite,
     SearchBudgetExceededError,
 )
 from .evaluator import (
@@ -145,25 +147,10 @@ class LabeledExample:
                 f"attributes must be a mapping of names to numbers, got {self.attributes!r}"
             )
         for name, value in self.attributes.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                shown = repr(value)
-            else:
-                try:
-                    shown = None if math.isfinite(value) else repr(value)
-                except OverflowError:  # in words: repr of a huge int can raise
-                    shown = "an integer too large for a float"
-            if shown is not None:
+            if (shown := not_finite(value)) is not None:
                 raise ValueError(
                     f"attribute {name!r} must be a finite number, got {shown}"
                 )
-
-
-def _check_count(name: str, value: int, least: int) -> None:
-    """A ValueError unless value is an int, not a bool, of least or more."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be {least} or more, got {value}")
 
 
 @record
@@ -191,7 +178,7 @@ class HypothesisConfig:
                     raise ValueError(f"{kind} {name!r} is not one of {allowed}")
                 if name in names[:index]:
                     raise ValueError(f"{kind} {name!r} is named more than once")
-        _check_count("max_decision_depth", self.max_decision_depth, 1)
+        check_integer("max_decision_depth", self.max_decision_depth, 1)
 
 
 @record
@@ -526,7 +513,7 @@ def synthesize(
     text users copy: it equals validate_examples of that text on
     example_grids.
     """
-    _check_count("search_budget", search_budget, 0)
+    check_integer("search_budget", search_budget, 0)
     config = config or HypothesisConfig()
     names = _check_examples(examples)
     assignment = _cell_assignment(names, config.cell_assignment)
