@@ -20,10 +20,12 @@ from collections.abc import Mapping, Sequence
 
 from ._record import record
 from .errors import (
+    check_finite,
     check_integer,
     DegenerateXError,
     EmptyInputError,
     InsufficientPointsError,
+    not_finite,
     RangeError,
     UnknownQuestionError,
 )
@@ -64,7 +66,12 @@ def combined_overconfidence(confidence: int, difficulty: int) -> float:
 
 
 def confidence_ratio(combined: float, f: int) -> float | None:
-    """combined / F, or None when F is 0 (question not attempted)."""
+    """combined / F, or None when F is 0 (question not attempted). F must be
+    an int from 0 to 5, not a bool, and combined a finite number."""
+    check_integer("F", f, 0)
+    if f > 5:
+        raise ValueError(f"F must be 5 or less, got {f}")
+    check_finite("combined", combined)
     if f == 0:
         return None
     return combined / f
@@ -81,6 +88,9 @@ class ConfidenceRecord:
     difficulty: int
 
     def __post_init__(self):
+        for name in ("participant_id", "question_id"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a str, got {getattr(self, name)!r}")
         if self.approach not in APPROACHES:
             raise ValueError(
                 f"approach must be one of {APPROACHES}, got {self.approach!r}"
@@ -224,14 +234,12 @@ def fit_accuracy_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
     a to zero, raise DegenerateXError.
     """
     for point in points:
-        try:
-            finite = all(map(math.isfinite, point))
-        except OverflowError:
-            # such an integer is not printed: str() of one past 4,300 digits raises
+        shown = list(map(not_finite, point))
+        if "an integer too large for a float" in shown:
+            # such a point is not printed: str() of an int past 4,300 digits raises
             raise DegenerateXError(
-                "points must be finite, got an integer too large for a float"
-            ) from None
-        if not finite:
+                "points must be finite, got an integer too large for a float")
+        if any(shown):
             raise DegenerateXError(f"point {tuple(point)} is not finite")
     usable = [(x, y) for x, y in points if y > 0]
     dropped = len(points) - len(usable)
@@ -272,7 +280,10 @@ def exceeds_base_error_ceiling(
     The fit itself is never altered; this only drives an annotation. Where
     exp(b*x) passes the largest float, the curve's sign is a's: a positive a
     exceeds a ceiling of 0 or less, and otherwise the logs of both sides
-    compare; a zero a exceeds only a negative ceiling, and a negative a none."""
+    compare; a zero a exceeds only a negative ceiling, and a negative a none.
+    min_complexity and ceiling must be finite numbers."""
+    check_finite("min_complexity", min_complexity)
+    check_finite("ceiling", ceiling)
     exponent = fit.b * min_complexity
     try:
         growth = math.exp(exponent)

@@ -6,7 +6,8 @@ errors (1) from unusable input files (2).
 
 It also holds the two argument rules every layer shares: check_integer, an
 int that is not a bool, and not_finite, a finite int or float that is not a
-bool, where an int too large for a float is named in words. Every layer
+bool, where an int too large for a float is named in words; check_finite
+raises that rule's usual ValueError. Every layer
 imports this module and it imports no layer, so no import cycle can form.
 """
 
@@ -31,6 +32,12 @@ def not_finite(value) -> str | None:
         return None if math.isfinite(value) else repr(value)
     except OverflowError:
         return "an integer too large for a float"
+
+
+def check_finite(name: str, value) -> None:
+    """A ValueError unless value is a finite number, as not_finite reads it."""
+    if (shown := not_finite(value)) is not None:
+        raise ValueError(f"{name} must be a finite number, got {shown}")
 
 
 class SheetsmithError(Exception):

@@ -598,6 +598,8 @@ def semantic_equivalence(
     DEFAULT_GRID_CAP before any sized value list is copied, and every domain
     value is checked as a grid value before any grid is enumerated.
     """
+    if not isinstance(domain, Mapping):
+        raise TypeError(f"domain must be a mapping of cells to values, got {domain!r}")
     names = _canonical_names(domain.keys())
     for name, values in zip(names, domain.values()):
         if isinstance(values, (str, bytes)):  # iterating it would give its characters

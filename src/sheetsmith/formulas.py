@@ -125,9 +125,9 @@ def cell_ref(text: str) -> CellRef:
     """The cell named by text such as "c5", "$C$5" or " C05 "; rows start at 1.
 
     Results are cached and shared: CellRef is frozen, so equal text gives an
-    equal, possibly identical, node.
+    equal, possibly identical, node. Anything but a str is no reference.
     """
-    match = _CELL.fullmatch(text.strip())
+    match = isinstance(text, str) and _CELL.fullmatch(text.strip())
     if match:
         col_mark, letters, row_mark, digits = match.groups()
         row = int(digits)

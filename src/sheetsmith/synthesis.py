@@ -79,11 +79,11 @@ from operator import or_
 
 from ._record import record
 from .errors import (
+    check_finite,
     check_integer,
     EmptyLabelError,
     HypothesisSpaceExhaustedError,
     InconsistentExamplesError,
-    not_finite,
     SearchBudgetExceededError,
 )
 from .evaluator import (
@@ -147,10 +147,7 @@ class LabeledExample:
                 f"attributes must be a mapping of names to numbers, got {self.attributes!r}"
             )
         for name, value in self.attributes.items():
-            if (shown := not_finite(value)) is not None:
-                raise ValueError(
-                    f"attribute {name!r} must be a finite number, got {shown}"
-                )
+            check_finite(f"attribute {name!r}", value)
 
 
 @record
@@ -179,6 +176,7 @@ class HypothesisConfig:
                 if name in names[:index]:
                     raise ValueError(f"{kind} {name!r} is named more than once")
         check_integer("max_decision_depth", self.max_decision_depth, 1)
+        _cell_assignment((), self.cell_assignment)  # a map the search can place
 
 
 @record
@@ -337,6 +335,8 @@ def _cell_assignment(
     names: Sequence[str], given: Mapping[str, str] | None
 ) -> dict[str, str]:
     """The given assignment in canonical refs, one cell per attribute."""
+    if given is not None and not isinstance(given, Mapping):
+        raise ValueError(f"cell assignment must be a mapping or None, got {given!r}")
     if not given:
         return default_cell_assignment(names)
     unplaced = [name for name in names if name not in given]

@@ -127,6 +127,39 @@ def test_record_validation():
             ConfidenceRecord("P01", "q1", "edm", attempted, errors, 3, 3)
 
 
+def _short(value):
+    """A test id for an int too large to print in one, else pytest's own."""
+    return "huge" if isinstance(value, int) and abs(value) > 2**64 else None
+
+
+@pytest.mark.parametrize("participant,question,message", [
+    (5, "q1", "participant_id must be a str, got 5"),
+    (None, "q1", "participant_id must be a str, got None"),
+    ("P01", b"q1", "question_id must be a str, got b'q1'"),
+    ("P01", 1.5, "question_id must be a str, got 1.5"),
+])
+def test_record_ids_must_be_text(participant, question, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ConfidenceRecord(participant, question, "edm", True, 0, 3, 3)
+
+
+@pytest.mark.parametrize("combined,f,message", [
+    (3.0, 7, "F must be 5 or less, got 7"),
+    (3.0, -1, "F must be 0 or more, got -1"),
+    (3.0, True, "F must be an integer, got True"),
+    (3.0, 1.5, "F must be an integer, got 1.5"),
+    (3.0, 2.0, "F must be an integer, got 2.0"),
+    (float("nan"), 5, "combined must be a finite number, got nan"),
+    (float("inf"), 0, "combined must be a finite number, got inf"),
+    (10**400, 5, "combined must be a finite number, got an integer too large for a float"),
+    (True, 5, "combined must be a finite number, got True"),
+    ("3", 5, "combined must be a finite number, got '3'"),
+], ids=_short)
+def test_confidence_ratio_takes_a_whole_f_and_a_finite_combined(combined, f, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        confidence_ratio(combined, f)
+
+
 def test_summary_hand_count():
     errors = [0, 0, 1, 2, 0, 3, 0, 4, 1, 0]
     records = [
@@ -275,6 +308,19 @@ def test_fit_rejects_points_with_no_finite_fit(points):
         fit_accuracy_curve(points)
 
 
+@pytest.mark.parametrize("points,message", [
+    # a huge coordinate is named in words, whichever coordinate comes first
+    ([(float("nan"), 10**5000), (1, 2)],
+     "points must be finite, got an integer too large for a float"),
+    ([(True, 90), (2, 70)], "point (True, 90) is not finite"),
+    ([(1, 90), (2, None)], "point (2, None) is not finite"),
+    ([(1, 90), ("2", 70)], "point ('2', 70) is not finite"),
+])
+def test_fit_reads_each_coordinate_as_a_finite_number(points, message):
+    with pytest.raises(DegenerateXError, match=f"^{re.escape(message)}$"):
+        fit_accuracy_curve(points)
+
+
 def test_fit_flat_data_has_unit_r_squared():
     fit = fit_accuracy_curve([(1.0, 50.0), (2.0, 50.0), (3.0, 50.0)])
     assert fit.a == pytest.approx(50.0)
@@ -290,6 +336,22 @@ def test_base_error_ceiling_annotation():
                     points_used=2, points_dropped=0)
     assert exceeds_base_error_ceiling(high, min_complexity=0.5)
     assert not exceeds_base_error_ceiling(high, min_complexity=0.5, ceiling=250.0)
+
+
+@pytest.mark.parametrize("x,ceiling,message", [
+    (10**400, 95.0,
+     "min_complexity must be a finite number, got an integer too large for a float"),
+    (float("nan"), 95.0, "min_complexity must be a finite number, got nan"),
+    (True, 95.0, "min_complexity must be a finite number, got True"),
+    (1.0, float("nan"), "ceiling must be a finite number, got nan"),
+    (1.0, -float("inf"), "ceiling must be a finite number, got -inf"),
+    (1.0, 10**400, "ceiling must be a finite number, got an integer too large for a float"),
+    (1.0, None, "ceiling must be a finite number, got None"),
+], ids=_short)
+def test_base_error_ceiling_reads_finite_numbers(x, ceiling, message):
+    fit = CurveFit(a=100.0, b=-0.5, r_squared=1.0, points_used=2, points_dropped=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        exceeds_base_error_ceiling(fit, x, ceiling)
 
 
 def test_base_error_ceiling_past_the_largest_float():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -383,6 +384,24 @@ def test_a_text_value_list_is_named_by_its_cell():
     message = "^domain values of cell B2 must be a list, got 'abc'$"
     with pytest.raises(TypeError, match=message):
         semantic_equivalence(parse("=B2"), parse("=B2"), {"A1": [1], "b2": "abc"})
+
+
+@pytest.mark.parametrize("build,shown", [
+    (lambda: Grid({5: 1}), "5"),
+    (lambda: Grid(b"A1"), "65"),  # a bytes name set iterates as its byte values
+    (lambda: semantic_equivalence(parse("=A1"), parse("=A1"), {5: [1]}), "5"),
+    (lambda: semantic_equivalence(parse("=A1"), parse("=A1"), {None: [1]}), "None"),
+])
+def test_a_cell_name_that_is_not_text_is_no_cell_reference(build, shown):
+    with pytest.raises(ValueError, match=f"^not a cell reference: {shown}$"):
+        build()
+
+
+@pytest.mark.parametrize("domain", [None, ["A1"], "A1", 5])
+def test_a_domain_that_is_not_a_mapping_is_a_type_error(domain):
+    message = f"^domain must be a mapping of cells to values, got {re.escape(repr(domain))}$"
+    with pytest.raises(TypeError, match=message):
+        semantic_equivalence(parse("=A1"), parse("=A1"), domain)
 
 
 def _equivalence_grid_by_grid(a, b, domain):

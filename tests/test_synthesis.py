@@ -8,6 +8,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import statistics
 from bisect import bisect_left, bisect_right
 
@@ -186,6 +187,25 @@ def test_cell_assignment_gives_each_attribute_its_own_cell(assignment, message):
     with pytest.raises(ValueError) as info:
         example_grids(examples, assignment)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("assignment,message", [
+    ({"a": 5, "b": "D5"}, "not a cell reference: 5"),
+    ({"a": "C5", "b": None}, "not a cell reference: None"),
+    (["a"], "cell assignment must be a mapping or None, got ['a']"),
+    ("abc", "cell assignment must be a mapping or None, got 'abc'"),
+    ((), "cell assignment must be a mapping or None, got ()"),
+])
+def test_a_cell_map_is_checked_by_the_config_and_by_example_grids(assignment, message):
+    examples = [
+        LabeledExample({"a": 1.0, "b": 2.0}, "lo"),
+        LabeledExample({"a": 9.0, "b": 8.0}, "hi"),
+    ]
+    # the config rejects it when built, before any search
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HypothesisConfig(cell_assignment=assignment)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        example_grids(examples, assignment)
 
 
 def test_synthesised_formula_agrees_with_training_grids():
