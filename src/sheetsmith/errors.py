@@ -7,8 +7,8 @@ errors (1) from unusable input files (2).
 It also holds the two argument rules every layer shares: check_integer, an
 int that is not a bool, and not_finite, a finite int or float that is not a
 bool, where an int too large for a float is named in words; check_finite
-raises that rule's usual ValueError. Every layer
-imports this module and it imports no layer, so no import cycle can form.
+raises that rule's usual ValueError. Every layer imports this module and it
+imports no layer, so no import cycle can form.
 """
 
 import math
