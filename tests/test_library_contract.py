@@ -134,7 +134,7 @@ def _outcome(fn, arguments) -> str | None:
         result = fn(**arguments)
     except (ValueError, TypeError, SheetsmithError):
         return None
-    except Exception as exc:  # noqa: BLE001 - any other class breaks the contract
+    except Exception as exc:  # any other class breaks the contract
         return f"raised {type(exc).__name__}: {exc}"
     if not all(map(math.isfinite, _floats(result))):
         return f"returned {result!r}"
