@@ -21,6 +21,7 @@ from collections.abc import Mapping, Sequence
 from ._record import record
 from .errors import (
     check_finite,
+    check_instance,
     check_integer,
     DegenerateXError,
     EmptyInputError,
@@ -113,6 +114,7 @@ class QuestionOutcome:
 
 def question_outcome(record: ConfidenceRecord) -> QuestionOutcome:
     """Scores for one answered (or skipped) question."""
+    check_instance("record", record, ConfidenceRecord)
     f = f_score(record.error_count, record.attempted)
     combined = combined_overconfidence(record.confidence, record.difficulty)
     return QuestionOutcome(f, combined, confidence_ratio(combined, f))
@@ -156,15 +158,22 @@ def summarize_experiment(
     on any attempted question. Both readings of "how often people got it
     wrong" are reported side by side. Output order is fixed (traditional
     before edm, question ids sorted), so equal inputs in any order summarize
-    identically.
+    identically. Every record must be a ConfidenceRecord, and the complexity
+    of each question a record names a finite number.
     """
     if not records:
         raise EmptyInputError("no records to summarize")
-    for record in records:
+    for index, record in enumerate(records):
+        if not isinstance(record, ConfidenceRecord):
+            raise TypeError(f"record {index} must be a ConfidenceRecord, got {record!r}")
         if record.question_id not in complexities:
             raise UnknownQuestionError(
                 f"question {record.question_id!r} has no complexity entry"
             )
+        check_finite(
+            f"complexity of question {record.question_id!r}",
+            complexities[record.question_id],
+        )
 
     present = [a for a in APPROACHES if any(r.approach == a for r in records)]
     questions = []
@@ -281,7 +290,8 @@ def exceeds_base_error_ceiling(
     exp(b*x) passes the largest float, the curve's sign is a's: a positive a
     exceeds a ceiling of 0 or less, and otherwise the logs of both sides
     compare; a zero a exceeds only a negative ceiling, and a negative a none.
-    min_complexity and ceiling must be finite numbers."""
+    fit must be a CurveFit, and min_complexity and ceiling finite numbers."""
+    check_instance("fit", fit, CurveFit)
     check_finite("min_complexity", min_complexity)
     check_finite("ceiling", ceiling)
     exponent = fit.b * min_complexity

@@ -22,6 +22,12 @@ def check_integer(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be {least} or more, got {value}")
 
 
+def check_instance(name: str, value, kind: type) -> None:
+    """A TypeError unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def not_finite(value) -> str | None:
     """None for a finite int or float that is not a bool, else how an error
     shows value: its repr, or in words for an int too large for a float,

@@ -35,7 +35,9 @@ This is the only evaluation path. evaluate runs it on a block of one grid;
 compile_formula returns it as a function of one grid's cells, which it reads
 as Grid does; validate_examples evaluates all its examples as one block,
 through _validate, which synthesis calls on the examples' own float columns;
-semantic_equivalence checks the grid cap and every domain value up front,
+semantic_equivalence checks the grid cap and every domain value up front
+(a value list all of exact ints or all of exact floats in one float pass and
+one finite sum, any other list value by value through _norm, as Grid reads),
 builds each block's cell columns straight from the value lists, compares the
 two result columns in bulk (values_equal runs only where they differ in
 value or type; when both columns have one kind, one != pass finds those
@@ -54,7 +56,12 @@ from functools import partial, reduce
 from math import isfinite, prod
 
 from ._record import record
-from .errors import DomainTooLargeError, EmptyExampleSetError, not_finite
+from .errors import (
+    check_instance,
+    DomainTooLargeError,
+    EmptyExampleSetError,
+    not_finite,
+)
 from .formulas import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
@@ -126,7 +133,10 @@ class Grid:
     """Read-only cell-to-value mapping. Absent cells read as MissingCell."""
 
     def __init__(self, cells: Mapping[str, Value] | None = None):
-        cells = cells or {}
+        if cells is None:
+            cells = {}
+        elif not isinstance(cells, Mapping):
+            raise TypeError(f"cells must be a mapping of cells to values, got {cells!r}")
         self._cells = dict(zip(_canonical_names(cells), map(_norm, cells.values())))
 
     def lookup(self, ref: str) -> Value:
@@ -149,6 +159,8 @@ class Grid:
 
 def evaluate(ast: FormulaAst, grid: Grid) -> Value:
     """Evaluate a formula against a grid, returning a value or an EvalError."""
+    check_instance("ast", ast, FormulaAst)
+    check_instance("grid", grid, Grid)
     return _one(_compile(ast.root), grid._cells)
 
 
@@ -168,6 +180,7 @@ def compile_formula(ast: FormulaAst) -> Compiled:
     for Grid(cells): names in any case, with or without '$', and numbers
     as floats; an absent cell reads as MissingCell.
     """
+    check_instance("ast", ast, FormulaAst)
     run = _compile(ast.root)
     return lambda cells: _one(run, Grid(cells)._cells)
 
@@ -180,6 +193,26 @@ def _one(run: ColumnFn, cells: dict[str, Value]) -> Value:
 def _column(values: list) -> Column:
     kinds = set(map(type, values))
     return (kinds.pop() if len(kinds) == 1 else None), values
+
+
+def _domain_column(values: Sequence) -> Column:
+    """One domain cell's values read as grid values, as a column.
+
+    A list all of exact ints or all of exact floats is converted in one
+    float pass and checked by one sum; any other list, and one whose
+    conversion overflows or whose sum is not finite, goes through _norm
+    value by value, which gives the same column or names the value at fault.
+    """
+    kind, _ = _column(values)
+    if kind is int or kind is float:
+        try:
+            column = list(map(float, values))
+        except OverflowError:  # an int too large for a float
+            pass
+        else:
+            if isfinite(sum(column)):
+                return float, column
+    return _column([_norm(value) for value in values])
 
 
 def _missing(name: str) -> EvalError:
@@ -545,10 +578,16 @@ def validate_examples(
     ast: FormulaAst, examples: Sequence[tuple[Grid, Value]]
 ) -> ValidationReport:
     """Evaluate a formula against (grid, expected) pairs, preserving order."""
+    check_instance("ast", ast, FormulaAst)
     if not examples:
         raise EmptyExampleSetError("no examples to validate against")
-    expected = [_norm(value) for _, value in examples]
-    return _validate(ast, _columns([grid._cells for grid, _ in examples]), expected)
+    rows, expected = [], []
+    for index, (grid, value) in enumerate(examples):
+        if not isinstance(grid, Grid):
+            raise TypeError(f"the grid of example {index} must be a Grid, got {grid!r}")
+        rows.append(grid._cells)
+        expected.append(_norm(value))
+    return _validate(ast, _columns(rows), expected)
 
 
 def _validate(
@@ -567,6 +606,7 @@ def _validate(
 
 def referenced_cells(ast: FormulaAst) -> set[str]:
     """Canonical names of every cell the formula can read."""
+    check_instance("ast", ast, FormulaAst)
     return set(_cells_read(ast))
 
 
@@ -598,6 +638,8 @@ def semantic_equivalence(
     DEFAULT_GRID_CAP before any sized value list is copied, and every domain
     value is checked as a grid value before any grid is enumerated.
     """
+    check_instance("a", a, FormulaAst)
+    check_instance("b", b, FormulaAst)
     if not isinstance(domain, Mapping):
         raise TypeError(f"domain must be a mapping of cells to values, got {domain!r}")
     names = _canonical_names(domain.keys())
@@ -620,7 +662,7 @@ def semantic_equivalence(
         raise DomainTooLargeError(
             f"domain enumerates {total} grids, cap is {DEFAULT_GRID_CAP}"
         )
-    cells = [_column([_norm(value) for value in values]) for values in value_lists]
+    cells = [_domain_column(values) for values in value_lists]
     # the first cell the domain lacks is named; a range is walked no further
     # than it, however large
     covered = set(names)

@@ -12,6 +12,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from ._record import record
+from .errors import check_instance
 
 # name -> (min arity, max arity); None = unbounded
 SUPPORTED_FUNCTIONS = {
@@ -234,6 +235,7 @@ def _precedence(node: Node) -> int:
 
 def render(ast: FormulaAst) -> str:
     """Canonical source text for a tree, leading '=' included."""
+    check_instance("ast", ast, FormulaAst)
     return "=" + _render(ast.root)
 
 

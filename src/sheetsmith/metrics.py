@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .errors import DegenerateFormulaError
+from .errors import check_instance, DegenerateFormulaError
 from .formulas import (
     BinaryOp,
     CellRef,
@@ -66,6 +66,7 @@ class MetricsReport:
 
 def halstead_counts(ast: FormulaAst) -> HalsteadCounts:
     """Count distinct and total operators/operands of a formula tree."""
+    check_instance("ast", ast, FormulaAst)
     operators: list[str] = []
     operands: list[str] = []
     stack = [ast.root]
@@ -100,6 +101,7 @@ def halstead_counts(ast: FormulaAst) -> HalsteadCounts:
 
 def halstead_complexity(counts: HalsteadCounts) -> tuple[float, bool]:
     """2*n1/(n2*N2) and whether it fell outside the nominal (0, 2] range."""
+    check_instance("counts", counts, HalsteadCounts)
     if counts.n2 * counts.N2 == 0:
         raise DegenerateFormulaError(
             "complexity undefined: formula has no operands"

@@ -80,6 +80,7 @@ from operator import or_
 from ._record import record
 from .errors import (
     check_finite,
+    check_instance,
     check_integer,
     EmptyLabelError,
     HypothesisSpaceExhaustedError,
@@ -200,11 +201,15 @@ class SynthesisResult:
 
 def _attribute_names(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
     """The attribute names every example has, in order; none for no examples."""
-    names = tuple(examples[0].attributes.keys()) if examples else ()
-    for example in examples[1:]:
-        if tuple(example.attributes.keys()) != names:
+    names = None
+    for index, example in enumerate(examples):
+        if not isinstance(example, LabeledExample):
+            raise TypeError(f"example {index} must be a LabeledExample, got {example!r}")
+        if names is None:
+            names = tuple(example.attributes.keys())
+        elif tuple(example.attributes.keys()) != names:
             raise ValueError("examples disagree on attribute names or order")
-    return names
+    return names or ()
 
 
 def _check_examples(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
@@ -213,6 +218,9 @@ def _check_examples(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
         raise EmptyLabelError("no labelled examples were given")
     seen: dict[tuple, str] = {}
     for index, example in enumerate(examples):
+        # not check_instance, which would format a name for every example
+        if not isinstance(example, LabeledExample):
+            raise TypeError(f"example {index} must be a LabeledExample, got {example!r}")
         if example.label == "":
             raise EmptyLabelError(f"example {index} has an empty label")
         row = tuple(example.attributes.values())
@@ -315,7 +323,8 @@ def enumerate_candidates(
     midpoints of adjacent distinct values. A family whose aggregate is an
     error on some row has no candidates.
     """
-    config = config or HypothesisConfig()
+    config = HypothesisConfig() if config is None else config
+    check_instance("config", config, HypothesisConfig)
     columns = _float_columns(examples, _check_examples(examples))
     return [
         Predicate(kind, comparator, threshold, attribute)
@@ -514,7 +523,8 @@ def synthesize(
     example_grids.
     """
     check_integer("search_budget", search_budget, 0)
-    config = config or HypothesisConfig()
+    config = HypothesisConfig() if config is None else config
+    check_instance("config", config, HypothesisConfig)
     names = _check_examples(examples)
     assignment = _cell_assignment(names, config.cell_assignment)
     # the examples as float columns, which the search cuts and, as a block,

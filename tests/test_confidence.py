@@ -211,6 +211,16 @@ def test_summary_requires_known_questions_and_input():
         summarize_experiment(records, {"q1": 1.0})
 
 
+@pytest.mark.parametrize("complexity,shown", [
+    (math.nan, "nan"), (math.inf, "inf"), ("abc", "'abc'"), (True, "True"), (None, "None"),
+])
+def test_summary_reads_each_complexity_as_a_finite_number(complexity, shown):
+    records = [ConfidenceRecord("P1", "q1", "edm", True, 0, 3, 3)]
+    message = f"^complexity of question 'q1' must be a finite number, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message):
+        summarize_experiment(records, {"q1": complexity})
+
+
 def fixture_path(name):
     return str(importlib.resources.files("sheetsmith") / "data" / name)
 

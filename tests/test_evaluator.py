@@ -1,4 +1,6 @@
+import enum
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -22,7 +24,7 @@ from sheetsmith import (
     validate_examples,
     values_equal,
 )
-from sheetsmith.evaluator import EQUIVALENCE_BLOCK
+from sheetsmith.evaluator import _column, _domain_column, _norm, EQUIVALENCE_BLOCK
 
 REFERENCE = (
     '=IF(MIN(C5:D5)<40,"Fail",IF(AVERAGE(C5:D5)>=70,"Dist",'
@@ -388,13 +390,28 @@ def test_a_text_value_list_is_named_by_its_cell():
 
 @pytest.mark.parametrize("build,shown", [
     (lambda: Grid({5: 1}), "5"),
-    (lambda: Grid(b"A1"), "65"),  # a bytes name set iterates as its byte values
+    (lambda: Grid({1.5: 1}), "1.5"),
     (lambda: semantic_equivalence(parse("=A1"), parse("=A1"), {5: [1]}), "5"),
     (lambda: semantic_equivalence(parse("=A1"), parse("=A1"), {None: [1]}), "None"),
 ])
 def test_a_cell_name_that_is_not_text_is_no_cell_reference(build, shown):
     with pytest.raises(ValueError, match=f"^not a cell reference: {shown}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "cells", [0, "", [], b"A1", ["A1"], 5],
+    ids=["zero", "empty-text", "empty-list", "bytes", "list", "int"],
+)
+def test_grid_cells_that_are_not_a_mapping_are_a_type_error(cells):
+    # a falsy non-mapping is no empty grid, and bytes are not read as names
+    message = f"^cells must be a mapping of cells to values, got {re.escape(repr(cells))}$"
+    with pytest.raises(TypeError, match=message):
+        Grid(cells)
+
+
+def test_no_cells_is_the_empty_grid():
+    assert Grid().cells() == Grid(None).cells() == Grid({}).cells() == {}
 
 
 @pytest.mark.parametrize("domain", [None, ["A1"], "A1", 5])
@@ -465,6 +482,101 @@ def test_grid_rejects_integers_too_large_for_a_float():
         Grid({"A1": 10**400})
     with pytest.raises(ValueError, match="finite"):
         semantic_equivalence(parse("=A1"), parse("=A1"), {"A1": [1, -(10**400)]})
+
+
+# ----- reading a domain value list as a column ------------------------------
+
+
+def _shown(column):
+    """A column exactly: its kind, and each value's type and repr (-0.0 too)."""
+    kind, values = column
+    return kind, [(type(value), repr(value)) for value in values]
+
+
+def _column_or_error(read, values):
+    try:
+        return _shown(read(values))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _per_value(values):
+    return _column([_norm(value) for value in values])
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Money(float):
+    pass
+
+
+@pytest.mark.parametrize("values,expected", [
+    ([3, 0, -7], (float, [3.0, 0.0, -7.0])),
+    ([2.5, 1e308, 1e308], (float, [2.5, 1e308, 1e308])),  # the sum overflows
+    ([0.0, -0.0], (float, [0.0, -0.0])),
+    ([True, 1], (None, [True, 1.0])),
+    ([Money(2.5), Money(3)], (float, [2.5, 3.0])),
+    ([Level.LOW, Level.HIGH], (float, [1.0, 2.0])),
+    ([1, 2.5], (float, [1.0, 2.5])),
+    ([], (None, [])),
+], ids=["ints", "overflowing-sum", "signed-zeros", "bool-and-int", "float-subclass",
+        "int-enum", "int-and-float", "empty"])
+def test_a_domain_value_list_reads_as_its_grid_values(values, expected):
+    assert _shown(_domain_column(values)) == _shown(expected)
+
+
+@pytest.mark.parametrize("values,message", [
+    ([1, 10**400], "grid numbers must be finite, got an integer too large for a float"),
+    ([1.5, math.inf], "grid numbers must be finite, got inf"),
+    ([2, -(10**400), 3], "grid numbers must be finite, got an integer too large for a float"),
+    ([1.0, math.nan, 2.0], "grid numbers must be finite, got nan"),
+])
+def test_a_domain_value_list_names_its_value_at_fault(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        semantic_equivalence(parse("=A1"), parse("=A1"), {"A1": values})
+
+
+def test_domain_lists_on_the_edges_keep_their_verdicts():
+    # a sum of the list past the largest float is no reason to refuse it
+    assert semantic_equivalence(
+        parse("=A1"), parse("=A1/2*2"), {"A1": [1e308, 1e308]}
+    ) == (True, None)
+    assert semantic_equivalence(
+        parse("=A1"), parse("=-A1"), {"A1": [1e308, 1e308]}
+    ) == (False, Grid({"A1": 1e308}))
+    # TRUE is no number: =A1*1 is a TypeMismatch on it, and the witness holds it
+    same, witness = semantic_equivalence(parse("=A1"), parse("=A1*1"), {"A1": [1, True]})
+    assert (same, witness) == (False, Grid({"A1": True}))
+    assert witness.cells()["A1"] is True
+    same, witness = semantic_equivalence(parse("=1/A1"), parse("=1/A1"), {"A1": [0.0, -0.0]})
+    assert (same, witness) == (True, None)
+
+
+def _random_domain_list(rng):
+    size = rng.randint(0, 12)
+    ints = [rng.randint(-10**6, 10**6) for _ in range(size)]
+    floats = [rng.uniform(-1e6, 1e6) for _ in range(size)]
+    odd = [True, False, "x", "", EvalError("DivideByZero", "x"), -0.0, 1e308,
+           Money(1.5), Level.HIGH, 10**400, math.inf, math.nan]
+    return rng.choice([
+        ints,
+        floats,
+        ints + floats,
+        [rng.choice(odd + ints[:1] + floats[:1]) for _ in range(size)],
+        ints + [rng.choice(odd)],
+        floats + [rng.choice(odd)],
+    ])
+
+
+def test_a_domain_list_reads_as_its_values_one_by_one():
+    rng = random.Random(39)
+    for _ in range(400):
+        values = _random_domain_list(rng)
+        assert (_column_or_error(_domain_column, values)
+                == _column_or_error(_per_value, values)), values
 
 
 # 64 x 128 grids make two blocks; grid i holds A1 = i // 128, B1 = i % 128

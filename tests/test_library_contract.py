@@ -7,14 +7,15 @@ value of ODD. Every call must return, or raise ValueError, TypeError or a
 SheetsmithError; and no float it returns, nor any float inside a record,
 tuple, list, dict or Grid it returns, may be nan or inf.
 
-Left out: arguments that are trees (FormulaAst), grids, records
-(HypothesisConfig as a config, ConfidenceRecord as a record, and the result
-records CurveFit and HalsteadCounts) or sequences of records (examples,
-records, example pairs). Such an argument of the wrong type still breaks
-deep inside: render(None) and synthesize("abc") raise AttributeError.
-Values inside a mapping or a sequence (a domain's value lists, a complexity
-in summarize_experiment's mapping) are not replaced one by one either. The
-test is deterministic and runs in well under a second.
+A second test does the same for each argument that is a tree (FormulaAst),
+a grid, a record (HypothesisConfig as a config, ConfidenceRecord as a
+record, and the result records CurveFit and HalsteadCounts) or a sequence
+of records (examples, records, example pairs): each value of ODD, a record
+of the wrong class, a list of it and a list of one pair holding it.
+
+Left out: values inside a mapping or a sequence (a domain's value lists, a
+complexity in summarize_experiment's mapping) are not replaced one by one.
+The tests are deterministic and run in well under a second.
 """
 
 import inspect
@@ -110,6 +111,29 @@ CALLS = [
 
 CASES = [(fn, valid, name) for fn, valid, names in CALLS for name in (None, *names)]
 
+# the arguments of each public callable that are trees, grids, records or
+# sequences of records
+STRUCTURED = {
+    compile_formula: ("ast",),
+    enumerate_candidates: ("examples", "config"),
+    evaluate: ("ast", "grid"),
+    example_grids: ("examples",),
+    exceeds_base_error_ceiling: ("fit",),
+    halstead_complexity: ("counts",),
+    halstead_counts: ("ast",),
+    metrics_report: ("ast",),
+    miller_concepts: ("ast",),
+    question_outcome: ("record",),
+    referenced_cells: ("ast",),
+    render: ("ast",),
+    semantic_equivalence: ("a", "b"),
+    summarize_experiment: ("records",),
+    synthesize: ("examples", "config"),
+    validate_examples: ("ast", "examples"),
+}
+STRUCTURED_CASES = [(fn, valid, name) for fn, valid, _ in CALLS
+                    for name in STRUCTURED.get(fn, ())]
+
 
 def _floats(value):
     """Every float in a returned value, records, containers and grids opened."""
@@ -159,6 +183,20 @@ def test_odd_plain_values_end_in_a_result_or_a_documented_error(fn, valid, name)
         return
     broken = {}
     for odd in ODD:
+        problem = _outcome(fn, {**valid, name: odd})
+        if problem is not None:
+            broken[repr(odd)[:40]] = problem[:160]
+    assert broken == {}
+
+
+@pytest.mark.parametrize(
+    "fn,valid,name", STRUCTURED_CASES,
+    ids=[f"{fn.__name__}-{name}" for fn, _, name in STRUCTURED_CASES],
+)
+def test_odd_trees_grids_and_records_end_in_a_documented_error(fn, valid, name):
+    wrong = FIT if name in ("record", "records") else RECORD
+    broken = {}
+    for odd in [*ODD, wrong, [wrong], [(wrong, "hi")]]:
         problem = _outcome(fn, {**valid, name: odd})
         if problem is not None:
             broken[repr(odd)[:40]] = problem[:160]
