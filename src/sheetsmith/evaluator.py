@@ -36,8 +36,7 @@ compile_formula returns it as a function of one grid's cells, which it reads
 as Grid does; validate_examples evaluates all its examples as one block,
 through _validate, which synthesis calls on the examples' own float columns;
 semantic_equivalence checks the grid cap and every domain value up front
-(a value list all of exact ints or all of exact floats in one float pass and
-one finite sum, any other list value by value through _norm, as Grid reads),
+(through _norm, as Grid reads them; an exact int takes one float call),
 builds each block's cell columns straight from the value lists, compares the
 two result columns in bulk (values_equal runs only where they differ in
 value or type; when both columns have one kind, one != pass finds those
@@ -120,6 +119,11 @@ def _canonical_names(refs: Iterable[str]) -> list[str]:
 def _norm(value) -> Value:
     if isinstance(value, float) and isfinite(value):  # the most common value
         return float(value)
+    if type(value) is int:  # a domain list's usual value
+        try:
+            return float(value)
+        except OverflowError:  # not_finite below names it
+            pass
     if isinstance(value, (bool, str, EvalError)):
         return value
     if not isinstance(value, (int, float)):
@@ -193,26 +197,6 @@ def _one(run: ColumnFn, cells: dict[str, Value]) -> Value:
 def _column(values: list) -> Column:
     kinds = set(map(type, values))
     return (kinds.pop() if len(kinds) == 1 else None), values
-
-
-def _domain_column(values: Sequence) -> Column:
-    """One domain cell's values read as grid values, as a column.
-
-    A list all of exact ints or all of exact floats is converted in one
-    float pass and checked by one sum; any other list, and one whose
-    conversion overflows or whose sum is not finite, goes through _norm
-    value by value, which gives the same column or names the value at fault.
-    """
-    kind, _ = _column(values)
-    if kind is int or kind is float:
-        try:
-            column = list(map(float, values))
-        except OverflowError:  # an int too large for a float
-            pass
-        else:
-            if isfinite(sum(column)):
-                return float, column
-    return _column([_norm(value) for value in values])
 
 
 def _missing(name: str) -> EvalError:
@@ -662,7 +646,7 @@ def semantic_equivalence(
         raise DomainTooLargeError(
             f"domain enumerates {total} grids, cap is {DEFAULT_GRID_CAP}"
         )
-    cells = [_domain_column(values) for values in value_lists]
+    cells = [_column([_norm(value) for value in values]) for values in value_lists]
     # the first cell the domain lacks is named; a range is walked no further
     # than it, however large
     covered = set(names)

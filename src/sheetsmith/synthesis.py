@@ -203,6 +203,7 @@ def _attribute_names(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
     """The attribute names every example has, in order; none for no examples."""
     names = None
     for index, example in enumerate(examples):
+        # not check_instance, which would format a name for every example
         if not isinstance(example, LabeledExample):
             raise TypeError(f"example {index} must be a LabeledExample, got {example!r}")
         if names is None:
@@ -216,11 +217,9 @@ def _check_examples(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
     """Reject an unusable training set; return its attribute names."""
     if not examples:
         raise EmptyLabelError("no labelled examples were given")
+    names = _attribute_names(examples)
     seen: dict[tuple, str] = {}
     for index, example in enumerate(examples):
-        # not check_instance, which would format a name for every example
-        if not isinstance(example, LabeledExample):
-            raise TypeError(f"example {index} must be a LabeledExample, got {example!r}")
         if example.label == "":
             raise EmptyLabelError(f"example {index} has an empty label")
         row = tuple(example.attributes.values())
@@ -229,7 +228,7 @@ def _check_examples(examples: Sequence[LabeledExample]) -> tuple[str, ...]:
                 f"identical rows {row} are labelled both "
                 f"{seen[row]!r} and {example.label!r}"
             )
-    return _attribute_names(examples)
+    return names
 
 
 Family = tuple[str, str | None]  # (aggregate, attribute or None)

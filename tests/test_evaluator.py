@@ -24,7 +24,7 @@ from sheetsmith import (
     validate_examples,
     values_equal,
 )
-from sheetsmith.evaluator import _column, _domain_column, _norm, EQUIVALENCE_BLOCK
+from sheetsmith.evaluator import _column, _norm, EQUIVALENCE_BLOCK
 
 REFERENCE = (
     '=IF(MIN(C5:D5)<40,"Fail",IF(AVERAGE(C5:D5)>=70,"Dist",'
@@ -525,7 +525,8 @@ class Money(float):
 ], ids=["ints", "overflowing-sum", "signed-zeros", "bool-and-int", "float-subclass",
         "int-enum", "int-and-float", "empty"])
 def test_a_domain_value_list_reads_as_its_grid_values(values, expected):
-    assert _shown(_domain_column(values)) == _shown(expected)
+    # the column semantic_equivalence builds for one domain cell
+    assert _shown(_per_value(values)) == _shown(expected)
 
 
 @pytest.mark.parametrize("values,message", [
@@ -555,28 +556,22 @@ def test_domain_lists_on_the_edges_keep_their_verdicts():
     assert (same, witness) == (True, None)
 
 
-def _random_domain_list(rng):
-    size = rng.randint(0, 12)
-    ints = [rng.randint(-10**6, 10**6) for _ in range(size)]
-    floats = [rng.uniform(-1e6, 1e6) for _ in range(size)]
-    odd = [True, False, "x", "", EvalError("DivideByZero", "x"), -0.0, 1e308,
-           Money(1.5), Level.HIGH, 10**400, math.inf, math.nan]
-    return rng.choice([
-        ints,
-        floats,
-        ints + floats,
-        [rng.choice(odd + ints[:1] + floats[:1]) for _ in range(size)],
-        ints + [rng.choice(odd)],
-        floats + [rng.choice(odd)],
-    ])
+class Count(int):
+    pass
 
 
-def test_a_domain_list_reads_as_its_values_one_by_one():
+def test_an_exact_int_reads_as_an_int_subclass_does():
+    # exact ints take their own branch of _norm; a subclass takes the
+    # general one, and both must give the same value or the same error
     rng = random.Random(11)
     for _ in range(400):
-        values = _random_domain_list(rng)
-        assert (_column_or_error(_domain_column, values)
-                == _column_or_error(_per_value, values)), values
+        digits = rng.choice([1, 6, 15, 17, 300, 308, 309, 400])
+        value = rng.choice([-1, 1]) * rng.randint(0, 10**digits)
+        got = _column_or_error(_per_value, [value])
+        assert got == _column_or_error(_per_value, [Count(value)]), value
+        assert got == ((float, [(float, repr(float(value)))]) if abs(value) < 2**1024
+                       else (ValueError, "grid numbers must be finite, got an integer "
+                             "too large for a float")), value
 
 
 # 64 x 128 grids make two blocks; grid i holds A1 = i // 128, B1 = i % 128
