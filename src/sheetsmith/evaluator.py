@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from functools import partial, reduce
 from math import isfinite, prod
 
@@ -615,8 +615,10 @@ def semantic_equivalence(
 ) -> tuple[bool, Grid | None]:
     """Compare two formulas on every grid of a finite domain.
 
-    ``domain`` maps cell references to candidate values; the grids enumerated
-    are the full cartesian product, first cell varying slowest. Returns
+    ``domain`` maps cell references to candidate values, each cell's in an
+    ordered list or iterable (a str, bytes, set or mapping is a TypeError);
+    the grids enumerated are the full cartesian product, first cell varying
+    slowest. Returns
     (True, None) when outputs match everywhere under values_equal, else
     (False, first differing grid). The grid count is checked against
     DEFAULT_GRID_CAP before any sized value list is copied, and every domain
@@ -628,7 +630,9 @@ def semantic_equivalence(
         raise TypeError(f"domain must be a mapping of cells to values, got {domain!r}")
     names = _canonical_names(domain.keys())
     for name, values in zip(names, domain.values()):
-        if isinstance(values, (str, bytes)):  # iterating it would give its characters
+        # iterating a str or bytes would give its characters, a set its own
+        # order and a mapping its keys
+        if isinstance(values, (str, bytes, Set, Mapping)):
             raise TypeError(
                 f"domain values of cell {name} must be a list, got {values!r}"
             )

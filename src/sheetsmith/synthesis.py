@@ -5,7 +5,8 @@ compares one aggregate of the row (MIN, MAX, AVERAGE, SUM, or a single
 attribute) against a constant and emits a label; an example falls through to
 the first rule whose predicate it satisfies, or to the default label. A list
 compiles to nested IFs, so the output is an ordinary formula that can be
-audited with the metrics module like any hand-written one.
+audited with the metrics module like any hand-written one. The default
+config is built once, at import, and a list's aggregate argument once per list.
 
 Search is deterministic and returns the first consistent list in a fixed
 total order: depth 1 upward, and within a depth a depth-first walk that tries
@@ -72,9 +73,9 @@ such row it reaches.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from itertools import accumulate
+from math import isfinite, isinf
 from operator import or_
 
 from ._record import record
@@ -148,7 +149,9 @@ class LabeledExample:
                 f"attributes must be a mapping of names to numbers, got {self.attributes!r}"
             )
         for name, value in self.attributes.items():
-            check_finite(f"attribute {name!r}", value)
+            # an exact finite float passes with no name formatted for it
+            if value.__class__ is not float or not isfinite(value):
+                check_finite(f"attribute {name!r}", value)
 
 
 @record
@@ -276,7 +279,7 @@ def _cuts(distinct: list[float], prefix: tuple[int, ...]) -> list[tuple]:
     for k in range(1, len(distinct)):
         low, high = distinct[k - 1], distinct[k]
         mid = (low + high) / 2
-        if not math.isinf(mid):  # no formula prints one that overflowed
+        if not isinf(mid):  # no formula prints one that overflowed
             # a midpoint rounded onto an end cuts as that end
             cuts.append((mid, (prefix[k - (mid == low)], prefix[k + (mid == high)])))
         cuts.append((high, (prefix[k], prefix[k + 1])))
@@ -322,7 +325,7 @@ def enumerate_candidates(
     midpoints of adjacent distinct values. A family whose aggregate is an
     error on some row has no candidates.
     """
-    config = HypothesisConfig() if config is None else config
+    config = _DEFAULT_CONFIG if config is None else config
     check_instance("config", config, HypothesisConfig)
     columns = _float_columns(examples, _check_examples(examples))
     return [
@@ -361,21 +364,24 @@ def _cell_assignment(
     return {name: cell for cell, name in attribute_of.items()}
 
 
-def _aggregate_node(
-    predicate: Predicate, names: Sequence[str], assignment: Mapping[str, str]
-) -> Node:
-    if predicate.aggregate == SINGLE_ATTRIBUTE:
-        return cell_ref(assignment[predicate.attribute])
+# the config of every call that passes none; records are immutable, so one
+# instance, checked once here, serves them all
+_DEFAULT_CONFIG = HypothesisConfig()
+
+
+def _aggregate_argument(
+    names: Sequence[str], assignment: Mapping[str, str]
+) -> tuple[Node, ...]:
+    """The argument tuple of every aggregate in a list: the range that covers
+    the cells when they sit side by side along one row, else their refs."""
     refs = [cell_ref(assignment[name]) for name in names]
-    if len(refs) == 1:
-        return FunctionCall(predicate.aggregate, (refs[0],))
-    # cells side by side along one row print as the range that covers them
-    span = RangeRef(refs[0], refs[-1])
-    if refs[0].row == refs[-1].row and list(cells_in_range(span)) == [
-        ref.canonical() for ref in refs
-    ]:
-        return FunctionCall(predicate.aggregate, (span,))
-    return FunctionCall(predicate.aggregate, tuple(refs))
+    if len(refs) > 1:
+        span = RangeRef(refs[0], refs[-1])
+        if refs[0].row == refs[-1].row and list(cells_in_range(span)) == [
+            ref.canonical() for ref in refs
+        ]:
+            return (span,)
+    return tuple(refs)
 
 
 def _number_node(value: float) -> Node:
@@ -391,11 +397,16 @@ def _compile(
     assignment: Mapping[str, str],
 ) -> FormulaAst:
     node: Node = TextLiteral(default)
+    argument = None  # built at the first aggregate rule, as a list may have none
     for predicate, label in reversed(rules):
+        if predicate.aggregate == SINGLE_ATTRIBUTE:
+            tested = cell_ref(assignment[predicate.attribute])
+        else:
+            if argument is None:
+                argument = _aggregate_argument(names, assignment)
+            tested = FunctionCall(predicate.aggregate, argument)
         condition = BinaryOp(
-            predicate.comparator,
-            _aggregate_node(predicate, names, assignment),
-            _number_node(predicate.threshold),
+            predicate.comparator, tested, _number_node(predicate.threshold)
         )
         node = FunctionCall("IF", (condition, TextLiteral(label), node))
     return FormulaAst(node)
@@ -519,10 +530,11 @@ def synthesize(
     re-checked through the evaluator, on the examples' float columns, before
     being returned, so the training report always shows a full pass for the
     text users copy: it equals validate_examples of that text on
-    example_grids.
+    example_grids. A config of None means the one shared default,
+    HypothesisConfig(), built and checked once, at import.
     """
     check_integer("search_budget", search_budget, 0)
-    config = HypothesisConfig() if config is None else config
+    config = _DEFAULT_CONFIG if config is None else config
     check_instance("config", config, HypothesisConfig)
     names = _check_examples(examples)
     assignment = _cell_assignment(names, config.cell_assignment)

@@ -1,9 +1,11 @@
+import collections.abc
 import enum
 import itertools
 import math
 import random
 import re
 import tracemalloc
+import types
 
 import pytest
 
@@ -24,7 +26,7 @@ from sheetsmith import (
     validate_examples,
     values_equal,
 )
-from sheetsmith.evaluator import _column, _norm, EQUIVALENCE_BLOCK
+from sheetsmith.evaluator import _column, _norm, DEFAULT_GRID_CAP, EQUIVALENCE_BLOCK
 
 REFERENCE = (
     '=IF(MIN(C5:D5)<40,"Fail",IF(AVERAGE(C5:D5)>=70,"Dist",'
@@ -386,6 +388,56 @@ def test_a_text_value_list_is_named_by_its_cell():
     message = "^domain values of cell B2 must be a list, got 'abc'$"
     with pytest.raises(TypeError, match=message):
         semantic_equivalence(parse("=B2"), parse("=B2"), {"A1": [1], "b2": "abc"})
+
+
+class _UnreadSet(collections.abc.Set):
+    """A set of more values than the grid cap allows, none of which may be read."""
+
+    def __len__(self):
+        return DEFAULT_GRID_CAP + 1
+
+    def __contains__(self, value):
+        raise AssertionError("a value of the set was read")
+
+    def __iter__(self):
+        raise AssertionError("a value of the set was read")
+
+    def __repr__(self):
+        return "_UnreadSet()"
+
+
+@pytest.mark.parametrize(
+    "values,shown",
+    [
+        ({1: "x", 2: "y"}, "{1: 'x', 2: 'y'}"),
+        ({"a", "b", "c"}, None),
+        (frozenset([2.0]), "frozenset({2.0})"),
+        ({1: "x"}.keys(), "dict_keys([1])"),
+        ({1: "x"}.items(), "dict_items([(1, 'x')])"),
+        (types.MappingProxyType({1: "x"}), "mappingproxy({1: 'x'})"),
+        (_UnreadSet(), "_UnreadSet()"),
+    ],
+    ids=["dict", "set", "frozenset", "keys", "items", "mappingproxy", "past-the-cap"],
+)
+def test_a_set_or_mapping_value_list_is_named_by_its_cell(values, shown):
+    # a set would be read in hash order and a mapping as its keys, so the
+    # witness would hang on PYTHONHASHSEED or name a key as a cell's value;
+    # the check comes before the grid cap and reads no value
+    with pytest.raises(TypeError) as info:
+        semantic_equivalence(parse("=A1"), parse('="z"'), {"a1": values})
+    shown = repr(values) if shown is None else shown
+    assert str(info.value) == f"domain values of cell A1 must be a list, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1, 2], (1, 2), range(1, 3), {"x": 1, "y": 2}.values(), iter([1, 2])],
+    ids=["list", "tuple", "range", "dict-values", "iterator"],
+)
+def test_ordered_value_lists_are_still_read_in_order(values):
+    assert semantic_equivalence(parse("=A1"), parse("=2"), {"A1": values}) == (
+        False, Grid({"A1": 1.0})
+    )
 
 
 @pytest.mark.parametrize("build,shown", [

@@ -4,6 +4,8 @@ Everything here is deterministic: the search order is pinned, so so is the
 first consistent formula it returns.
 """
 
+import enum
+import fractions
 import itertools
 import math
 import operator
@@ -32,6 +34,7 @@ from sheetsmith import (
     validate_examples,
 )
 from sheetsmith import evaluator, synthesis
+from sheetsmith.errors import not_finite
 from sheetsmith.evaluator import aggregate, aggregate_columns, EvalError
 from sheetsmith.formulas import ORDERING, render
 from sheetsmith.synthesis import (
@@ -334,6 +337,48 @@ def test_attribute_values_that_are_not_numbers_rejected(bad, shown):
     with pytest.raises(ValueError) as info:
         LabeledExample({"x": bad}, "a")
     assert str(info.value) == f"attribute 'x' must be a finite number, got {shown}"
+
+
+class _Float(float):
+    pass
+
+
+class _Mark(enum.IntEnum):
+    PASS = 40
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.0, -0.0, 5e-324, 1.7976931348623157e308,
+        float("nan"), float("inf"), float("-inf"),
+        3, 10**400, True, False,
+        "1", b"1", None,
+        _Float(1.0), _Float("nan"),
+        _Mark.PASS, fractions.Fraction(1, 2),
+    ],
+    ids=repr,
+)
+def test_an_attribute_value_passes_exactly_when_it_is_a_finite_number(value):
+    # exact finite floats skip the check; every other value, float
+    # subclasses included, goes through it and fails with its message
+    shown = not_finite(value)
+    if shown is None:
+        assert LabeledExample({"a": value}, "x").attributes["a"] is value
+    else:
+        with pytest.raises(ValueError) as info:
+            LabeledExample({"a": value}, "x")
+        assert str(info.value) == f"attribute 'a' must be a finite number, got {shown}"
+
+
+def test_finite_float_attributes_are_not_sent_to_the_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(synthesis, "check_finite", lambda *args: calls.append(args))
+    LabeledExample({"exam": 54.0, "coursework": -0.0, "tiny": 5e-324}, "Pass")
+    assert calls == []
+    # the patch sees every value that is not an exact finite float
+    LabeledExample({"exam": 54, "coursework": _Float(55.0)}, "Pass")
+    assert [name for name, _ in calls] == ["attribute 'exam'", "attribute 'coursework'"]
 
 
 @pytest.mark.parametrize(
@@ -1024,6 +1069,69 @@ def test_every_enumerated_candidate_prints(examples):
     for predicate in enumerate_candidates(examples, config):
         text = render(_compile([(predicate, "a")], "b", names, assignment))
         assert render(parse(text)) == text
+
+
+def test_a_call_with_no_config_builds_or_checks_none(monkeypatch):
+    calls = []
+    check = HypothesisConfig.__post_init__
+    monkeypatch.setattr(
+        HypothesisConfig, "__post_init__", lambda self: calls.append(self) or check(self)
+    )
+    examples = rows(GRADES)
+    synthesize(examples)
+    enumerate_candidates(examples)
+    assert calls == []
+    HypothesisConfig()  # the patch sees a config that is built
+    assert len(calls) == 1
+
+
+def test_no_config_means_a_fresh_default_config():
+    rng = random.Random(4172)
+    for trial in range(60):
+        examples, _ = random_example_set(rng)
+        assert enumerate_candidates(examples) == enumerate_candidates(
+            examples, HypothesisConfig()
+        ), f"trial {trial}"
+        try:
+            got = synthesize(examples)
+        except HypothesisSpaceExhaustedError as exc:
+            with pytest.raises(HypothesisSpaceExhaustedError, match=re.escape(str(exc))):
+                synthesize(examples, HypothesisConfig())
+        else:
+            assert got == synthesize(examples, HypothesisConfig()), f"trial {trial}"
+
+
+@pytest.mark.parametrize(
+    "assignment, argument",
+    [
+        ({"exam": "C5", "coursework": "D5", "project": "E5"}, "C5:E5"),
+        ({"exam": "C5", "coursework": "E5", "project": "F5"}, "C5,E5,F5"),
+    ],
+    ids=["range", "refs"],
+)
+def test_a_list_builds_its_aggregate_argument_once(monkeypatch, assignment, argument):
+    calls = []
+    walk = synthesis.cells_in_range
+    monkeypatch.setattr(
+        synthesis, "cells_in_range", lambda span: calls.append(span) or walk(span)
+    )
+    names = ("exam", "coursework", "project")
+    rules = [
+        (Predicate("MIN", "<", 40.0), "Fail"),
+        (Predicate(synthesis.SINGLE_ATTRIBUTE, ">=", 90.0, "project"), "Star"),
+        (Predicate("AVERAGE", ">=", 70.0), "Dist"),
+        (Predicate("SUM", "<", -165.0), "Pass"),
+    ]
+    formula = _compile(rules, "Merit", names, assignment)
+    assert len(calls) == 1
+    assert render(formula) == (
+        f'=IF(MIN({argument})<40,"Fail",IF({assignment["project"]}>=90,"Star",'
+        f'IF(AVERAGE({argument})>=70,"Dist",IF(SUM({argument})<-165,"Pass","Merit"))))'
+    )
+    # a list of single-attribute rules builds no aggregate argument
+    calls.clear()
+    _compile(rules[1:2], "Merit", names, assignment)
+    assert calls == []
 
 
 def test_overflow_sets_count_each_placement():
