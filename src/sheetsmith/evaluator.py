@@ -618,9 +618,8 @@ def semantic_equivalence(
     ``domain`` maps cell references to candidate values, each cell's in an
     ordered list or iterable (a str, bytes, set or mapping is a TypeError);
     the grids enumerated are the full cartesian product, first cell varying
-    slowest. Returns
-    (True, None) when outputs match everywhere under values_equal, else
-    (False, first differing grid). The grid count is checked against
+    slowest. Returns (True, None) when outputs match everywhere under
+    values_equal, else (False, first differing grid). The grid count is checked against
     DEFAULT_GRID_CAP before any sized value list is copied, and every domain
     value is checked as a grid value before any grid is enumerated.
     """

@@ -68,11 +68,6 @@ def run_once(commit: str, workload: str, seed: int, seconds: float, scratch: str
     return record
 
 
-def quartile_spread(values: list) -> float:
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q3 - q1
-
-
 def summarize(workload: str, change: list, parent: list) -> None:
     """Print each pair's ratios, the wins, the medians and the parent's spread."""
     ops = [(c["ops_per_s"], p["ops_per_s"]) for c, p in zip(change, parent)]
@@ -87,9 +82,11 @@ def summarize(workload: str, change: list, parent: list) -> None:
     print(f"{workload}: ops_per_s median {med_parent:.2f} -> {med_change:.2f}"
           f" ({med_change / med_parent - 1:+.1%}), change better in {wins}/{len(ops)} pairs")
     if len(ops) >= 2:
-        spread = quartile_spread([p for _, p in ops])
+        for side, values in (("change", [c for c, _ in ops]), ("parent", [p for _, p in ops])):
+            q1, _, q3 = statistics.quantiles(values, n=4)
+            print(f"{workload}: {side} ops_per_s quartiles {q1:.2f} and {q3:.2f}")
         print(f"{workload}: median gain {med_change - med_parent:+.2f} against the"
-              f" parent's quartile spread {spread:.2f}")
+              f" parent's quartile spread {q3 - q1:.2f}")
     bad = [r for r in change + parent if not r["correct"] or r["failed"]]
     print(f"{workload}: {len(bad)} runs incorrect or with failed operations")
 
