@@ -4,8 +4,8 @@
         --workload synth --pairs 10 --seconds 10 --seeds 1 3 --out BENCH_N.json
 
 Pair i runs perfbench/run.py (untraced) once on each revision, on seed
-seeds[i % len(seeds)]; the parent runs first in even pairs and the change
-first in odd ones. Before every run the revision is extracted afresh with
+seeds[i // 2 % len(seeds)]; the parent runs first in even pairs and the
+change first in odd ones, so every seed is run in both orders. Before every run the revision is extracted afresh with
 git archive into a new directory, so no run reads a tree, bytecode or result
 file that another run left. The runs are appended to --out as
 {"runs": [change records], "parent_runs": [parent records]}, pair i of the
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")  # under TMPDIR if set
     try:
         for i in range(args.pairs):
-            seed = args.seeds[i % len(args.seeds)]
+            seed = args.seeds[i // 2 % len(args.seeds)]
             order = ["parent", "change"][:: 1 if i % 2 == 0 else -1]
             runs = {side: run_once(parent if side == "parent" else change,
                                    args.workload, seed, args.seconds, scratch)
