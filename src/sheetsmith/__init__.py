@@ -41,7 +41,7 @@ _HOMES = {
             SheetsmithError UnknownFunctionError UnknownQuestionError UsageError
         """,
         "evaluator": """
-            compile_formula EvalError evaluate Grid referenced_cells
+            EvalError evaluate Grid referenced_cells
             semantic_equivalence validate_examples ValidationReport values_equal
         """,
         "formulas": """

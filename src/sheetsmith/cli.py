@@ -402,7 +402,7 @@ def main(argv=None) -> int:
         args = _build_parser(command).parse_args(argv)
         args.handler(args)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     except SheetsmithError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_status

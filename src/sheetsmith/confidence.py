@@ -258,7 +258,7 @@ def fit_accuracy_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
         )
     xs = [x for x, _ in usable]
     logy = [math.log(y) for _, y in usable]
-    if all(x == xs[0] for x in xs):
+    if min(xs) == max(xs):
         raise DegenerateXError("all points share one complexity value")
     try:
         x_mean = sum(xs) / len(xs)

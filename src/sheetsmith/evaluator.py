@@ -32,9 +32,8 @@ whose two branches are literals (a two-argument IF's else is FALSE) builds
 no branch columns: one pass over a TRUE/FALSE condition picks either value.
 
 This is the only evaluation path. evaluate runs it on a block of one grid;
-compile_formula returns it as a function of one grid's cells, which it reads
-as Grid does; validate_examples evaluates all its examples as one block,
-through _validate, which synthesis calls on the examples' own float columns;
+validate_examples evaluates all its examples as one block, through
+_validate, which synthesis calls on the examples' own float columns;
 semantic_equivalence checks the grid cap and every domain value up front
 (through _norm, as Grid reads them; an exact int takes one float call),
 builds each block's cell columns straight from the value lists, compares the
@@ -165,33 +164,14 @@ def evaluate(ast: FormulaAst, grid: Grid) -> Value:
     """Evaluate a formula against a grid, returning a value or an EvalError."""
     check_instance("ast", ast, FormulaAst)
     check_instance("grid", grid, Grid)
-    return _one(_compile(ast.root), grid._cells)
+    # a block of one grid
+    return _compile(ast.root)(_columns((grid._cells,)), 1)[1][0]
 
-
-Compiled = Callable[[Mapping[str, Value]], Value]
 
 # A column is a block's values with their kind: the one type every value has,
 # or None if not known to share one. Fast paths fire only on an exact kind.
 Column = tuple[type | None, list]
 ColumnFn = Callable[[Mapping[str, Column], int], Column]
-
-
-def compile_formula(ast: FormulaAst) -> Compiled:
-    """Turn a formula into a function of one grid's {cell: value} dict.
-
-    The tree is compiled once. Calling the result reads its dict as Grid
-    does, so it raises what Grid raises and returns what evaluate returns
-    for Grid(cells): names in any case, with or without '$', and numbers
-    as floats; an absent cell reads as MissingCell.
-    """
-    check_instance("ast", ast, FormulaAst)
-    run = _compile(ast.root)
-    return lambda cells: _one(run, Grid(cells)._cells)
-
-
-def _one(run: ColumnFn, cells: dict[str, Value]) -> Value:
-    """A compiled node's value on a block of one grid's checked cells."""
-    return run(_columns((cells,)), 1)[1][0]
 
 
 def _column(values: list) -> Column:
@@ -523,20 +503,13 @@ def aggregate(name: str, numbers: Sequence[float]) -> Value:
 
 
 def values_equal(a: Value, b: Value) -> bool:
-    """Output comparison: numbers within 1e-9, text exact, errors by kind."""
-    if isinstance(a, EvalError) or isinstance(b, EvalError):
-        return (
-            isinstance(a, EvalError)
-            and isinstance(b, EvalError)
-            and a.kind == b.kind
-        )
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a == b
+    """Output comparison: two numbers within 1e-9, two errors by kind, two
+    TRUE/FALSE values or two texts exactly; values of two kinds never match."""
     if isinstance(a, float) and isinstance(b, float):
         return abs(a - b) <= NUMERIC_TOLERANCE
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    return False
+    if isinstance(a, EvalError) and isinstance(b, EvalError):
+        return a.kind == b.kind
+    return isinstance(a, (bool, str)) and isinstance(b, (bool, str)) and a == b
 
 
 @record

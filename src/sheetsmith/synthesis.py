@@ -74,7 +74,7 @@ such row it reaches.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import isfinite, isinf
 from operator import or_
 
@@ -372,14 +372,15 @@ _DEFAULT_CONFIG = HypothesisConfig()
 def _aggregate_argument(
     names: Sequence[str], assignment: Mapping[str, str]
 ) -> tuple[Node, ...]:
-    """The argument tuple of every aggregate in a list: the range that covers
-    the cells when they sit side by side along one row, else their refs."""
+    """The argument tuple of every aggregate in a list: the range from the
+    first cell to the last when the cells fill it row by row, in order, else
+    their refs. The cells are distinct and the range ends at the last, so its
+    first len(refs) cells settle it, and a wide range is never listed."""
     refs = [cell_ref(assignment[name]) for name in names]
     if len(refs) > 1:
         span = RangeRef(refs[0], refs[-1])
-        if refs[0].row == refs[-1].row and list(cells_in_range(span)) == [
-            ref.canonical() for ref in refs
-        ]:
+        cells = list(islice(cells_in_range(span), len(refs)))
+        if cells == [ref.canonical() for ref in refs]:
             return (span,)
     return tuple(refs)
 

@@ -284,6 +284,19 @@ def test_synthesize_interactive_rejects_garbage_rows(tmp_path, capsys, monkeypat
     assert captured.out.count("formula:") == 1
 
 
+def test_synthesize_on_one_example(tmp_path, capsys):
+    path = write(tmp_path, "ex.csv", "score,label\n35,A\n")
+    assert main(["synthesize", "--examples", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == 'formula: ="A"'
+
+
+def test_synthesize_interactive_names_the_field_count(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "grades.csv", GRADES_CSV)
+    monkeypatch.setattr("sys.stdin", io.StringIO("50,60\n\n"))
+    assert main(["synthesize", "--examples", path, "--interactive"]) == 0
+    assert capsys.readouterr().err == "need 3 comma-separated fields, got 2\n"
+
+
 def test_validate_all_pass(tmp_path, capsys):
     path = write(tmp_path, "grades.csv", GRADES_CSV)
     assert main(["validate", "--formula", REFERENCE, "--examples", path]) == 0
@@ -453,6 +466,30 @@ def test_fit_ceiling_of_100_is_accepted(tmp_path, capsys, option):
     assert "ceiling_exceeded: false" in capsys.readouterr().out
 
 
+def test_fit_ceiling_below_1_is_accepted(tmp_path, capsys):
+    path = write(tmp_path, "pts.csv", "complexity,accuracy_pct\n1,90\n2,70\n")
+    assert main(["fit", "--points", path, "--ceiling", "0.5"]) == 0
+    assert "ceiling_exceeded: true" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ceiling, exceeded", [("0.5", "true"), ("50", "false")])
+def test_fit_reads_the_ceiling_at_the_easiest_usable_point(
+    tmp_path, capsys, ceiling, exceeded
+):
+    # the curve through the usable points reads 0.01 at complexity 1, where
+    # the point is dropped, 1 at 2 and 100 at 3; the easiest usable
+    # question is at 2, so a ceiling of 0.5 is exceeded and one of 50 is not
+    path = write(tmp_path, "pts.csv", "complexity,accuracy_pct\n1,0\n2,1.0\n3,100\n")
+    assert main(["fit", "--points", path, "--ceiling", ceiling]) == 0
+    assert f"ceiling_exceeded: {exceeded}" in capsys.readouterr().out
+
+
+def test_fit_ceiling_before_another_option(tmp_path, capsys):
+    path = write(tmp_path, "pts.csv", "complexity,accuracy_pct\n0.5,97.0\n1.0,96.0\n")
+    assert main(["fit", "--ceiling", "90", "--points", path]) == 0
+    assert "exceeds the 90.0% base-error ceiling" in capsys.readouterr().out
+
+
 def test_fit_with_an_underflowed_or_a_tiny_a(tmp_path, capsys):
     # exp(intercept) underflows to 0: no fit
     path = write(tmp_path, "zero.csv", "complexity,accuracy_pct\n1,1e-320\n2,70\n")
@@ -508,6 +545,12 @@ def test_validate_shows_an_overflowing_product_as_an_error(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "got #TypeMismatch" in out
     assert "0/1 pass" in out
+
+
+def test_main_reads_sys_argv_without_arguments(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["sheetsmith", "analyze", "=A1+A2"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("formula            =A1+A2\n")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -296,6 +296,14 @@ def test_fit_rejects_degenerate_x():
         fit_accuracy_curve([(1.0, 50.0), (1.0, 25.0)])
 
 
+def test_fit_names_one_shared_complexity_whose_mean_is_inexact():
+    # sum(xs) / 3 is 0.10000000000000002, so without the shared-value check
+    # the denominator is not 0 and a finite, wrong fit comes back
+    with pytest.raises(DegenerateXError,
+                       match="^all points share one complexity value$"):
+        fit_accuracy_curve([(0.1, 50.0), (0.1, 60.0), (0.1, 70.0)])
+
+
 @pytest.mark.parametrize(
     "points",
     [
@@ -346,6 +354,22 @@ def test_base_error_ceiling_annotation():
                     points_used=2, points_dropped=0)
     assert exceeds_base_error_ceiling(high, min_complexity=0.5)
     assert not exceeds_base_error_ceiling(high, min_complexity=0.5, ceiling=250.0)
+
+
+def test_base_error_ceiling_is_exceeded_only_above_it():
+    # a curve exactly on the ceiling promises no more accuracy than it
+    on = CurveFit(a=95.0, b=0.0, r_squared=1.0, points_used=2, points_dropped=0)
+    assert exceeds_base_error_ceiling(on, 1.0, 95.0) is False
+    # past the largest float: a ceiling of 0 is exceeded without a log of
+    # it, and one in (0, 1] compares logs like any other positive ceiling
+    huge = CurveFit(a=1.0, b=1000.0, r_squared=1.0, points_used=2, points_dropped=0)
+    assert exceeds_base_error_ceiling(huge, 1.0, 0.0) is True
+    tiny = CurveFit(a=1e-310, b=710.0, r_squared=1.0, points_used=2, points_dropped=0)
+    assert exceeds_base_error_ceiling(tiny, 1.0, 0.5) is False
+    # and a curve whose log there is exactly the ceiling's is not above it
+    on_in_logs = CurveFit(a=1e-310, b=-math.log(1e-310), r_squared=1.0,
+                          points_used=2, points_dropped=0)
+    assert exceeds_base_error_ceiling(on_in_logs, 1.0, 1.0) is False
 
 
 @pytest.mark.parametrize("x,ceiling,message", [

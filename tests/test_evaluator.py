@@ -11,7 +11,6 @@ import pytest
 
 from oracle import oracle_eval
 from sheetsmith import (
-    compile_formula,
     DomainTooLargeError,
     EmptyExampleSetError,
     EvalError,
@@ -26,7 +25,13 @@ from sheetsmith import (
     validate_examples,
     values_equal,
 )
-from sheetsmith.evaluator import _column, _norm, DEFAULT_GRID_CAP, EQUIVALENCE_BLOCK
+from sheetsmith.evaluator import (
+    _column,
+    _norm,
+    DEFAULT_GRID_CAP,
+    EQUIVALENCE_BLOCK,
+    NUMERIC_TOLERANCE,
+)
 
 REFERENCE = (
     '=IF(MIN(C5:D5)<40,"Fail",IF(AVERAGE(C5:D5)>=70,"Dist",'
@@ -213,6 +218,11 @@ def test_grid_rejects_two_spellings_of_one_cell(cells):
         Grid(cells)
 
 
+def test_grid_names_the_cell_that_is_named_twice():
+    with pytest.raises(ValueError, match="^cell B1 is named more than once$"):
+        Grid({"A1": 1, "B1": 2, "b1": 3})
+
+
 def test_grid_accepts_distinct_cells_in_any_spelling():
     grid = Grid({"a1": 1, "$B$1": "x", "c$2": True})
     assert grid.cells() == {"A1": 1.0, "B1": "x", "C2": True}
@@ -220,32 +230,12 @@ def test_grid_accepts_distinct_cells_in_any_spelling():
 
 
 @pytest.mark.parametrize(
-    "text, cells",
-    [
-        ("=A1+1", {"A1": 3}),
-        ("=A1", {"A1": 3}),
-        ("=A1+1", {"a1": 3.0}),
-        ("=$A$1*B$2", {"$A$1": 2, "b$2": 5}),
-        ("=A1+1", {}),
-        ('=IF(a1>2,"big",B1)', {"A1": 2, "$b1": "x"}),
-    ],
-    ids=["int", "int-read", "lowercase", "dollar-marked", "absent", "mixed"],
-)
-def test_compile_formula_reads_its_dict_as_grid_does(text, cells):
-    ast = parse(text)
-    got, want = compile_formula(ast)(cells), evaluate(ast, Grid(cells))
-    assert (got, type(got)) == (want, type(want))
-
-
-@pytest.mark.parametrize(
     "cells, match",
     [({"A1": float("nan")}, "finite, got nan"), ({"A1": 1, "a1": 2}, "more than once")],
 )
-def test_compile_formula_rejects_what_grid_rejects(cells, match):
+def test_grid_rejects_a_non_finite_number_or_a_repeated_cell(cells, match):
     with pytest.raises(ValueError, match=match):
         Grid(cells)
-    with pytest.raises(ValueError, match=match):
-        compile_formula(parse("=A1"))(cells)
 
 
 def test_values_equal():
@@ -256,6 +246,18 @@ def test_values_equal():
     assert not values_equal(False, 0.0)
     assert values_equal(EvalError("MissingCell", "x"), EvalError("MissingCell", "y"))
     assert not values_equal(EvalError("MissingCell", "x"), EvalError("TypeMismatch", "x"))
+
+
+def test_values_equal_at_the_tolerance():
+    assert values_equal(0.0, NUMERIC_TOLERANCE)
+    assert not values_equal(0.0, math.nextafter(NUMERIC_TOLERANCE, 1.0))
+
+
+def test_division_and_power_by_zero_say_which():
+    assert evaluate(parse("=1/0"), Grid()) == EvalError("DivideByZero", "division by zero")
+    assert evaluate(parse("=0^-1"), Grid()) == EvalError(
+        "DivideByZero", "zero raised to a negative power"
+    )
 
 
 def test_validate_examples_counts_passes():
@@ -312,6 +314,14 @@ def test_semantic_equivalence_domain_cap():
         {"A1": range(3), "B1": range(3), "C1": range(3)},
     )
     assert same
+
+
+def test_semantic_equivalence_runs_a_domain_of_exactly_the_cap():
+    at_cap = {"A1": range(1000), "B1": range(1000)}
+    assert semantic_equivalence(parse("=A1"), parse("=A1"), at_cap) == (True, None)
+    one_more = {"A1": range(101), "B1": range(9901)}
+    with pytest.raises(DomainTooLargeError, match="1000001 grids"):
+        semantic_equivalence(parse("=A1"), parse("=A1"), one_more)
 
 
 def test_semantic_equivalence_requires_covered_cells():

@@ -26,7 +26,6 @@ import pytest
 import sheetsmith
 from sheetsmith import (
     combined_overconfidence,
-    compile_formula,
     ConfidenceRecord,
     confidence_ratio,
     CurveFit,
@@ -69,7 +68,6 @@ FIT = CurveFit(100.0, -0.5, 1.0, 2, 0)
 CALLS = [
     (combined_overconfidence, dict(confidence=3, difficulty=4),
      ("confidence", "difficulty")),
-    (compile_formula, dict(ast=TREE), ()),
     (confidence_ratio, dict(combined=3.5, f=4), ("combined", "f")),
     (enumerate_candidates, dict(examples=EXAMPLES), ()),
     (evaluate, dict(ast=TREE, grid=Grid({"A1": 4.0, "B1": 7.0})), ()),
@@ -114,7 +112,6 @@ CASES = [(fn, valid, name) for fn, valid, names in CALLS for name in (None, *nam
 # the arguments of each public callable that are trees, grids, records or
 # sequences of records
 STRUCTURED = {
-    compile_formula: ("ast",),
     enumerate_candidates: ("examples", "config"),
     evaluate: ("ast", "grid"),
     example_grids: ("examples",),

@@ -171,6 +171,37 @@ def test_non_adjacent_cells_fall_back_to_argument_lists():
 
 
 @pytest.mark.parametrize(
+    "assignment, argument",
+    [
+        ({"a": "C5", "b": "C6"}, "C5:C6"),
+        ({"a": "D5", "b": "C5"}, "D5,C5"),
+        ({"a": "C6", "b": "C5"}, "C6,C5"),
+    ],
+    ids=["one-column", "reversed-row", "reversed-column"],
+)
+def test_cells_that_fill_a_range_in_order_print_as_it(assignment, argument):
+    examples = [
+        LabeledExample({"a": 1.0, "b": 2.0}, "lo"),
+        LabeledExample({"a": 9.0, "b": 8.0}, "hi"),
+    ]
+    result = synthesize(examples, HypothesisConfig(cell_assignment=assignment))
+    assert f"MIN({argument})" in result.rendered
+
+
+def test_a_wide_cell_map_reads_no_more_of_its_range_than_it_has_cells(monkeypatch):
+    drawn = []
+    walk = synthesis.cells_in_range
+    monkeypatch.setattr(
+        synthesis, "cells_in_range",
+        lambda span: (drawn.append(cell) or cell for cell in walk(span)),
+    )
+    rules = [(Predicate("MIN", "<", 5.0), "lo")]
+    formula = _compile(rules, "hi", ("a", "b"), {"a": "A1", "b": "ZZ9"})
+    assert render(formula) == '=IF(MIN(A1,ZZ9)<5,"lo","hi")'
+    assert drawn == ["A1", "B1"]
+
+
+@pytest.mark.parametrize(
     "assignment,message",
     [
         ({"a": "C5"}, "no cell to attributes ['b']"),
