@@ -188,7 +188,10 @@ def test_cells_that_fill_a_range_in_order_print_as_it(assignment, argument):
     assert f"MIN({argument})" in result.rendered
 
 
-def test_a_wide_cell_map_reads_no_more_of_its_range_than_it_has_cells(monkeypatch):
+@pytest.mark.parametrize("last", ["ZZ1", "ZZ9"])
+def test_a_wide_cell_map_reads_no_more_of_its_range_than_it_has_cells(
+    monkeypatch, last
+):
     drawn = []
     walk = synthesis.cells_in_range
     monkeypatch.setattr(
@@ -196,9 +199,9 @@ def test_a_wide_cell_map_reads_no_more_of_its_range_than_it_has_cells(monkeypatc
         lambda span: (drawn.append(cell) or cell for cell in walk(span)),
     )
     rules = [(Predicate("MIN", "<", 5.0), "lo")]
-    formula = _compile(rules, "hi", ("a", "b"), {"a": "A1", "b": "ZZ9"})
-    assert render(formula) == '=IF(MIN(A1,ZZ9)<5,"lo","hi")'
-    assert drawn == ["A1", "B1"]
+    formula = _compile(rules, "hi", ("a", "b"), {"a": "A1", "b": last})
+    assert render(formula) == f'=IF(MIN(A1,{last})<5,"lo","hi")'
+    assert len(drawn) <= 2
 
 
 @pytest.mark.parametrize(
