@@ -39,19 +39,33 @@ ends it. A failed state cannot block P there: it has no completion, and
 P's states have one. So depth d is never reached, every state holds two
 labels or more, and no rule captures all of its rows.
 
-The last slot of a list is filled in one pass over the capture masks, not
-one placement at a time. A placement there ends the list when its capture
-is pure and leaves a pure rest, so the label parts of the rows still alive
-decide which captures qualify: with two parts a capture that is one part
-whole, with three or more none. The first qualifying index gives the
-placements tried, the same count and the same budget check as a walk that
-tries them one by one.
+The count of placements tried is the count of a walk that tries them one
+at a time, but the walk does not take that many steps:
+
+- A state whose rows hold more labels than its slots + 1 can never be
+  completed, as each rule captures rows of one label and the default names
+  one more (a list of k rules names at most k + 1 labels). Every pure
+  capture there leaves a rest with one slot fewer and at most one label
+  fewer, which cannot be completed either. A walk one placement at a time
+  would try every placement of such a state and walk each distinct rest
+  that has not failed before, so it counts every placement once for each
+  distinct such state it reaches, in whatever order it reaches them. The
+  walk counts them so, in bulk, marks them failed, and checks the budget
+  as the count grows: the count, the failed states and the budgets that
+  run out stay the same.
+- Elsewhere the placements up to each pure capture the walk recurses into
+  are counted in one step, and the rest after the last one on failure.
+- The last slot of a state with two labels is filled in one pass over the
+  capture masks. A placement there ends the list when it captures one of
+  the two label parts whole, so the first capture equal to a part gives the
+  placements tried.
 
 The best pass rate reported on failure is a maximum over the states walked,
 and skipping a state walked before leaves it unchanged. It is worked out
-once, after a failed search, from the failed states: each one, and for each
-failed last-slot state the rows that every pure capture there leaves
-unclassified. A search that succeeds never computes it.
+once, after a failed search, from the failed states, the ones counted in
+bulk among them: each one, and for each failed last-slot state the rows
+that every pure capture there leaves unclassified. A search that succeeds
+never computes it.
 
 Predicates mean what the printed formula means: each attribute's values
 are read into a column of floats, and a family's values come from the
@@ -437,8 +451,9 @@ class _Walk:
         self.label_masks: dict[str, int] = {}
         for i, label in enumerate(labels):
             self.label_masks[label] = self.label_masks.get(label, 0) | 1 << i
-        # each row's label and the rows that share it
-        self.row_labels = [(label, self.label_masks[label]) for label in labels]
+        # each row's label and the rows of every other label
+        every = (1 << len(labels)) - 1
+        self.row_labels = [(label, every ^ self.label_masks[label]) for label in labels]
         self.budget = budget
         self.explored = 0
         self.failed: set[tuple[int, int]] = set()
@@ -446,27 +461,24 @@ class _Walk:
     def shared_label(self, rows: int) -> str | None:
         """The label every row in a set shares, or None if the set is empty or
         its rows' labels differ."""
-        label, same = self.row_labels[(rows & -rows).bit_length() - 1]
-        return label if rows and rows & same == rows else None
+        label, others = self.row_labels[(rows & -rows).bit_length() - 1]
+        return label if rows and not rows & others else None
 
     def over_budget(self) -> SearchBudgetExceededError:
         return SearchBudgetExceededError(
             f"synthesis stopped after {self.budget} candidate placements"
         )
 
-    def last_rule(self, alive: int) -> tuple[Rules, str] | None:
-        """The one rule left for the rows in alive, and a default: the first
-        placement that ends the list, found in one pass over the captures."""
-        parts = [alive & rows for rows in self.label_masks.values() if alive & rows]
-        end = index = len(self.masks)
-        # alive has two parts or more (see the module docstring); with three
-        # or more every placement leaves a mixed rest
-        if len(parts) == 2:
-            # a capture that is one part whole; the parts follow the captures,
-            # so a part no capture equals is found at end or after it, and the
-            # first part at end at most
-            captures = [alive & mask for mask in self.masks] + parts
-            index = min(map(captures.index, parts))
+    def last_rule(self, alive: int, parts: list[int]) -> tuple[Rules, str] | None:
+        """The one rule left for the rows in alive, whose two label parts are
+        parts, and a default: the first placement that ends the list, found
+        in one pass over the captures."""
+        # a placement ends the list when it captures one part whole; the parts
+        # follow the captures, so a part no capture equals is found at end or
+        # after it, and the first part at end at most
+        end = len(self.masks)
+        captures = [alive & mask for mask in self.masks] + parts
+        index = min(map(captures.index, parts))
         tried = min(index + 1, end)
         if self.explored + tried > self.budget:
             raise self.over_budget()
@@ -481,20 +493,54 @@ class _Walk:
         """Rules for the rows in alive, at most slots of them, and a default."""
         if (alive, slots) in self.failed:  # pruning 3
             return None
-        if slots > 1:
-            for mask in self.masks:
-                self.explored += 1
+        masks, row_labels = self.masks, self.row_labels
+        parts = [alive & rows for rows in self.label_masks.values() if alive & rows]
+        if len(parts) > slots + 1:
+            # no list completes this state, nor the rest of any pure capture
+            # in it: each counts every placement once (see the module docstring)
+            self.explored += len(masks)
+            if self.explored > self.budget:
+                raise self.over_budget()
+            if slots > 1:
+                rests = {
+                    (alive ^ capture, slots - 1)
+                    for capture in map(alive.__and__, masks)
+                    # pure: no row of a label other than its first row's
+                    if capture
+                    and not capture & row_labels[(capture & -capture).bit_length() - 1][1]
+                } - self.failed
+                if slots > 2:
+                    for rest in rests:
+                        self.extend(*rest)
+                else:  # a one-slot rest fails as a pass over every capture would
+                    self.explored += len(masks) * len(rests)
+                    if self.explored > self.budget:
+                        raise self.over_budget()
+                    self.failed |= rests
+        elif slots == 1:
+            found = self.last_rule(alive, parts)
+            if found is not None:
+                return found
+        else:
+            tried = 0  # the placements counted so far
+            for placed, mask in enumerate(masks, 1):
+                capture = alive & mask
+                if not capture:
+                    continue
+                label, others = row_labels[(capture & -capture).bit_length() - 1]
+                if capture & others:
+                    continue  # mixed: every completion would misclassify
+                self.explored += placed - tried
+                tried = placed
                 if self.explored > self.budget:
                     raise self.over_budget()
-                rule_label = self.shared_label(alive & mask)
-                if rule_label is None:
-                    continue  # empty, or mixed: every completion would misclassify
-                found = self.extend(alive & ~mask, slots - 1)
+                found = self.extend(alive ^ capture, slots - 1)
                 if found is not None:
-                    found[0].insert(0, (mask, rule_label))
+                    found[0].insert(0, (mask, label))
                     return found
-        elif (found := self.last_rule(alive)) is not None:
-            return found
+            self.explored += len(masks) - tried
+            if self.explored > self.budget:
+                raise self.over_budget()
         self.failed.add((alive, slots))
         return None
 
@@ -524,10 +570,11 @@ def synthesize(
 ) -> SynthesisResult:
     """Find the first decision list consistent with every example.
 
-    The budget counts candidate placements actually tried during the search,
-    after the prunings above, a memo hit counting none; exceeding it raises
-    SearchBudgetExceeded, and a budget that is not an int of 0 or more is a
-    ValueError. The rendered text of a consistent list is parsed again and
+    The budget counts candidate placements after the prunings above, a memo
+    hit counting none, as a walk that tries them one at a time would: a
+    state that cannot succeed counts the placements of that walk without
+    taking its steps. Exceeding it raises SearchBudgetExceeded, and a budget
+    that is not an int of 0 or more is a ValueError. The rendered text of a consistent list is parsed again and
     re-checked through the evaluator, on the examples' float columns, before
     being returned, so the training report always shows a full pass for the
     text users copy: it equals validate_examples of that text on

@@ -721,18 +721,32 @@ def random_example_set(rng):
     return examples, HypothesisConfig(max_decision_depth=rng.randint(1, 3))
 
 
+def many_label_set(rng):
+    """A set of 4-5 labels, so that many states hold more labels than slots."""
+    names = [f"m{k}" for k in range(rng.randint(1, 3))]
+    labels = ["E", "D", "C", "B", "A"][: rng.randint(4, 5)]
+    seen = {}
+    examples = []
+    for _ in range(rng.randint(6, 10)):
+        marks = tuple(float(rng.randint(0, 5)) for _ in names)
+        label = seen.setdefault(marks, rng.choice(labels))
+        examples.append(LabeledExample(dict(zip(names, marks)), label))
+    return examples, HypothesisConfig(max_decision_depth=rng.randint(1, 4))
+
+
 def test_search_matches_a_plain_depth_first_reference():
-    solved = exhausted = 0
-    for seed in range(200):
-        examples, config = random_example_set(random.Random(seed))
-        try:
-            got = synthesize(examples, config).rendered
-            solved += 1
-        except HypothesisSpaceExhaustedError as exc:
-            got = str(exc)
-            exhausted += 1
-        assert got == reference_synthesize(examples, config), f"seed {seed}"
-    assert solved >= 20 and exhausted >= 20
+    for make, seeds in ((random_example_set, 200), (many_label_set, 60)):
+        solved = exhausted = 0
+        for seed in range(seeds):
+            examples, config = make(random.Random(seed))
+            try:
+                got = synthesize(examples, config).rendered
+                solved += 1
+            except HypothesisSpaceExhaustedError as exc:
+                got = str(exc)
+                exhausted += 1
+            assert got == reference_synthesize(examples, config), f"seed {seed}"
+        assert solved >= 20 and exhausted >= 20
 
 
 # values with ties and with float neighbours, whose midpoint rounds onto one
@@ -830,6 +844,20 @@ def test_hundred_row_planted_search_is_pinned():
     assert result.candidates_explored == 4_326_431
 
 
+def test_two_hundred_row_planted_search_is_pinned():
+    # the 200-row set of the search-budget table in ROADMAP.md, which the
+    # default budget refuses
+    examples = planted_marks(200)
+    with pytest.raises(SearchBudgetExceededError):
+        synthesize(examples)
+    result = synthesize(examples, search_budget=10**9)
+    assert result.rendered == (
+        '=IF(MIN(C5:E5)<34.92,"Fail",IF(AVERAGE(C5:E5)<53.79833333333334,"Pass",'
+        'IF(AVERAGE(C5:E5)<63.92,"Merit","Dist")))'
+    )
+    assert result.candidates_explored == 39_827_851
+
+
 @pytest.mark.parametrize(
     "marks,count,rate",
     [(2, 24, 75.0), (3, 29, 65.51724137931035)],
@@ -917,6 +945,24 @@ def test_candidates_explored_counts_each_placement(make, seeds):
             with pytest.raises(SearchBudgetExceededError):
                 synthesize(examples, config, expected - 1)
     assert solved >= 50
+
+
+def test_states_with_more_labels_than_slots_count_each_placement():
+    # the walk counts such a state and the rests of its pure captures in bulk
+    solved = 0
+    for seed in range(60):
+        examples, config = many_label_set(random.Random(seed))
+        expected = counted_placements(examples, config)
+        if expected is None:
+            with pytest.raises(HypothesisSpaceExhaustedError):
+                synthesize(examples, config)
+            continue
+        solved += 1
+        assert synthesize(examples, config).candidates_explored == expected, seed
+        if expected:
+            with pytest.raises(SearchBudgetExceededError):
+                synthesize(examples, config, expected - 1)
+    assert solved >= 20
 
 
 def test_every_budget_short_of_the_list_stops_at_its_own_count():
