@@ -530,10 +530,10 @@ class _Walk:
                 label, others = row_labels[(capture & -capture).bit_length() - 1]
                 if capture & others:
                     continue  # mixed: every completion would misclassify
+                if self.explored + placed - tried > self.budget:
+                    raise self.over_budget()
                 self.explored += placed - tried
                 tried = placed
-                if self.explored > self.budget:
-                    raise self.over_budget()
                 found = self.extend(alive ^ capture, slots - 1)
                 if found is not None:
                     found[0].insert(0, (mask, label))

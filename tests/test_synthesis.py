@@ -882,7 +882,14 @@ def test_best_pass_rate_of_a_set_no_list_fits_is_pinned(marks, count, rate):
 
 
 def counted_placements(examples, config):
-    """Placements a plain walk tries before its first list, or None if none fits.
+    """Placements a plain walk tries before its first list, or None if none fits."""
+    tried, fits = walked_placements(examples, config)
+    return tried if fits else None
+
+
+def walked_placements(examples, config):
+    """The placements a plain walk tries, up to its first list or all of
+    them, and whether it finds a list.
 
     This is the count the synthesize docstring defines: every distinct
     non-empty capture, in candidate order, is placed at every slot of every
@@ -918,11 +925,11 @@ def counted_placements(examples, config):
         return False
 
     if len(rows_of) == 1:
-        return 0
+        return 0, True
     for depth in range(1, config.max_decision_depth + 1):
         if walk((1 << len(examples)) - 1, depth):
-            return tried
-    return None
+            return tried, True
+    return tried, False
 
 
 @pytest.mark.parametrize(
@@ -948,21 +955,23 @@ def test_candidates_explored_counts_each_placement(make, seeds):
 
 
 def test_states_with_more_labels_than_slots_count_each_placement():
-    # the walk counts such a state and the rests of its pure captures in bulk
-    solved = 0
+    # the walk counts such a state and the rests of its pure captures in bulk;
+    # a budget of a failed search's whole count lets it fail, one less stops it
+    solved = exhausted = 0
     for seed in range(60):
         examples, config = many_label_set(random.Random(seed))
-        expected = counted_placements(examples, config)
-        if expected is None:
+        expected, fits = walked_placements(examples, config)
+        if fits:
+            solved += 1
+            assert synthesize(examples, config).candidates_explored == expected, seed
+        else:
+            exhausted += 1
             with pytest.raises(HypothesisSpaceExhaustedError):
-                synthesize(examples, config)
-            continue
-        solved += 1
-        assert synthesize(examples, config).candidates_explored == expected, seed
+                synthesize(examples, config, expected)
         if expected:
             with pytest.raises(SearchBudgetExceededError):
                 synthesize(examples, config, expected - 1)
-    assert solved >= 20
+    assert solved >= 20 and exhausted >= 20
 
 
 def test_every_budget_short_of_the_list_stops_at_its_own_count():
