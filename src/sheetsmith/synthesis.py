@@ -574,12 +574,13 @@ def synthesize(
     hit counting none, as a walk that tries them one at a time would: a
     state that cannot succeed counts the placements of that walk without
     taking its steps. Exceeding it raises SearchBudgetExceeded, and a budget
-    that is not an int of 0 or more is a ValueError. The rendered text of a consistent list is parsed again and
-    re-checked through the evaluator, on the examples' float columns, before
-    being returned, so the training report always shows a full pass for the
-    text users copy: it equals validate_examples of that text on
-    example_grids. A config of None means the one shared default,
-    HypothesisConfig(), built and checked once, at import.
+    that is not an int of 0 or more is a ValueError. The rendered text of a
+    consistent list is parsed again and re-checked through the evaluator, on
+    the examples' float columns, before being returned, so the training
+    report always shows a full pass for the text users copy: it equals
+    validate_examples of that text on example_grids. A config of None means
+    the one shared default, HypothesisConfig(), built and checked once, at
+    import.
     """
     check_integer("search_budget", search_budget, 0)
     config = _DEFAULT_CONFIG if config is None else config

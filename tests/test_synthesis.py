@@ -745,8 +745,8 @@ def test_search_matches_a_plain_depth_first_reference():
             except HypothesisSpaceExhaustedError as exc:
                 got = str(exc)
                 exhausted += 1
-            assert got == reference_synthesize(examples, config), f"seed {seed}"
-        assert solved >= 20 and exhausted >= 20
+            assert got == reference_synthesize(examples, config), (make, seed)
+        assert solved >= 20 and exhausted >= 20, make
 
 
 # values with ties and with float neighbours, whose midpoint rounds onto one
