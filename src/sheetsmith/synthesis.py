@@ -451,9 +451,9 @@ class _Walk:
         self.label_masks: dict[str, int] = {}
         for i, label in enumerate(labels):
             self.label_masks[label] = self.label_masks.get(label, 0) | 1 << i
-        # each row's label and the rows of every other label
-        every = (1 << len(labels)) - 1
-        self.row_labels = [(label, every ^ self.label_masks[label]) for label in labels]
+        # each row's label and the complement of its label's rows, so a
+        # capture holding a row of another label meets it
+        self.row_labels = [(label, ~self.label_masks[label]) for label in labels]
         self.budget = budget
         self.explored = 0
         self.failed: set[tuple[int, int]] = set()
@@ -497,27 +497,26 @@ class _Walk:
         parts = [alive & rows for rows in self.label_masks.values() if alive & rows]
         if len(parts) > slots + 1:
             # no list completes this state, nor the rest of any pure capture
-            # in it: each counts every placement once (see the module docstring)
-            self.explored += len(masks)
-            if self.explored > self.budget:
-                raise self.over_budget()
-            if slots > 1:
-                rests = {
-                    (alive ^ capture, slots - 1)
-                    for capture in map(alive.__and__, masks)
+            # in it: each counts every placement once (see the module
+            # docstring), one level of rests, a slot fewer, at a time
+            states, left = {(alive, slots)}, slots
+            while True:
+                self.explored += len(masks) * len(states)
+                if self.explored > self.budget:
+                    raise self.over_budget()
+                self.failed |= states
+                left -= 1
+                if not left:
+                    return None
+                states = {
+                    (rows ^ capture, left)
+                    for rows, _ in states
+                    for capture in map(rows.__and__, masks)
                     # pure: no row of a label other than its first row's
                     if capture
                     and not capture & row_labels[(capture & -capture).bit_length() - 1][1]
                 } - self.failed
-                if slots > 2:
-                    for rest in rests:
-                        self.extend(*rest)
-                else:  # a one-slot rest fails as a pass over every capture would
-                    self.explored += len(masks) * len(rests)
-                    if self.explored > self.budget:
-                        raise self.over_budget()
-                    self.failed |= rests
-        elif slots == 1:
+        if slots == 1:
             found = self.last_rule(alive, parts)
             if found is not None:
                 return found

@@ -74,12 +74,6 @@ EQUIVALENT = {
      "1 to 2"): "the line number of an empty file's stand-in row is never read",
     ("csvio.py", "_, header = next(rows, (1, None))", 24,
      "1 to 2"): "the line number of an empty file's stand-in row is never read",
-    ("synthesis.py", "every = (1 << len(labels)) - 1", 9,
-     "1 to 2"): "the mask gains the bit one past the last row, which no capture"
-                " holds",
-    ("synthesis.py", "if slots > 2:", 3,
-     "> to >="): "a one-slot rest is then counted and marked failed through"
-                 " extend instead of in place: the same count and failed states",
     ("synthesis.py", "if self.explored + placed - tried > self.budget:", 3,
      "> to >="): "one more placement is counted before the search ends: the"
                  " rest counts one unless it failed before, which no rest of a"
