@@ -209,9 +209,10 @@ def children(node: Node) -> "tuple[Node, ...]":
 
 
 # Binding strength, loosest first. Comparisons chain below addition; unary
-# minus binds tighter than the power operator. The parser and the renderer
-# both read this table, and every binary operator associates left.
-_COMPARE, _ADD, _MUL, _POW, _UNARY, _ATOM = 1, 2, 3, 4, 5, 6
+# minus, at UNARY_PRECEDENCE, binds tighter than the power operator. The
+# parser and the renderer both read these levels, and every binary operator
+# associates left.
+_COMPARE, _ADD, _MUL, _POW, UNARY_PRECEDENCE, _ATOM = 1, 2, 3, 4, 5, 6
 
 BINARY_PRECEDENCE = {
     "<": _COMPARE, "<=": _COMPARE, ">": _COMPARE, ">=": _COMPARE,
@@ -229,7 +230,7 @@ def _precedence(node: Node) -> int:
     if isinstance(node, BinaryOp):
         return BINARY_PRECEDENCE[node.op]
     if isinstance(node, UnaryOp):
-        return _UNARY
+        return UNARY_PRECEDENCE
     return _ATOM
 
 
@@ -251,7 +252,7 @@ def _render(node: Node) -> str:
     if isinstance(node, FunctionCall):
         return node.name + "(" + ",".join(_render(a) for a in node.args) + ")"
     if isinstance(node, UnaryOp):
-        return "-" + _wrap(node.operand, _UNARY, tight=False)
+        return "-" + _wrap(node.operand, UNARY_PRECEDENCE, tight=False)
     if isinstance(node, BinaryOp):
         # walk the left side of a flat chain such as A1+A1+... in a loop; equal
         # precedence on the right needs parens, since all operators associate left

@@ -69,26 +69,27 @@ def halstead_counts(ast: FormulaAst) -> HalsteadCounts:
     check_instance("ast", ast, FormulaAst)
     operators: list[str] = []
     operands: list[str] = []
-    stack = [ast.root]
-    push, pop = stack.append, stack.pop
-    while stack:
-        node = pop()
+    # one list of the tree's nodes, read in order while it grows: each node
+    # read puts its children on the end, so every node is read once and none
+    # is popped; the order changes no set and no count
+    nodes = [ast.root]
+    extend = nodes.extend
+    for node in nodes:
         kind = node.__class__  # the kinds a grading formula holds most come first
         if kind is FunctionCall:
             # a call with no arguments still counts its name
             operators.append(node.name)
-            stack += node.args
+            extend(node.args)
         elif kind is NumberLiteral:
             operands.append(number_text(node.value))
         elif kind is BinaryOp:
             operators.append(node.op)
-            push(node.left)
-            push(node.right)
+            extend((node.left, node.right))
         elif kind is CellRef or kind is RangeRef:
             operands.append(node.canonical())
         elif kind is UnaryOp:
             operators.append(node.op)
-            push(node.operand)
+            nodes.append(node.operand)
         else:
             operands.append(token_text(node))
     return HalsteadCounts(

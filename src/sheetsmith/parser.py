@@ -3,20 +3,23 @@
 Grammar, loosest binding first:
 
     formula  := '='? binary
-    binary   := unary (OP unary)*      operators bind by formulas.BINARY_PRECEDENCE
-    unary    := '-' unary | NUMBER | STRING | TRUE | FALSE | CELL (':' CELL)?
+    binary   := operand (OP operand)*  operators bind by formulas.BINARY_PRECEDENCE
+    operand  := '-' operand | NUMBER | STRING | TRUE | FALSE | CELL (':' CELL)?
               | NAME '(' binary (',' binary)* ')' | '(' binary ')'
 
-``binary`` climbs the precedence table: after an operand it takes every
-operator tighter than the level it was called at, and parses each right-hand
-operand one level tighter than that operator, so all binary operators
-associate left. Unary minus binds tighter than '^'. Function calls,
+One step, ``_binary``, reads both rules: it reads an operand, then climbs
+the precedence table, taking every operator tighter than the level it was
+called at and parsing each right-hand operand one level tighter than that
+operator, so all binary operators associate left. A prefix '-' reads its
+operand with a ``_binary`` step called at formulas.UNARY_PRECEDENCE. No
+binary operator is tighter than that level, so the step takes none, and
+unary minus binds tighter than '^': -A1^2 is (-A1)^2. Function calls,
 parenthesised groups and unary minus each open one nesting level; input
 nested deeper than MAX_NESTING levels (Excel's cap) is a syntax error, and
 so is a number literal too large for a float. Input is case-insensitive;
 positions in errors index the original string.
 
-The descent keeps no state between its steps. Each rule is a function that
+The descent keeps no state between its steps. Each step is a function that
 takes the token list, the index of its first token and, where a level can
 open, the depth already open around it; it returns its node and the index
 of the token after it. A level is opened by passing ``depth + 1`` to the
@@ -67,6 +70,7 @@ from .formulas import (
     NumberLiteral,
     SUPPORTED_FUNCTIONS,
     TextLiteral,
+    UNARY_PRECEDENCE,
     UnaryOp,
 )
 
@@ -83,7 +87,8 @@ _TOKEN_RE = re.compile(
 
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _DIGITS = frozenset("0123456789")
-# a cell's text starts with a letter or '$' and ends in its row's digits
+# a cell's text starts with a letter or '$' and ends in its row's digits; a
+# name's starts and ends with a letter
 _CELL_START = _LETTERS | {"$"}
 # the one-character texts a token of the grammar can have; any other one,
 # such as a lone '"' or '$', is an unexpected character
@@ -159,14 +164,42 @@ def _found(text: str) -> str:
 
 
 # The steps of the descent. No step moves past the "" token (EOF):
-# ``_unary`` fails on it, and every step steps over only a token whose text
-# it has checked, which is never EOF. Every error is a _Failure at a token's
-# index.
+# ``_binary`` fails on it where it expects an operand, and every step steps
+# over only a token whose text it has checked, which is never EOF. Every
+# error is a _Failure at a token's index.
 
 
 def _binary(tokens: list[str], index: int, depth: int, floor: int) -> tuple[Node, int]:
     """An operand, then every operator binding tighter than ``floor``."""
-    node, index = _unary(tokens, index, depth)
+    text = tokens[index]
+    first = text[:1]
+    # a lone '"' or '$' is an unexpected character, not a text or a cell
+    if first in _CELL_START and text != "$":
+        # a name ends in a letter, a cell in its row's digits
+        if text[-1] in _LETTERS:
+            node, index = _name(tokens, index, depth)
+        else:
+            node, index = _cell(tokens, index)
+    elif first in _DIGITS or (first == '"' and text != '"'):
+        try:
+            node = _literal(text)
+        except ValueError:
+            raise _Failure(FormulaSyntaxError, "number out of range", index) from None
+        index += 1
+    elif text == "(":
+        node, index = _binary(tokens, index + 1, _nested(depth, index), 0)
+        index = _closed(tokens, index, "')'")
+    elif text == "-":
+        # no binary operator binds tighter than the unary level, so the
+        # operand ends before the first one
+        node, index = _binary(tokens, index + 1, _nested(depth, index), UNARY_PRECEDENCE)
+        node = UnaryOp(node)
+    else:
+        raise _Failure(
+            FormulaSyntaxError,
+            f"expected a number, text, cell, function, or '(', found {_found(text)}",
+            index,
+        )
     while True:
         op = tokens[index]
         # no other token's text is an operator: text literals keep their
@@ -193,35 +226,6 @@ def _closed(tokens: list[str], index: int, what: str) -> int:
     if found != ")":
         raise _Failure(FormulaSyntaxError, f"expected {what}, found {_found(found)}", index)
     return index + 1
-
-
-def _unary(tokens: list[str], index: int, depth: int) -> tuple[Node, int]:
-    text = tokens[index]
-    first = text[:1]
-    if first in _LETTERS:
-        # a name ends in a letter, a cell in its row's digits
-        if text[-1] in _LETTERS:
-            return _name(tokens, index, depth)
-        return _cell(tokens, index)
-    # a lone '"' or '$' is an unexpected character, not a text or a cell
-    if first in _DIGITS or (first == '"' and text != '"'):
-        try:
-            return _literal(text), index + 1
-        except ValueError:
-            raise _Failure(FormulaSyntaxError, "number out of range", index) from None
-    if first == "$" and text != "$":
-        return _cell(tokens, index)
-    if text == "(":
-        node, end = _binary(tokens, index + 1, _nested(depth, index), 0)
-        return node, _closed(tokens, end, "')'")
-    if text == "-":
-        node, end = _unary(tokens, index + 1, _nested(depth, index))
-        return UnaryOp(node), end
-    raise _Failure(
-        FormulaSyntaxError,
-        f"expected a number, text, cell, function, or '(', found {_found(text)}",
-        index,
-    )
 
 
 def _cell(tokens: list[str], index: int) -> tuple[Node, int]:

@@ -895,3 +895,13 @@ def test_a_range_is_read_only_up_to_the_first_cell_no_grid_holds():
         EvalError("TypeMismatch", "MIN over non-numeric cell B1"),
         EvalError("MissingCell", "cell B1 is empty"),
     ]
+
+
+def test_a_grid_reprs_its_cells_by_canonical_name_in_order():
+    assert repr(Grid({"A1": 1})) == "Grid({'A1': 1.0})"
+    assert repr(Grid({"b2": "x", "$A$1": True})) == "Grid({'A1': True, 'B2': 'x'})"
+
+
+def test_evaluate_rejects_a_tree_that_holds_no_formula_node():
+    with pytest.raises(TypeError, match="not a formula node: <object object"):
+        evaluate(FormulaAst(object()), Grid())

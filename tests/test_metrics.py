@@ -143,3 +143,10 @@ def test_a_call_with_no_arguments_counts_its_name_as_an_operator():
     plus_one = FormulaAst(BinaryOp("+", call, NumberLiteral(1.0)))
     assert halstead_counts(plus_one) == HalsteadCounts(2, 1, 2, 1)
     assert metrics_report(plus_one).miller_concepts == 3
+
+
+def test_counting_a_tree_that_holds_no_formula_node_raises():
+    from sheetsmith import FormulaAst
+
+    with pytest.raises(TypeError, match="not a formula literal: <object object"):
+        halstead_counts(FormulaAst(object()))

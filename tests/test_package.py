@@ -181,3 +181,8 @@ def test_no_command_loads_typing(tmp_path):
                 "sheetsmith.synthesis")
     for code in runs:
         assert "typing" not in _loaded_modules(code, "-S"), code
+
+
+def test_the_package_getattr_imports_a_layer_module_by_name():
+    assert sheetsmith.__getattr__("evaluator") is importlib.import_module(
+        "sheetsmith.evaluator")

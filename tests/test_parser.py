@@ -457,3 +457,10 @@ def test_tokenizer_keeps_the_texts_and_positions_of_the_earlier_rule():
         for index in {len(tokens) // 2, len(tokens)}:
             error = parser._error(source, FormulaSyntaxError, "x", index)
             assert error.position == _spaced_error_position(source, tokens, index)
+
+
+def test_rendering_a_tree_that_holds_no_formula_node_raises():
+    with pytest.raises(TypeError, match="not a formula node: <object object"):
+        render(FormulaAst(object()))
+    with pytest.raises(TypeError, match="not a formula node: <object object"):
+        render(FormulaAst(BinaryOp("+", object(), NumberLiteral(1.0))))
