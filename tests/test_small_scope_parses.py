@@ -1,14 +1,14 @@
 """Every formula of one to four tokens over a small alphabet, parsed.
 
-The alphabet holds an operand of each kind, the prefix and binary '-', a
-power and a comparison operator, both brackets, ',' and ':' and a function
-name. Its strings of one to four tokens, joined by spaces so each stays one
-token, number 30,940. Each string's outcome is its rendered tree, or the
-error's class, message and position, and the sha256 of all outcomes is
-pinned; every tree that parses must render to text that parses back to it.
-Where the seeded corpus of test_pinned_parses samples long formulas, this
-checks every short one: a small scope in which, for instance, each pair of
-operators and each operator at each end of a formula occurs.
+The alphabet holds an operand of each kind, '-' (prefix or binary), '+',
+'^' and '<' at three precedence levels, both brackets, ',' and ':' and a
+function name. Its strings of one to four tokens, joined by spaces so each
+stays one token, number 30,940. Each string's outcome is its rendered tree,
+or the error's class, message and position, and the sha256 of all outcomes
+is pinned; every tree that parses must render to text that parses back to
+it. Where the seeded corpus of test_pinned_parses samples long formulas,
+this checks every short one: a small scope in which, for instance, each
+pair of operators and each operator at each end of a formula occurs.
 """
 
 import hashlib

@@ -15,7 +15,7 @@ It prints every line never run as file:line: text and then their count. It
 exits 1 if a line other than cli's ``sys.exit(main())`` under its
 ``__main__`` guard, which runs only in a child process, is listed, and 2 if
 the suite fails. It needs the standard library and pytest, the suite's
-runner, and runs from anywhere; the trace makes the suite about four times
+runner, and runs from anywhere; the trace makes the suite about three times
 slower.
 """
 
