@@ -69,9 +69,8 @@ def halstead_counts(ast: FormulaAst) -> HalsteadCounts:
     check_instance("ast", ast, FormulaAst)
     operators: list[str] = []
     operands: list[str] = []
-    # one list of the tree's nodes, read in order while it grows: each node
-    # read puts its children on the end, so every node is read once and none
-    # is popped; the order changes no set and no count
+    # children go on the end of the list being read; the order changes no
+    # set and no count
     nodes = [ast.root]
     extend = nodes.extend
     for node in nodes:
@@ -89,7 +88,7 @@ def halstead_counts(ast: FormulaAst) -> HalsteadCounts:
             operands.append(node.canonical())
         elif kind is UnaryOp:
             operators.append(node.op)
-            nodes.append(node.operand)
+            extend((node.operand,))
         else:
             operands.append(token_text(node))
     return HalsteadCounts(

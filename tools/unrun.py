@@ -1,10 +1,10 @@
 """List the lines of the package that the tier-1 suite never runs.
 
-    python tools/unrun.py [PYTEST_ARG ...]
+    python tools/unrun.py
 
-It runs the suite (default arguments: -q -p no:cacheprovider tests) with
-pytest in this process under sys.settrace, tracing only frames whose code is
-in src/sheetsmith/, and records each line that starts to run there. The
+It runs the whole suite (pytest -q -p no:cacheprovider tests) in this
+process under sys.settrace, tracing only frames whose code is in
+src/sheetsmith/, and records each line that starts to run there. The
 trace is set before the package is first imported, so module-level lines
 count. A module's executable lines are the lines its compiled code objects
 hold (co_lines): a docstring, comment or blank line is never listed, and
@@ -40,7 +40,7 @@ def executable_lines(path: str) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     run: dict[str, set[int]] = {}
@@ -60,7 +60,7 @@ def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     sys.settrace(trace_calls)
     try:
-        status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", "tests"])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
     finally:
         sys.settrace(None)
     if status != 0:
@@ -83,4 +83,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
